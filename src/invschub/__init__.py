@@ -13,7 +13,6 @@ from .involutions import (
     POSET_RANK_BOUND,
     Involution,
     InvolutionDiagram,
-    WeakOrderGraph,
     atoms,
     atoms_bruteforce,
     closed_orbit_polynomial,
@@ -83,6 +82,7 @@ from .polynomials import (
     variable,
 )
 from .schubert import SchubertExpansion, expand_in_schubert_basis, schubert, schubert_dominant
+from .weak_order import WeakOrderGraph
 from .verify import (
     IdentityReport,
     verify_all,
@@ -91,4 +91,4 @@ from .verify import (
     verify_mu_identity,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

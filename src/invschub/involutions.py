@@ -3,7 +3,9 @@ Involutions in S_n: diagrams and lengths, the idempotent monoid action
 m(s_i), the weak order poset, atoms and relative atoms, and involution
 Schubert polynomials.
 
-The monoid generator acts by the three-case rule
+The action, the poset and the polynomials are the mu = (n) view of the
+weak-order engine in :mod:`invschub.weak_order`, where the monoid
+generator reduces to the three-case rule
 
     m(s_i) . tau = tau            if tau(i+1) < tau(i)
                  = s_i tau        if tau(i) = i and tau(i+1) = i+1
@@ -20,9 +22,8 @@ is cross-validated against the definitional brute force by the test suite.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator
 
 from .permutations import (
     EnumerationBoundError,
@@ -33,12 +34,12 @@ from .permutations import (
     longest,
     reduced_word,
 )
-from .polynomials import IntPolynomial, ONE, divided_difference, variable
+from .polynomials import IntPolynomial, ONE, variable
+from .weak_order import WeakOrderGraph, act, act_word, anchor, build_graph, lhat_mu, shat_mu
 
 __all__ = [
     "Involution",
     "InvolutionDiagram",
-    "WeakOrderGraph",
     "identity_involution",
     "longest_involution",
     "parse_involution",
@@ -56,7 +57,6 @@ __all__ = [
     "inv_schubert",
     "inv_schubert_dominant",
     "closed_orbit_polynomial",
-    "clear_inv_schubert_cache",
     "POSET_RANK_BOUND",
     "BRUTE_FORCE_BOUND",
 ]
@@ -116,10 +116,7 @@ class Involution:
 
     def cycles_string(self) -> str:
         """Cycle notation listing 2-cycles only, e.g. "(1,5)(2,3)"; "id" if none."""
-        pairs = self.two_cycles()
-        if not pairs:
-            return "id"
-        return "".join("(%d,%d)" % (i, j) for (i, j) in pairs)
+        return _cycles_string(self.oneline)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Involution) and self.perm == other.perm
@@ -132,6 +129,11 @@ class Involution:
 
     def __str__(self) -> str:
         return self.cycles_string()
+
+
+def _cycles_string(word: tuple[int, ...]) -> str:
+    pairs = "".join("(%d,%d)" % (i, j) for i, j in enumerate(word, start=1) if i < j)
+    return pairs or "id"
 
 
 def identity_involution(n: int) -> Involution:
@@ -189,24 +191,17 @@ def monoid_apply(i: int, tau: Involution) -> Involution:
     >>> monoid_apply(2, parse_involution("(1,2)", 3)).cycles_string()
     '(1,3)'
     """
-    perm = tau.perm
-    if not 1 <= i <= perm.n - 1:
-        raise IndexError("generator index %d out of range 1..%d" % (i, perm.n - 1))
-    if perm(i + 1) < perm(i):
-        return tau
-    if perm(i) == i and perm(i + 1) == i + 1:
-        return Involution(perm.left_multiply_s(i))
-    return Involution(perm.right_multiply_s(i).left_multiply_s(i))
+    if not 1 <= i <= tau.n - 1:
+        raise IndexError("generator index %d out of range 1..%d" % (i, tau.n - 1))
+    image = act(i, tau.oneline, (0, tau.n))
+    return tau if image == tau.oneline else Involution(Permutation(image))
 
 
 def monoid_apply_word(w: Permutation, tau: Involution) -> Involution:
     """m(w) . tau along a reduced word of w, rightmost generator first."""
     if w.n != tau.n:
         raise ValueError("rank mismatch: %d vs %d" % (w.n, tau.n))
-    result = tau
-    for i in reversed(reduced_word(w)):
-        result = monoid_apply(i, result)
-    return result
+    return Involution(Permutation(act_word(reduced_word(w), tau.oneline, (0, tau.n))))
 
 
 @dataclass(frozen=True)
@@ -247,10 +242,16 @@ def involution_length(tau: Involution) -> int:
 
 def involutions(n: int) -> Iterator[Involution]:
     """All involutions of [n], in lexicographic one-line order."""
+    for word in involution_words(n):
+        yield Involution(Permutation(word))
 
-    def build(remaining: tuple[int, ...], images: dict[int, int]) -> Iterator[dict[int, int]]:
+
+def involution_words(n: int) -> list[tuple[int, ...]]:
+    """One-line tuples of all involutions of [n], in lexicographic order."""
+
+    def build(remaining: tuple[int, ...], images: dict[int, int]) -> Iterator[tuple[int, ...]]:
         if not remaining:
-            yield dict(images)
+            yield tuple(images[i] for i in range(1, n + 1))
             return
         first, rest = remaining[0], remaining[1:]
         images[first] = first
@@ -261,136 +262,7 @@ def involutions(n: int) -> Iterator[Involution]:
             yield from build(rest[:idx] + rest[idx + 1 :], images)
             del images[first], images[partner]
 
-    collected = [
-        Involution(Permutation(mapping[i] for i in range(1, n + 1)))
-        for mapping in build(tuple(range(1, n + 1)), {})
-    ]
-    collected.sort(key=lambda t: t.oneline)
-    yield from collected
-
-
-# ---------------------------------------------------------------------------
-# Weak order graph (shared by the mu-involution module)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WeakOrderGraph:
-    """A rank-labeled directed multigraph with generator-labeled edges.
-
-    Vertices are identified by index into ``vertices``; each vertex carries
-    its one-line notation, a display label and its rank.  Edges are
-    (from_index, generator, to_index) triples.  Vertex order is
-    deterministic: by (rank, one-line notation).
-    """
-
-    name: str
-    vertices: tuple[tuple[tuple[int, ...], str, int], ...]
-    edges: tuple[tuple[int, int, int], ...]
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.vertices)
-
-    def rank_profile(self) -> tuple[int, ...]:
-        if not self.vertices:
-            return ()
-        top = max(rank for (_, _, rank) in self.vertices)
-        profile = [0] * (top + 1)
-        for (_, _, rank) in self.vertices:
-            profile[rank] += 1
-        return tuple(profile)
-
-    def index_of(self, oneline: tuple[int, ...]) -> int:
-        for idx, (ol, _, _) in enumerate(self.vertices):
-            if ol == oneline:
-                return idx
-        raise KeyError("vertex %r not in graph" % (oneline,))
-
-    def has_edge(self, from_oneline: tuple[int, ...], gen: int, to_oneline: tuple[int, ...]) -> bool:
-        u, v = self.index_of(from_oneline), self.index_of(to_oneline)
-        return (u, gen, v) in self.edges
-
-    def minimal_vertices(self) -> tuple[int, ...]:
-        targets = {v for (_, _, v) in self.edges}
-        return tuple(i for i in range(len(self.vertices)) if i not in targets)
-
-    def maximal_vertices(self) -> tuple[int, ...]:
-        sources = {u for (u, _, _) in self.edges}
-        return tuple(i for i in range(len(self.vertices)) if i not in sources)
-
-    def to_dot(self) -> str:
-        lines = ["digraph %s {" % self.name]
-        for idx, (_, label, _) in enumerate(self.vertices):
-            lines.append('  n%d [label="%s"];' % (idx, label))
-        for (u, gen, v) in self.edges:
-            lines.append('  n%d -> n%d [label="s_%d"];' % (u, v, gen))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": [
-                {
-                    "id": idx,
-                    "oneline": "[" + ",".join(str(v) for v in ol) + "]",
-                    "cycles": label,
-                    "rank": rank,
-                }
-                for idx, (ol, label, rank) in enumerate(self.vertices)
-            ],
-            "edges": [
-                {"from": u, "to": v, "label": "s_%d" % gen}
-                for (u, gen, v) in self.edges
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
-
-    def to_text(self) -> str:
-        lines = ["%s: %d vertices, %d edges" % (self.name, len(self.vertices), len(self.edges))]
-        for idx, (ol, label, rank) in enumerate(self.vertices):
-            lines.append(
-                "  n%d rank=%d %s %s"
-                % (idx, rank, "[" + ",".join(str(v) for v in ol) + "]", label)
-            )
-        for (u, gen, v) in self.edges:
-            lines.append("  n%d -s_%d-> n%d" % (u, gen, v))
-        return "\n".join(lines) + "\n"
-
-
-def build_weak_order_graph(
-    name: str,
-    elements: Sequence,
-    rank_fn: Callable,
-    label_fn: Callable,
-    oneline_fn: Callable,
-    apply_fn: Callable,
-    generators: Sequence[int],
-) -> WeakOrderGraph:
-    """Assemble a WeakOrderGraph from an action (shared involution/mu code).
-
-    An edge (tau, j, tau') is recorded whenever apply_fn(j, tau) = tau'
-    differs from tau; the stay case never materializes a self-loop.
-    """
-    decorated = sorted(
-        ((rank_fn(el), oneline_fn(el), el) for el in elements),
-        key=lambda t: (t[0], t[1]),
-    )
-    index = {ol: idx for idx, (_, ol, _) in enumerate(decorated)}
-    vertices = tuple(
-        (ol, label_fn(el), rank) for (rank, ol, el) in decorated
-    )
-    edges: list[tuple[int, int, int]] = []
-    for idx, (_, ol, el) in enumerate(decorated):
-        for j in generators:
-            image = apply_fn(j, el)
-            image_ol = oneline_fn(image)
-            if image_ol != ol:
-                edges.append((idx, j, index[image_ol]))
-    edges.sort()
-    return WeakOrderGraph(name, vertices, tuple(edges))
+    return sorted(build(tuple(range(1, n + 1)), {}))
 
 
 def weak_order_graph(n: int, max_n: int = POSET_RANK_BOUND) -> WeakOrderGraph:
@@ -403,38 +275,31 @@ def weak_order_graph(n: int, max_n: int = POSET_RANK_BOUND) -> WeakOrderGraph:
         raise EnumerationBoundError(
             "poset construction for n=%d exceeds the bound %d" % (n, max_n)
         )
-    return build_weak_order_graph(
-        "involutions_%d" % n,
-        list(involutions(n)),
-        rank_fn=involution_length,
-        label_fn=lambda t: t.cycles_string(),
-        oneline_fn=lambda t: t.oneline,
-        apply_fn=monoid_apply,
-        generators=range(1, n),
-    )
+    return build_graph("involutions_%d" % n, involution_words(n), (0, n), _cycles_string)
 
 
 def weak_le(tau: Involution, tau_prime: Involution) -> bool:
     """True iff tau <= tau' in weak order (tau' reachable by raising moves)."""
     if tau.n != tau_prime.n:
         raise ValueError("rank mismatch")
-    target_rank = involution_length(tau_prime)
+    nu, target = (0, tau.n), tau_prime.oneline
+    target_rank = lhat_mu(target, nu)
     seen = {tau.oneline}
-    frontier = [tau]
+    frontier = [tau.oneline]
     while frontier:
         nxt = []
-        for t in frontier:
-            if t.oneline == tau_prime.oneline:
+        for word in frontier:
+            if word == target:
                 return True
-            if involution_length(t) >= target_rank:
+            if lhat_mu(word, nu) >= target_rank:
                 continue
-            for i in range(1, t.n):
-                image = monoid_apply(i, t)
-                if image.oneline not in seen:
-                    seen.add(image.oneline)
+            for i in range(1, tau.n):
+                image = act(i, word, nu)
+                if image not in seen:
+                    seen.add(image)
                     nxt.append(image)
         frontier = nxt
-    return tau.oneline == tau_prime.oneline
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -576,65 +441,22 @@ def closed_orbit_polynomial(n: int) -> IntPolynomial:
     """
     if n < 1:
         raise ValueError("rank must be at least 1")
-    poly = ONE
-    for i in range(1, n // 2 + 1):
-        poly = poly * variable(i)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n - i + 1):
-            poly = poly * (variable(i) + variable(j))
-    return poly
-
-
-_INV_SCHUBERT_CACHE: dict[tuple[int, tuple[int, ...]], IntPolynomial] = {}
-
-
-def clear_inv_schubert_cache() -> None:
-    _INV_SCHUBERT_CACHE.clear()
-
-
-def _raising_chain(tau: Involution) -> list[int]:
-    # Labels of the greedy chain tau -> ... -> w0, smallest raising
-    # generator first at every step.
-    labels: list[int] = []
-    current = tau
-    top = longest(tau.n).oneline
-    guard = involution_length(longest_involution(tau.n)) + 1
-    while current.oneline != top:
-        for i in range(1, current.n):
-            image = monoid_apply(i, current)
-            if image != current:
-                labels.append(i)
-                current = image
-                break
-        else:
-            raise AssertionError(
-                "no raising generator found below the maximum at %s" % current
-            )
-        if len(labels) > guard:
-            raise AssertionError("raising chain failed to terminate")
-    return labels
+    return anchor((0, n))
 
 
 def inv_schubert(tau: Involution) -> IntPolynomial:
     """Shat_tau: divided differences along any chain up to w0.
 
     Chain-independence is a property of the action and is asserted by the
-    test suite; this implementation uses the greedy smallest-label chain.
+    test suite; this implementation uses the greedy smallest-label chain
+    of the mu = (n) engine, whose every move must raise lhat by one.
 
     >>> print(inv_schubert(longest_involution(3)))
     x1^2 + x1*x2
     >>> print(inv_schubert(identity_involution(3)))
     1
     """
-    key = (tau.n, tau.oneline)
-    cached = _INV_SCHUBERT_CACHE.get(key)
-    if cached is not None:
-        return cached
-    poly = closed_orbit_polynomial(tau.n)
-    for i in reversed(_raising_chain(tau)):
-        poly = divided_difference(poly, i)
-    _INV_SCHUBERT_CACHE[key] = poly
-    return poly
+    return shat_mu(tau.oneline, (0, tau.n))
 
 
 def inv_schubert_dominant(tau: Involution) -> IntPolynomial:

@@ -8,12 +8,9 @@ permutation whose one-line notation, cut into blocks of sizes mu_1, ...,
 mu_k, has every block standardizing to an involution.  Blocks are written
 pipe-separated, e.g. "586|21|743" for mu = (3,2,3).
 
-The generator m(s_i) acts by four cases: stay when letter i appears after
-letter i+1; swap the two letters when they lie in different blocks; swap
-them in place when they lie in the same block and the block fixes both
-(as a permutation of its own alphabet); otherwise conjugate inside the
-block, i.e. swap the two block slots at the ranks of i and i+1 and then
-relabel i <-> i+1.
+The monoid action, the rank lhat_mu, the weak-order graph and the
+polynomial descent are the weak-order engine in :mod:`invschub.weak_order`,
+which works on the one-line tuple and the prefix sums ``Composition.nu``.
 """
 
 from __future__ import annotations
@@ -26,13 +23,10 @@ from typing import Iterator, Sequence
 
 from .involutions import (
     BRUTE_FORCE_BOUND,
-    Involution,
     atoms,
-    build_weak_order_graph,
     involution_diagram,
-    involutions,
+    involution_words,
     longest_involution,
-    WeakOrderGraph,
 )
 from .permutations import (
     EnumerationBoundError,
@@ -43,7 +37,8 @@ from .permutations import (
     reduced_word,
     standardize,
 )
-from .polynomials import IntPolynomial, ONE, divided_difference, variable
+from .polynomials import IntPolynomial, ONE, variable
+from .weak_order import WeakOrderGraph, act, act_word, build_graph, lhat_mu, shat_mu
 
 __all__ = [
     "Composition",
@@ -52,7 +47,6 @@ __all__ = [
     "DegenerateDiagram",
     "parse_composition",
     "parse_mu_involution",
-    "validate_mu_involution",
     "mu_strings",
     "identity_mu_involution",
     "top_mu_involution",
@@ -68,7 +62,6 @@ __all__ = [
     "degenerate_diagram",
     "mu_closed_orbit_polynomial",
     "mu_inv_schubert",
-    "clear_mu_inv_schubert_cache",
     "DEFAULT_VERTEX_BUDGET",
 ]
 
@@ -139,13 +132,11 @@ class Composition:
 
 
 def parse_composition(text: str) -> Composition:
-    """Parse "4,1,3" (spaces allowed)."""
+    """Parse "4,1,3" (spaces allowed; an empty part is an error)."""
     try:
-        parts = [int(chunk) for chunk in text.replace(" ", "").split(",") if chunk]
+        parts = [int(chunk) for chunk in text.replace(" ", "").split(",")]
     except ValueError:
         raise ValueError("cannot parse composition %r" % text) from None
-    if not parts:
-        raise ValueError("empty composition %r" % text)
     return Composition(parts)
 
 
@@ -221,17 +212,12 @@ class MuInvolution:
         return "MuInvolution(%s, mu=%s)" % (self.perm, self.mu)
 
     def __str__(self) -> str:
-        if self.n <= 9:
-            return "|".join(
-                "".join(str(x) for x in block) for block in self.strings
-            )
-        return "|".join(
-            ",".join(str(x) for x in block) for block in self.strings
-        )
+        return _blocks_string(self.oneline, self.mu.nu)
 
 
-def validate_mu_involution(p: Permutation, mu: Composition) -> MuInvolution:
-    return MuInvolution(p, mu)
+def _blocks_string(word: tuple[int, ...], nu: tuple[int, ...]) -> str:
+    sep = "" if len(word) <= 9 else ","
+    return "|".join(sep.join(str(x) for x in word[lo:hi]) for lo, hi in zip(nu, nu[1:]))
 
 
 def parse_mu_involution(text: str, mu: Composition | None = None) -> MuInvolution:
@@ -288,17 +274,6 @@ def top_mu_involution(mu: Composition) -> MuInvolution:
     return MuInvolution(longest(mu.n), mu)
 
 
-def _block_alphabet_rank(block: tuple[int, ...], letter: int) -> int:
-    """1-based rank of ``letter`` within the sorted alphabet of ``block``."""
-    return sorted(block).index(letter) + 1
-
-
-def _block_fixes(block: tuple[int, ...], letter: int) -> bool:
-    """Whether the block string, as a permutation of its alphabet, fixes
-    ``letter``; i.e. the slot at the letter's rank holds the letter itself."""
-    return block[_block_alphabet_rank(block, letter) - 1] == letter
-
-
 def mu_monoid_apply(i: int, pi: MuInvolution) -> MuInvolution:
     """m(s_i) . pi by the four-case rule.
 
@@ -311,41 +286,18 @@ def mu_monoid_apply(i: int, pi: MuInvolution) -> MuInvolution:
     >>> str(mu_monoid_apply(3, parse_mu_involution("432|1")))
     '432|1'
     """
-    perm, mu = pi.perm, pi.mu
-    if not 1 <= i <= perm.n - 1:
-        raise IndexError("generator index %d out of range 1..%d" % (i, perm.n - 1))
-    inv = perm.inverse()
-    p_lo, p_hi = inv(i), inv(i + 1)
-    if p_lo > p_hi:
-        return pi
-    block_lo, block_hi = mu.block_of(p_lo), mu.block_of(p_hi)
-    if block_lo != block_hi:
-        return MuInvolution(perm.left_multiply_s(i), mu)
-    block = pi.strings[block_lo - 1]
-    if _block_fixes(block, i) and _block_fixes(block, i + 1):
-        return MuInvolution(perm.left_multiply_s(i), mu)
-    # Conjugation inside the block: swap the slots at the ranks of i and
-    # i+1 (consecutive, since no letter lies between them), then relabel.
-    base = mu.nu[block_lo - 1]
-    r = _block_alphabet_rank(block, i)
-    images = list(perm.oneline)
-    images[base + r - 1], images[base + r] = images[base + r], images[base + r - 1]
-    for idx, val in enumerate(images):
-        if val == i:
-            images[idx] = i + 1
-        elif val == i + 1:
-            images[idx] = i
-    return MuInvolution(Permutation(images), mu)
+    if not 1 <= i <= pi.n - 1:
+        raise IndexError("generator index %d out of range 1..%d" % (i, pi.n - 1))
+    image = act(i, pi.oneline, pi.mu.nu)
+    return pi if image == pi.oneline else MuInvolution(Permutation(image), pi.mu)
 
 
 def mu_monoid_apply_word(w: Permutation, pi: MuInvolution) -> MuInvolution:
     """m(w) . pi along a reduced word of w, rightmost generator first."""
     if w.n != pi.n:
         raise ValueError("rank mismatch: %d vs %d" % (w.n, pi.n))
-    result = pi
-    for i in reversed(reduced_word(w)):
-        result = mu_monoid_apply(i, result)
-    return result
+    image = act_word(reduced_word(w), pi.oneline, pi.mu.nu)
+    return MuInvolution(Permutation(image), pi.mu)
 
 
 def sort_mu(pi: MuInvolution) -> Permutation:
@@ -365,11 +317,7 @@ def mu_length(pi: MuInvolution) -> int:
     >>> mu_length(parse_mu_involution("586|21|743"))
     17
     """
-    blockwise = sum(
-        involution_diagram(Involution(standardize(block))).inv_length
-        for block in pi.strings
-    )
-    return blockwise + sort_mu(pi).length()
+    return lhat_mu(pi.oneline, pi.mu.nu)
 
 
 @lru_cache(maxsize=None)
@@ -391,6 +339,13 @@ def count_mu_involutions(mu: Composition) -> int:
 
 def mu_involutions(mu: Composition) -> Iterator[MuInvolution]:
     """All mu-involutions, in lexicographic one-line order."""
+    for word in _mu_words(mu):
+        yield MuInvolution(Permutation(word), mu)
+
+
+def _mu_words(mu: Composition) -> list[tuple[int, ...]]:
+    # One-line tuples of I_mu, in lexicographic order.
+    patterns = {m: involution_words(m) for m in set(mu.parts)}
 
     def assign(letters: tuple[int, ...], a: int) -> Iterator[tuple[tuple[int, ...], ...]]:
         if a > mu.k:
@@ -404,20 +359,13 @@ def mu_involutions(mu: Composition) -> Iterator[MuInvolution]:
 
     collected = []
     for alphabet_choice in assign(tuple(range(1, mu.n + 1)), 1):
-        block_options = []
-        for alphabet in alphabet_choice:
-            sorted_alpha = sorted(alphabet)
-            block_options.append(
-                [
-                    tuple(sorted_alpha[alpha(t) - 1] for t in range(1, len(alphabet) + 1))
-                    for alpha in involutions(len(alphabet))
-                ]
-            )
+        block_options = [
+            [tuple(alphabet[v - 1] for v in pattern) for pattern in patterns[len(alphabet)]]
+            for alphabet in alphabet_choice
+        ]
         for combo in itertools.product(*block_options):
-            word = [x for block in combo for x in block]
-            collected.append(MuInvolution(Permutation(word), mu))
-    collected.sort(key=lambda pi: pi.oneline)
-    yield from collected
+            collected.append(tuple(x for block in combo for x in block))
+    return sorted(collected)
 
 
 def mu_weak_order_graph(
@@ -439,19 +387,16 @@ def mu_weak_order_graph(
         raise EnumerationBoundError(
             "|I_mu| = %d exceeds the vertex budget %d" % (expected, vertex_budget)
         )
-    elements = list(mu_involutions(mu))
+    elements = _mu_words(mu)
     if len(elements) != expected:
         raise AssertionError(
             "enumerated %d mu-involutions, expected %d" % (len(elements), expected)
         )
-    graph = build_weak_order_graph(
+    graph = build_graph(
         "mu_involutions_%s" % "_".join(str(p) for p in mu.parts),
         elements,
-        rank_fn=mu_length,
-        label_fn=str,
-        oneline_fn=lambda pi: pi.oneline,
-        apply_fn=mu_monoid_apply,
-        generators=range(1, mu.n),
+        mu.nu,
+        lambda word: _blocks_string(word, mu.nu),
     )
     if graph.minimal_vertices() != (graph.index_of(identity(mu.n).oneline),):
         raise AssertionError("identity is not the unique minimum of the mu-weak order")
@@ -582,18 +527,12 @@ def mu_closed_orbit_polynomial(mu: Composition) -> IntPolynomial:
     return poly
 
 
-_MU_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], IntPolynomial] = {}
-
-
-def clear_mu_inv_schubert_cache() -> None:
-    _MU_CACHE.clear()
-
-
 def mu_inv_schubert(pi: MuInvolution) -> IntPolynomial:
     """Shat^mu_pi: divided differences along any raising chain to the top.
 
     The anchor at the top element is mu_closed_orbit_polynomial of the
-    REVERSED composition.  That choice is forced: it is the unique anchor
+    REVERSED composition, which the engine builds from ``mu.nu`` alone, so
+    at mu = (n) it is closed_orbit_polynomial(n).  That choice is forced: it is the unique anchor
     for which the descent is chain-independent (every raising edge gives
     the same polynomial under its divided difference) and for which the
     result equals the multiplicity-free sum of S_{w^-1} over the words w
@@ -608,38 +547,7 @@ def mu_inv_schubert(pi: MuInvolution) -> IntPolynomial:
     >>> print(mu_inv_schubert(parse_mu_involution("123|4")))
     1
     """
-    mu = pi.mu
-    top = longest(mu.n).oneline
-    stack: list[tuple[tuple[int, ...], int]] = []
-    current = pi
-    while True:
-        key = (mu.parts, current.oneline)
-        if key in _MU_CACHE or current.oneline == top:
-            break
-        rank = mu_length(current)
-        for i in range(1, mu.n):
-            image = mu_monoid_apply(i, current)
-            if image.oneline != current.oneline:
-                if mu_length(image) != rank + 1:
-                    raise AssertionError(
-                        "monoid move s_%d does not raise rank by 1 at %s" % (i, current)
-                    )
-                stack.append((current.oneline, i))
-                current = image
-                break
-        else:
-            raise AssertionError("no raising move below the top at %s" % current)
-    key = (mu.parts, current.oneline)
-    if key in _MU_CACHE:
-        poly = _MU_CACHE[key]
-    else:
-        poly = mu_closed_orbit_polynomial(Composition(tuple(reversed(mu.parts))))
-        _MU_CACHE[key] = poly
-    while stack:
-        oneline, i = stack.pop()
-        poly = divided_difference(poly, i)
-        _MU_CACHE[(mu.parts, oneline)] = poly
-    return poly
+    return shat_mu(pi.oneline, pi.mu.nu)
 
 
 if __name__ == "__main__":

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations as _itertools_permutations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 __all__ = [
     "Permutation",
@@ -404,12 +404,6 @@ def parse_permutation(text: str, n: int | None = None) -> Permutation:
     if n is not None and w.n != n:
         raise ValueError("permutation %r has rank %d, expected %d" % (text, w.n, n))
     return w
-
-
-def render_mapping(mapping: Mapping[int, int]) -> str:
-    """Render an alphabet mapping deterministically, e.g. "{2->5, 4->2}"."""
-    parts = ["%d->%d" % (k, mapping[k]) for k in sorted(mapping)]
-    return "{" + ", ".join(parts) + "}"
 
 
 if __name__ == "__main__":

@@ -2,8 +2,10 @@
 Ordinary Schubert polynomials.
 
 S_{w0} = x1^{n-1} x2^{n-2} ... x_{n-1}, and S_w = d_i(S_{w s_i}) whenever
-l(w s_i) = l(w) + 1.  The recursion descends from w0 and is memoized per
-(n, one-line notation).
+l(w s_i) = l(w) + 1.  The recursion climbs by right multiplication at the
+first ascent and descends from w0 through the shared memoized walker of
+:mod:`invschub.weak_order`; its steps and its staircase anchor are its own,
+independent of the monoid action.
 
 The inverse direction - expanding an arbitrary polynomial in the Schubert
 basis - uses greedy trailing-term peeling.  The graded-lex MINIMAL monomial
@@ -19,36 +21,35 @@ cross-checking.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .permutations import (
     Permutation,
     all_permutations,
     code,
-    identity,
     is_dominant,
-    longest,
     permutation_from_code,
     rothe_diagram,
 )
-from .polynomials import IntPolynomial, ONE, ZERO, monomial
+from .polynomials import IntPolynomial, ZERO, monomial
+from .weak_order import descend
 
 __all__ = [
     "schubert",
     "schubert_dominant",
     "expand_in_schubert_basis",
     "SchubertExpansion",
-    "clear_cache",
 ]
 
-_CACHE: dict[tuple[int, tuple[int, ...]], IntPolynomial] = {}
 
-
-def clear_cache(n: int | None = None) -> None:
-    """Drop memoized Schubert polynomials (all of rank n, or everything)."""
-    if n is None:
-        _CACHE.clear()
-    else:
-        for key in [k for k in _CACHE if k[0] == n]:
-            del _CACHE[key]
+def _first_ascent_moves(word: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
+    # w -> w s_i at the first ascent i, until w0.
+    while True:
+        p = next((p for p in range(len(word) - 1) if word[p] < word[p + 1]), None)
+        if p is None:
+            return
+        word = word[:p] + (word[p + 1], word[p]) + word[p + 2 :]
+        yield p + 1, word
 
 
 def schubert(w: Permutation) -> IntPolynomial:
@@ -59,37 +60,8 @@ def schubert(w: Permutation) -> IntPolynomial:
     >>> print(schubert(Permutation([1, 3, 2])))
     x1 + x2
     """
-    key = (w.n, w.oneline)
-    cached = _CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    # Iterative ascent to w0: record the generators used, then peel back
-    # down with divided differences, memoizing every intermediate stop.
-    from .polynomials import divided_difference
-
-    stack: list[tuple[tuple[int, ...], int]] = []
-    current = w
-    while True:
-        cur_key = (current.n, current.oneline)
-        if cur_key in _CACHE:
-            poly = _CACHE[cur_key]
-            break
-        ascents = current.ascents()
-        if not ascents:
-            # current == w0
-            n = current.n
-            poly = monomial(tuple(n - k for k in range(1, n + 1)))
-            _CACHE[cur_key] = poly
-            break
-        i = ascents[0]
-        stack.append((current.oneline, i))
-        current = current.right_multiply_s(i)
-    while stack:
-        oneline, i = stack.pop()
-        poly = divided_difference(poly, i)
-        _CACHE[(len(oneline), oneline)] = poly
-    return poly
+    staircase = tuple(range(w.n - 1, -1, -1))
+    return descend(None, w.oneline, _first_ascent_moves(w.oneline), lambda: monomial(staircase))
 
 
 def schubert_dominant(w: Permutation) -> IntPolynomial:

@@ -2,13 +2,16 @@
 Mechanical verification of the atom-sum factorization identities.
 
 Every verifier assembles an :class:`IdentityReport` whose two sides are
-computed by pipelines that share nothing beyond polynomial arithmetic:
+computed by pipelines that share only polynomial arithmetic and the
+memoized descent walker of :mod:`invschub.weak_order`, not its steps or
+its anchors:
 
 * ``lhs`` enumerates an atom set and sums ordinary Schubert polynomials of
-  the inverses (descent recursion down from the staircase monomial);
+  the inverses (descent by right multiplication at the first ascent, down
+  from the staircase monomial);
 * ``rhs`` is a fully factored product read directly off a diagram, or the
-  divided-difference chain anchored at the closed-orbit product -- no atom
-  or ordinary-Schubert code is involved;
+  divided-difference chain of the monoid action anchored at the
+  closed-orbit product -- no atom or ordinary-Schubert code is involved;
 * ``expansion`` re-expands the rhs in the Schubert basis by peeling the
   graded-lex minimal monomial, a third route whose support must land back
   on the inverted atom set.

@@ -1,0 +1,285 @@
+"""
+The weak-order engine under involutions and mu-involutions: the monoid
+action and the rank lhat_mu on raw one-line tuples, the weak-order graph,
+and one memoized divided-difference descent with its single cache.
+
+A mu-involution is a pair (word, nu): its one-line tuple and the prefix
+sums ``Composition.nu`` that cut it into blocks; involutions of [n] are
+nu = (0, n).  m(s_i) stays when letter i appears after letter i+1; swaps
+the two letters when they lie in different blocks, or in one block that
+fixes both (as a permutation of its own alphabet); and otherwise
+conjugates inside the block: it swaps the block slots at the ranks of i
+and i+1, then relabels i <-> i+1.
+
+>>> act(3, (3, 2, 4, 1), (0, 3, 4)), lhat_mu((4, 3, 2, 1), (0, 3, 4))
+((4, 3, 2, 1), 5)
+"""
+
+from __future__ import annotations
+
+import json
+from bisect import bisect_right
+from dataclasses import dataclass
+from typing import Callable, Iterable, Iterator, Sequence
+
+from .polynomials import IntPolynomial, ONE, divided_difference, monomial, variable
+
+__all__ = [
+    "WeakOrderGraph",
+    "act",
+    "act_word",
+    "lhat_mu",
+    "build_graph",
+    "anchor",
+    "descend",
+    "shat_mu",
+    "clear_cache",
+]
+
+Word = tuple[int, ...]
+
+
+def act(i: int, word: Word, nu: Word) -> Word:
+    """m(s_i) . word by the four-case rule, for 1 <= i < n."""
+    p, q = word.index(i), word.index(i + 1)
+    if p > q:
+        return word
+    images = list(word)
+    a = bisect_right(nu, p)
+    lo, hi = nu[a - 1], nu[a]
+    if q < hi:
+        # Same block: the slots at the ranks of i and i+1 are adjacent,
+        # since no letter of the block lies between them.
+        slot = lo + sum(1 for x in word[lo:hi] if x < i)
+        if (p, q) != (slot, slot + 1):
+            images[slot], images[slot + 1] = images[slot + 1], images[slot]
+            return tuple(i + 1 if x == i else i if x == i + 1 else x for x in images)
+    images[p], images[q] = i + 1, i
+    return tuple(images)
+
+
+def act_word(generators: Sequence[int], word: Word, nu: Word) -> Word:
+    """m(s_{i_1} ... s_{i_l}) . word, rightmost generator first."""
+    for i in reversed(generators):
+        word = act(i, word, nu)
+    return word
+
+
+def _inversions(seq: Sequence[int]) -> int:
+    return sum(1 for k, a in enumerate(seq) for b in seq[k + 1 :] if a > b)
+
+
+def lhat_mu(word: Word, nu: Word) -> int:
+    """Blockwise involution lengths (l(z) + kappa(z)) / 2, kappa counting
+    2-cycles, plus the length of the blockwise sorted word.  A block that
+    does not standardize to an involution raises AssertionError."""
+    rank, ordered = 0, []
+    for lo, hi in zip(nu, nu[1:]):
+        block = word[lo:hi]
+        alphabet = sorted(block)
+        image = dict(zip(alphabet, block))
+        if any(image[y] != x for x, y in image.items()):
+            raise AssertionError(
+                "block %r of %r does not standardize to an involution" % (block, word)
+            )
+        rank += (_inversions(block) + sum(1 for x, y in image.items() if y > x)) // 2
+        ordered += alphabet
+    return rank + _inversions(ordered)
+
+
+# ---------------------------------------------------------------------------
+# Weak order graph
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WeakOrderGraph:
+    """A rank-labeled directed multigraph with generator-labeled edges.
+
+    Vertices are identified by index into ``vertices``; each vertex carries
+    its one-line notation, a display label and its rank.  Edges are
+    (from_index, generator, to_index) triples.  Vertex order is
+    deterministic: by (rank, one-line notation).
+    """
+
+    name: str
+    vertices: tuple[tuple[tuple[int, ...], str, int], ...]
+    edges: tuple[tuple[int, int, int], ...]
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.vertices)
+
+    def rank_profile(self) -> tuple[int, ...]:
+        if not self.vertices:
+            return ()
+        top = max(rank for (_, _, rank) in self.vertices)
+        profile = [0] * (top + 1)
+        for (_, _, rank) in self.vertices:
+            profile[rank] += 1
+        return tuple(profile)
+
+    def index_of(self, oneline: tuple[int, ...]) -> int:
+        for idx, (ol, _, _) in enumerate(self.vertices):
+            if ol == oneline:
+                return idx
+        raise KeyError("vertex %r not in graph" % (oneline,))
+
+    def has_edge(self, from_oneline: tuple[int, ...], gen: int, to_oneline: tuple[int, ...]) -> bool:
+        u, v = self.index_of(from_oneline), self.index_of(to_oneline)
+        return (u, gen, v) in self.edges
+
+    def minimal_vertices(self) -> tuple[int, ...]:
+        targets = {v for (_, _, v) in self.edges}
+        return tuple(i for i in range(len(self.vertices)) if i not in targets)
+
+    def maximal_vertices(self) -> tuple[int, ...]:
+        sources = {u for (u, _, _) in self.edges}
+        return tuple(i for i in range(len(self.vertices)) if i not in sources)
+
+    def to_dot(self) -> str:
+        lines = ["digraph %s {" % self.name]
+        for idx, (_, label, _) in enumerate(self.vertices):
+            lines.append('  n%d [label="%s"];' % (idx, label))
+        for (u, gen, v) in self.edges:
+            lines.append('  n%d -> n%d [label="s_%d"];' % (u, v, gen))
+        lines.append("}")
+        return "\n".join(lines) + "\n"
+
+    def to_json_dict(self) -> dict:
+        return {
+            "vertices": [
+                {
+                    "id": idx,
+                    "oneline": "[" + ",".join(str(v) for v in ol) + "]",
+                    "cycles": label,
+                    "rank": rank,
+                }
+                for idx, (ol, label, rank) in enumerate(self.vertices)
+            ],
+            "edges": [
+                {"from": u, "to": v, "label": "s_%d" % gen}
+                for (u, gen, v) in self.edges
+            ],
+        }
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+
+    def to_text(self) -> str:
+        lines = ["%s: %d vertices, %d edges" % (self.name, len(self.vertices), len(self.edges))]
+        for idx, (ol, label, rank) in enumerate(self.vertices):
+            lines.append(
+                "  n%d rank=%d %s %s"
+                % (idx, rank, "[" + ",".join(str(v) for v in ol) + "]", label)
+            )
+        for (u, gen, v) in self.edges:
+            lines.append("  n%d -s_%d-> n%d" % (u, gen, v))
+        return "\n".join(lines) + "\n"
+
+
+def build_graph(
+    name: str, elements: Iterable[Word], nu: Word, label: Callable[[Word], str]
+) -> WeakOrderGraph:
+    """The weak-order graph on ``elements``, ranked by lhat_mu, with an
+    edge (u, j, v) whenever m(s_j) moves u to v, which must be a vertex."""
+    ranked = sorted((lhat_mu(word, nu), word) for word in elements)
+    index = {word: idx for idx, (_, word) in enumerate(ranked)}
+    edges: list[tuple[int, int, int]] = []
+    for idx, (_, word) in enumerate(ranked):
+        for j in range(1, nu[-1]):
+            image = act(j, word, nu)
+            if image != word:
+                if image not in index:
+                    raise AssertionError(
+                        "m(s_%d) maps %r outside the enumerated poset" % (j, word)
+                    )
+                edges.append((idx, j, index[image]))
+    edges.sort()
+    vertices = tuple((word, label(word), rank) for (rank, word) in ranked)
+    return WeakOrderGraph(name, vertices, tuple(edges))
+
+
+# ---------------------------------------------------------------------------
+# Memoized descent
+# ---------------------------------------------------------------------------
+
+# Chain-node polynomials keyed by (tag, word): the tag is nu for the
+# mu-involution chains and None for the ordinary Schubert chain.
+_CACHE: dict[tuple[Word | None, Word], IntPolynomial] = {}
+
+
+def clear_cache(n: int | None = None) -> None:
+    """Drop memoized polynomials (all of rank n, or everything)."""
+    if n is None:
+        _CACHE.clear()
+    else:
+        for key in [k for k in _CACHE if len(k[1]) == n]:
+            del _CACHE[key]
+
+
+def descend(
+    tag: Word | None,
+    word: Word,
+    moves: Iterator[tuple[int, Word]],
+    top_polynomial: Callable[[], IntPolynomial],
+) -> IntPolynomial:
+    """The polynomial of ``word``: climb the ``moves`` (i, raised word) up
+    to the first cached node or w0 (worth ``top_polynomial()``), then apply
+    d_i back down, caching every node of the chain."""
+    top = tuple(range(len(word), 0, -1))
+    below: list[tuple[Word, int]] = []
+    while (tag, word) not in _CACHE:
+        if word == top:
+            _CACHE[tag, word] = top_polynomial()
+            break
+        step = next(moves, None)
+        if step is None:
+            raise AssertionError("raising chain stops below the top at %r" % (word,))
+        below.append((word, step[0]))
+        word = step[1]
+    poly = _CACHE[tag, word]
+    for word, i in reversed(below):
+        poly = divided_difference(poly, i)
+        _CACHE[tag, word] = poly
+    return poly
+
+
+def anchor(nu: Word) -> IntPolynomial:
+    """Shat^mu at w0: the closed-orbit product of the REVERSED composition.
+    Block [lo, hi) of nu lands on positions n-hi+1 .. n-lo, each carrying
+    lo cross factors, plus x_i for 2i <= m and x_i + x_j for i < j <= m-i
+    (m = hi - lo, i and j counted inside the landing block)."""
+    n, poly = nu[-1], ONE
+    exponents = [0] * n
+    for lo, hi in zip(nu, nu[1:]):
+        base, m = n - hi, hi - lo
+        for i in range(1, m + 1):
+            exponents[base + i - 1] = lo + (2 * i <= m)
+            for j in range(i + 1, m - i + 1):
+                poly = poly * (variable(base + i) + variable(base + j))
+    return poly * monomial(exponents)
+
+
+def _greedy_moves(word: Word, nu: Word) -> Iterator[tuple[int, Word]]:
+    # Smallest moving generator first; each move must raise lhat_mu by one.
+    rank = lhat_mu(word, nu)
+    while True:
+        for i in range(1, nu[-1]):
+            image = act(i, word, nu)
+            if image != word:
+                break
+        else:
+            return
+        rank += 1
+        if lhat_mu(image, nu) != rank:
+            raise AssertionError(
+                "m(s_%d) does not raise lhat_mu by one at %r" % (i, word)
+            )
+        yield i, image
+        word = image
+
+
+def shat_mu(word: Word, nu: Word) -> IntPolynomial:
+    """Shat^mu of the mu-involution ``word`` cut at ``nu``."""
+    return descend(nu, word, _greedy_moves(word, nu), lambda: anchor(nu))

@@ -36,7 +36,6 @@ from invschub.involutions import (
     Involution,
     atoms,
     atoms_bruteforce,
-    clear_inv_schubert_cache,
     inv_schubert,
     inv_schubert_dominant,
     involution_length,
@@ -52,7 +51,6 @@ from invschub.mu_involutions import (
     all_compositions,
     atoms_mu_bruteforce,
     atoms_mu_top,
-    clear_mu_inv_schubert_cache,
     degenerate_diagram,
     identity_mu_involution,
     mu_closed_orbit_polynomial,
@@ -81,8 +79,9 @@ from invschub.polynomials import (
     parse_polynomial,
     variable,
 )
-from invschub.schubert import clear_cache, expand_in_schubert_basis, schubert
+from invschub.schubert import expand_in_schubert_basis, schubert
 from invschub.verify import verify_brion_general, verify_mu_identity
+from invschub.weak_order import clear_cache
 
 x = variable
 
@@ -112,7 +111,7 @@ def test_criterion_02_dominant_involution_ten_factor_product() -> None:
         * (x(3) + x(4))
     )
     assert inv_schubert_dominant(tau) == expected
-    clear_inv_schubert_cache()
+    clear_cache()
     assert inv_schubert(tau) == expected
 
 
@@ -498,16 +497,11 @@ def test_criterion_10_cli_determinism_and_failure_exit_code(capsys, monkeypatch)
     across repeated runs (caches cleared in between), and a failed
     verification surfaces as exit code 3."""
 
-    def reset() -> None:
-        clear_cache()
-        clear_inv_schubert_cache()
-        clear_mu_inv_schubert_cache()
-
     for argv in DOCUMENTED_COMMANDS:
-        reset()
+        clear_cache()
         rc1 = cli.main(argv)
         first = capsys.readouterr()
-        reset()
+        clear_cache()
         rc2 = cli.main(argv)
         second = capsys.readouterr()
         assert rc1 == rc2 == 0, argv

@@ -15,14 +15,9 @@ import sys
 import pytest
 
 from invschub import cli
-from invschub.involutions import clear_inv_schubert_cache
-from invschub.mu_involutions import (
-    clear_mu_inv_schubert_cache,
-    parse_composition,
-    parse_mu_involution,
-)
-from invschub.schubert import clear_cache
+from invschub.mu_involutions import parse_composition, parse_mu_involution
 from invschub.verify import verify_mu_identity
+from invschub.weak_order import clear_cache
 
 
 def run_cli(capsys, argv: list[str]) -> tuple[int, str, str]:
@@ -434,6 +429,8 @@ BAD_INVOCATIONS = [
     ["atoms", "-t", "(1,2", "-n", "3"],
     ["mu-schubert", "-m", "3,1", "-p", "342|1"],
     ["mu-schubert", "-m", "0,2", "-p", "12"],
+    ["diagram", "-m", "2,,1"],
+    ["diagram", "-m", "2,1,"],
     ["poset", "-n", "3", "-m", "2,1"],
     ["verify"],
     ["expand", "-f", "x1 + y2", "-n", "3"],
@@ -508,17 +505,11 @@ DETERMINISM_MATRIX = [
 ]
 
 
-def _reset_caches() -> None:
-    clear_cache()
-    clear_inv_schubert_cache()
-    clear_mu_inv_schubert_cache()
-
-
 def test_output_is_byte_deterministic(capsys) -> None:
     for argv in DETERMINISM_MATRIX:
-        _reset_caches()
+        clear_cache()
         rc1, out1, _ = run_cli(capsys, argv)
-        _reset_caches()
+        clear_cache()
         rc2, out2, _ = run_cli(capsys, argv)
         assert rc1 == rc2 == 0, argv
         assert out1 == out2, argv

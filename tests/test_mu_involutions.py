@@ -75,6 +75,8 @@ def test_composition_basics():
         parse_composition("")
     with pytest.raises(ValueError):
         parse_composition("2,x")
+    with pytest.raises(ValueError):
+        parse_composition("2,,1")
 
 
 def test_all_compositions():
@@ -189,6 +191,17 @@ def test_action_relations():
                     assert a == b
 
 
+def three_case_rule(i, tau):
+    # m(s_i) . tau by the involution rule, with Permutation products only,
+    # so that it does not share code with the mu-action.
+    perm = tau.perm
+    if perm(i + 1) < perm(i):
+        return perm
+    if perm(i) == i and perm(i + 1) == i + 1:
+        return perm.left_multiply_s(i)
+    return perm.right_multiply_s(i).left_multiply_s(i)
+
+
 def test_single_block_reduces_to_involutions():
     # mu = (n): mu-involutions are involutions and everything collapses to
     # the plain theory.
@@ -203,6 +216,7 @@ def test_single_block_reduces_to_involutions():
             assert mu_inv_schubert(pi) == inv_schubert(tau)
             for i in range(1, n):
                 assert mu_monoid_apply(i, pi).perm == monoid_apply(i, tau).perm
+                assert monoid_apply(i, tau).perm == three_case_rule(i, tau)
         if 2 <= n <= 5:
             a = mu_weak_order_graph(mu)
             b = weak_order_graph(n)

@@ -18,11 +18,11 @@ from invschub.permutations import (
 from invschub.polynomials import ONE, divided_difference, monomial, parse_polynomial, variable
 from invschub.schubert import (
     SchubertExpansion,
-    clear_cache,
     expand_in_schubert_basis,
     schubert,
     schubert_dominant,
 )
+from invschub.weak_order import clear_cache
 
 # All six Schubert polynomials of S_3, frozen by hand from the recursion:
 # S_{321} = x1^2 x2, then divided differences downward.
