@@ -113,31 +113,31 @@ def _cmd_mu_schubert(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_atoms(args: argparse.Namespace) -> int:
-    _warn_max_n(args)
-    tau = parse_involution(args.tau, args.n)
-    if args.bruteforce:
-        bound = args.max_n if args.max_n is not None else BRUTE_FORCE_BOUND
-        atom_set = atoms_bruteforce(tau, max_n=bound)
-        method = "bruteforce"
-    else:
-        atom_set = atoms(tau)
-        method = "characterization"
+def _print_atoms(args: argparse.Namespace, header: dict, atom_set) -> int:
     ordered = sorted(atom_set, key=lambda w: w.oneline)
     if args.format == "json":
-        _emit_json(
-            {
-                "cycles": tau.cycles_string(),
-                "n": tau.n,
-                "method": method,
-                "atoms": [_render_perm(w) for w in ordered],
-                "count": len(ordered),
-            }
-        )
+        # The default method's label predates the weak-order recursion.
+        method = "bruteforce" if args.bruteforce else "characterization"
+        atoms_json = [_render_perm(w) for w in ordered]
+        _emit_json({**header, "method": method, "atoms": atoms_json, "count": len(ordered)})
     else:
         for w in ordered:
             print(_render_perm(w))
     return 0
+
+
+def _bound(args: argparse.Namespace, default: int) -> int:
+    return args.max_n if args.max_n is not None else default
+
+
+def _cmd_atoms(args: argparse.Namespace) -> int:
+    _warn_max_n(args)
+    tau = parse_involution(args.tau, args.n)
+    if args.bruteforce:
+        atom_set = atoms_bruteforce(tau, max_n=_bound(args, BRUTE_FORCE_BOUND))
+    else:
+        atom_set = atoms(tau)
+    return _print_atoms(args, {"cycles": tau.cycles_string(), "n": tau.n}, atom_set)
 
 
 def _cmd_relative_atoms(args: argparse.Namespace) -> int:
@@ -145,33 +145,16 @@ def _cmd_relative_atoms(args: argparse.Namespace) -> int:
     base = parse_involution(args.tau, args.n)
     target = parse_involution(args.upper, args.n)
     if args.bruteforce:
-        bound = args.max_n if args.max_n is not None else BRUTE_FORCE_BOUND
-        atom_set = relative_atoms_bruteforce(base, target, max_n=bound)
-        method = "bruteforce"
+        atom_set = relative_atoms_bruteforce(base, target, max_n=_bound(args, BRUTE_FORCE_BOUND))
     else:
         atom_set = relative_atoms(base, target)
-        method = "characterization"
-    ordered = sorted(atom_set, key=lambda w: w.oneline)
-    if args.format == "json":
-        _emit_json(
-            {
-                "base": base.cycles_string(),
-                "target": target.cycles_string(),
-                "n": base.n,
-                "method": method,
-                "atoms": [_render_perm(w) for w in ordered],
-                "count": len(ordered),
-            }
-        )
-    else:
-        for w in ordered:
-            print(_render_perm(w))
-    return 0
+    header = {"base": base.cycles_string(), "target": target.cycles_string(), "n": base.n}
+    return _print_atoms(args, header, atom_set)
 
 
 def _cmd_poset(args: argparse.Namespace) -> int:
     _warn_max_n(args)
-    bound = args.max_n if args.max_n is not None else POSET_RANK_BOUND
+    bound = _bound(args, POSET_RANK_BOUND)
     if args.n is not None:
         graph = weak_order_graph(args.n, max_n=bound)
     else:
@@ -187,9 +170,8 @@ def _cmd_poset(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     _warn_max_n(args)
-    bound = args.max_n if args.max_n is not None else BRUTE_FORCE_BOUND
     if args.all_n is not None:
-        reports = verify_all(args.all_n, max_n=bound)
+        reports = verify_all(args.all_n, max_n=_bound(args, BRUTE_FORCE_BOUND))
     elif args.mu is not None:
         reports = [verify_mu_identity(parse_composition(args.mu))]
     else:
@@ -355,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("atoms", help="atom set of an involution")
     p.add_argument("-t", "--tau", required=True, help="involution in cycle notation")
     p.add_argument("-n", type=int, required=True, help="rank of the symmetric group")
-    p.add_argument("--bruteforce", action="store_true", help="enumerate by the definition instead of the characterization")
+    p.add_argument("--bruteforce", action="store_true", help="enumerate by the definition instead of the weak-order recursion")
     _add_max_n(p)
     _add_format(p)
     p.set_defaults(func=_cmd_atoms)
@@ -364,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-t", "--tau", required=True, help="base involution in cycle notation")
     p.add_argument("-u", "--upper", required=True, help="target involution in cycle notation")
     p.add_argument("-n", type=int, required=True, help="rank of the symmetric group")
-    p.add_argument("--bruteforce", action="store_true", help="enumerate by the definition instead of the characterization")
+    p.add_argument("--bruteforce", action="store_true", help="enumerate by the definition instead of the weak-order recursion")
     _add_max_n(p)
     _add_format(p)
     p.set_defaults(func=_cmd_relative_atoms)

@@ -15,9 +15,10 @@ and words act rightmost generator first, so
 m(s_{i_1} ... s_{i_l}) . tau = m(s_{i_1}) . ( ... (m(s_{i_l}) . tau)).
 
 Atoms of tau are the minimal-length w with m(w) . id = tau; their common
-length is the involution length lhat(tau) = #Dhat(tau).  The closed
-characterization below (three conditions on the *inverse* of the candidate)
-is cross-validated against the definitional brute force by the test suite.
+length is the involution length lhat(tau) = #Dhat(tau).  Atoms and relative
+atoms come from the engine's walk down the weak order (``atom_words``), not
+from a scan of S_n; the tests check them against the definitional brute
+force and the closed characterization on the inverse of each candidate.
 """
 
 from __future__ import annotations
@@ -35,7 +36,9 @@ from .permutations import (
     reduced_word,
 )
 from .polynomials import IntPolynomial, ONE, variable
-from .weak_order import WeakOrderGraph, act, act_word, anchor, build_graph, lhat_mu, shat_mu
+from .weak_order import (
+    WeakOrderGraph, act, act_word, anchor, atom_words, build_graph, lhat_mu, shat_mu
+)
 
 __all__ = [
     "Involution",
@@ -271,6 +274,8 @@ def weak_order_graph(n: int, max_n: int = POSET_RANK_BOUND) -> WeakOrderGraph:
     >>> weak_order_graph(2).rank_profile()
     (1, 1)
     """
+    if n < 1:
+        raise ValueError("rank must be at least 1")
     if n > max_n:
         raise EnumerationBoundError(
             "poset construction for n=%d exceeds the bound %d" % (n, max_n)
@@ -307,32 +312,13 @@ def weak_le(tau: Involution, tau_prime: Involution) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _wset_conditions(v: Permutation, tau: Involution) -> bool:
-    # The closed three-condition test; satisfied exactly by the inverses of
-    # the atoms of tau (cross-checked against brute force in the tests).
-    cyc = tau.cyc
-    for (i, j) in cyc:
-        if v(i) < v(j):
-            return False
-        if any(v(i) > v(k) > v(j) for k in range(i + 1, j)):
-            return False
-    for (i, j) in cyc:
-        for (k, l) in cyc:
-            if i < k and j < l:
-                if not (v(k) >= v(l) > v(i) >= v(j)):
-                    return False
-    return True
-
-
 def atoms(tau: Involution) -> frozenset[Permutation]:
-    """The atom set A(tau) via the closed characterization.
+    """The atom set A(tau), by the weak-order recursion of the engine.
 
     >>> sorted(w.compact() for w in atoms(parse_involution("(1,5)(2,3)", 5)))
     ['32451', '32514', '35124', '51324']
     """
-    return frozenset(
-        w for w in all_permutations(tau.n) if _wset_conditions(w.inverse(), tau)
-    )
+    return relative_atoms(identity_involution(tau.n), tau)
 
 
 def atoms_bruteforce(
@@ -352,59 +338,14 @@ def atoms_bruteforce(
     )
 
 
-def _relative_conditions(v: Permutation, tau: Involution, tau_prime: Involution) -> bool:
-    # Five-condition test for relative atoms, applied (like the absolute
-    # case) to the inverse v = w^{-1}; brute force remains the normative
-    # definition and the test suite reports any divergence.
-    cyc_prime = tau_prime.cyc
-    cyc_set = set(tau.cyc)
-    fix_set = set(tau.fix)
-    for (i, j) in cyc_prime:
-        if v(i) < v(j):
-            if (v(i), v(j)) not in cyc_set:
-                return False
-        else:
-            if v(i) not in fix_set or v(j) not in fix_set:
-                return False
-    for (i, j) in cyc_prime:
-        for (k, l) in cyc_prime:
-            if (i, j) == (k, l):
-                continue
-            if j < k:  # i <= j < k <= l
-                if not (v(i) < v(k) and v(i) < v(l) and v(j) < v(k) and v(j) < v(l)):
-                    return False
-            elif i < k < j < l:
-                if not (v(i) < v(k) and v(i) < v(l) and v(j) < v(l)):
-                    return False
-            elif i < k < l < j:
-                if v(j) < v(k) < v(i):
-                    return False
-                if v(j) < v(l) < v(i):
-                    return False
-                if v(k) < v(i) < v(j) < v(l):
-                    return False
-                if v(k) < v(j) <= v(i) < v(l):
-                    return False
-            elif i < k == l < j:
-                if v(j) < v(k) < v(i):
-                    return False
-    return True
-
-
 def relative_atoms(tau: Involution, tau_prime: Involution) -> frozenset[Permutation]:
-    """A_*(tau, tau') via the five-condition characterization.
+    """A_*(tau, tau') by the weak-order recursion down from tau' to tau.
 
     Empty when tau is not below tau' in weak order.
     """
     if tau.n != tau_prime.n:
         raise ValueError("rank mismatch")
-    if not weak_le(tau, tau_prime):
-        return frozenset()
-    return frozenset(
-        w
-        for w in all_permutations(tau.n)
-        if _relative_conditions(w.inverse(), tau, tau_prime)
-    )
+    return frozenset(map(Permutation, atom_words(tau_prime.oneline, tau.oneline, (0, tau.n))))
 
 
 def relative_atoms_bruteforce(

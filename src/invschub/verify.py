@@ -178,7 +178,10 @@ def verify_brion_general(
 
     lhs sums schubert(w.inverse()) over atoms(tau); rhs is the
     divided-difference chain polynomial of tau (a sum of monomials once
-    tau is not dominant).  Atom enumeration scans S_n, hence the bound.
+    tau is not dominant).  The atoms come from the weak-order recursion,
+    not from a scan of S_n; the bound stays because the Schubert sum and
+    the basis expansion still grow faster than exponentially in n, and
+    nothing yet predicts their cost.
 
     >>> from .involutions import parse_involution
     >>> verify_brion_general(parse_involution("(1,3)", 3)).equal

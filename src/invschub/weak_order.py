@@ -28,6 +28,8 @@ __all__ = [
     "WeakOrderGraph",
     "act",
     "act_word",
+    "lower",
+    "atom_words",
     "lhat_mu",
     "build_graph",
     "anchor",
@@ -63,6 +65,77 @@ def act_word(generators: Sequence[int], word: Word, nu: Word) -> Word:
     for i in reversed(generators):
         word = act(i, word, nu)
     return word
+
+
+def _involutive(block: Sequence[int]) -> bool:
+    image = dict(zip(sorted(block), block))
+    return all(image[y] == x for x, y in image.items())
+
+
+def lower(i: int, word: Word, nu: Word) -> Word | None:
+    """The unique sigma != word with act(i, sigma, nu) == word, or None.
+
+    The candidates are the letter swap i <-> i+1 and, with both letters in
+    one block, that swap followed by the swap of the block slots at their
+    ranks (tried first: where the letter swap is the answer, it gives back
+    ``word``).  One is kept only if its touched blocks still standardize
+    to involutions and ``act`` maps it back to ``word``.
+    """
+    p, q = word.index(i + 1), word.index(i)
+    if p > q:
+        return None
+    swapped = list(word)
+    swapped[p], swapped[q] = i, i + 1
+    a, b = bisect_right(nu, p), bisect_right(nu, q)
+    candidates = [tuple(swapped)]
+    if a == b:
+        k = nu[a - 1] + sum(1 for x in word[nu[a - 1] : nu[a]] if x < i)
+        swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
+        candidates.insert(0, tuple(swapped))
+    for sigma in candidates:
+        if (
+            sigma != word
+            and all(_involutive(sigma[nu[c - 1] : nu[c]]) for c in {a, b})
+            and act(i, sigma, nu) == word
+        ):
+            return sigma
+    return None
+
+
+def atom_words(target: Word, base: Word, nu: Word) -> frozenset[Word]:
+    """One-line tuples of the w with m(w) . base == target and length
+    lhat_mu(target) - lhat_mu(base), down the weak order: A(base) = {id};
+    A(sigma) is empty at any other sigma of rank at most the base's, and
+    otherwise the union over i of the s_i w with w in A(lower(i, sigma));
+    every such w must have i left of i+1, or AssertionError is raised.
+    The rank is carried down, one per step.
+
+    >>> sorted(atom_words((3, 2, 1), (1, 2, 3), (0, 3)))
+    [(2, 3, 1), (3, 1, 2)]
+    """
+    floor = lhat_mu(base, nu)
+    memo = {base: frozenset([tuple(sorted(base))])}
+
+    def walk(word: Word, rank: int) -> frozenset[Word]:
+        if word in memo:
+            return memo[word]
+        found: set[Word] = set()
+        for i in range(1, len(word)) if rank > floor else ():
+            sigma = lower(i, word, nu)
+            if sigma is None:
+                continue
+            for w in walk(sigma, rank - 1):
+                p, q = w.index(i), w.index(i + 1)
+                if p > q:
+                    # m(s_i) fixes sigma if s_i is a left descent of its atom w.
+                    raise AssertionError("s_%d w is shorter than w = %r" % (i, w))
+                w = list(w)
+                w[p], w[q] = i + 1, i
+                found.add(tuple(w))
+        memo[word] = frozenset(found)
+        return memo[word]
+
+    return walk(target, lhat_mu(target, nu))
 
 
 def _inversions(seq: Sequence[int]) -> int:

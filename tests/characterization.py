@@ -1,0 +1,91 @@
+"""The closed characterizations of atoms and relative atoms, kept as test
+oracles independent of the weak-order recursion.
+
+Both scan all of S_n and test conditions on the inverse v = w^-1 of each
+candidate w.  Involutions are raw one-line tuples and the cycles of tau
+are read once per call; the scan runs over v itself (v[x] is the position
+of x in w), so only the accepted candidates are inverted.
+"""
+
+from __future__ import annotations
+
+from itertools import permutations
+
+Word = tuple[int, ...]
+
+
+def _cycles(tau: Word) -> list[tuple[int, int]]:
+    # The 1- and 2-cycles (i, j), i <= j = tau(i).
+    return [(i, j) for i, j in enumerate(tau, start=1) if i <= j]
+
+
+def _inverse_words(n: int):
+    # Every v in S_n as a tuple indexed from 1 (v[0] is padding).
+    for v in permutations(range(1, n + 1)):
+        yield (0,) + v
+
+
+def _inverse(v: tuple[int, ...]) -> Word:
+    w = [0] * (len(v) - 1)
+    for x, position in enumerate(v[1:], start=1):
+        w[position - 1] = x
+    return tuple(w)
+
+
+def atoms_by_characterization(tau: Word) -> frozenset[Word]:
+    """The w in S_n whose inverse v satisfies, for the cycles (i, j) and
+    (k, l) of tau: v(i) >= v(j); no v(k) strictly between v(j) and v(i)
+    for i < k < j; and v(k) >= v(l) > v(i) >= v(j) when i < k, j < l."""
+    cyc = _cycles(tau)
+    crossing = [(i, j, k, l) for (i, j) in cyc for (k, l) in cyc if i < k and j < l]
+    found = set()
+    for v in _inverse_words(len(tau)):
+        if any(
+            v[i] < v[j] or any(v[i] > v[k] > v[j] for k in range(i + 1, j))
+            for (i, j) in cyc
+        ):
+            continue
+        if all(v[k] >= v[l] > v[i] >= v[j] for (i, j, k, l) in crossing):
+            found.add(_inverse(v))
+    return frozenset(found)
+
+
+def _relative_conditions(v: tuple[int, ...], cyc_prime, cyc_set, fix_set) -> bool:
+    for (i, j) in cyc_prime:
+        if v[i] < v[j]:
+            if (v[i], v[j]) not in cyc_set:
+                return False
+        elif v[i] not in fix_set or v[j] not in fix_set:
+            return False
+    for (i, j) in cyc_prime:
+        for (k, l) in cyc_prime:
+            if (i, j) == (k, l):
+                continue
+            if j < k:  # i <= j < k <= l
+                if not (v[i] < v[k] and v[i] < v[l] and v[j] < v[k] and v[j] < v[l]):
+                    return False
+            elif i < k < j < l:
+                if not (v[i] < v[k] and v[i] < v[l] and v[j] < v[l]):
+                    return False
+            elif i < k < l < j:
+                if v[j] < v[k] < v[i] or v[j] < v[l] < v[i]:
+                    return False
+                if v[k] < v[i] < v[j] < v[l] or v[k] < v[j] <= v[i] < v[l]:
+                    return False
+            elif i < k == l < j:
+                if v[j] < v[k] < v[i]:
+                    return False
+    return True
+
+
+def relative_atoms_by_characterization(tau: Word, tau_prime: Word) -> frozenset[Word]:
+    """The five-condition test for A_*(tau, tau'), applied to the inverse
+    of every w in S_n.  It is claimed only for tau <= tau' in weak order."""
+    cyc_prime = _cycles(tau_prime)
+    cyc_set = set(_cycles(tau))
+    fix_set = {i for i, j in cyc_set if i == j}
+    return frozenset(
+        _inverse(v)
+        for v in _inverse_words(len(tau))
+        if _relative_conditions(v, cyc_prime, cyc_set, fix_set)
+    )

@@ -432,6 +432,8 @@ BAD_INVOCATIONS = [
     ["diagram", "-m", "2,,1"],
     ["diagram", "-m", "2,1,"],
     ["poset", "-n", "3", "-m", "2,1"],
+    ["poset", "-n", "0"],
+    ["poset", "-n", "-2"],
     ["verify"],
     ["expand", "-f", "x1 + y2", "-n", "3"],
 ]

@@ -7,6 +7,7 @@ import itertools
 import json
 
 import pytest
+from characterization import atoms_by_characterization, relative_atoms_by_characterization
 
 from invschub.involutions import (
     BRUTE_FORCE_BOUND,
@@ -180,6 +181,9 @@ def test_weak_order_graph_i5():
 def test_weak_order_graph_bound():
     with pytest.raises(EnumerationBoundError):
         weak_order_graph(9)
+    for n in (0, -2):
+        with pytest.raises(ValueError, match="rank must be at least 1"):
+            weak_order_graph(n)
     weak_order_graph(9, max_n=9)  # override works
 
 
@@ -228,9 +232,9 @@ def test_atoms_identity_and_simple():
     }
 
 
-def test_atoms_characterization_equals_bruteforce():
-    # The filter and the definitional search agree on every involution up
-    # to rank 5; any divergence is reported, not patched.
+def test_atoms_recursion_equals_bruteforce():
+    # The weak-order recursion and the definitional search agree on every
+    # involution up to rank 5; any divergence is reported, not patched.
     for n in range(1, 6):
         for tau in involutions(n):
             fast = atoms(tau)
@@ -238,11 +242,28 @@ def test_atoms_characterization_equals_bruteforce():
             assert fast == slow, "atom mismatch at %s" % tau.cycles_string()
 
 
+def test_atoms_recursion_equals_characterization():
+    # The closed characterization scans S_n independently of the recursion:
+    # all of I_6, and every dominant involution of I_7.
+    cases = list(involutions(6)) + [t for t in involutions(7) if is_dominant(t.perm)]
+    for tau in cases:
+        fast = {w.oneline for w in atoms(tau)}
+        assert fast == atoms_by_characterization(tau.oneline), tau.cycles_string()
+
+
+def test_longest_involution_atom_counts():
+    # |A(w0)| = (n-1)!!, an independent count, beyond the reach of any scan.
+    counts = [len(atoms(longest_involution(n))) for n in range(1, 10)]
+    assert counts == [1, 1, 2, 3, 8, 15, 48, 105, 384]
+
+
 def test_atoms_definition_properties():
-    for tau in involutions(5):
+    # All of I_5, and two involutions of rank 8, beyond any scan of S_n.
+    cases = list(involutions(5)) + [parse_involution("(1,8)", 8), longest_involution(8)]
+    for tau in cases:
         for w in atoms(tau):
             assert length(w) == involution_length(tau)
-            assert monoid_apply_word(w, identity_involution(5)) == tau
+            assert monoid_apply_word(w, identity_involution(tau.n)) == tau
 
 
 def test_atoms_bruteforce_bound():
@@ -250,7 +271,8 @@ def test_atoms_bruteforce_bound():
         atoms_bruteforce(identity_involution(BRUTE_FORCE_BOUND + 1))
 
 
-def test_relative_atoms_characterization_equals_bruteforce():
+def test_relative_atoms_recursion_equals_bruteforce():
+    # On every pair up to rank 5; the set is empty exactly off the order.
     for n in range(1, 6):
         invs = list(involutions(n))
         for tau in invs:
@@ -261,6 +283,19 @@ def test_relative_atoms_characterization_equals_bruteforce():
                     tau.cycles_string(),
                     tau_prime.cycles_string(),
                 )
+                assert bool(fast) == weak_le(tau, tau_prime)
+
+
+def test_relative_atoms_recursion_equals_characterization():
+    # The five-condition characterization holds on comparable pairs: all of
+    # them up to rank 5, and those with a dominant upper end at rank 6.
+    for n in range(1, 7):
+        invs = list(involutions(n))
+        for tau, tau_prime in itertools.product(invs, invs):
+            if (n < 6 or is_dominant(tau_prime.perm)) and weak_le(tau, tau_prime):
+                fast = {w.oneline for w in relative_atoms(tau, tau_prime)}
+                slow = relative_atoms_by_characterization(tau.oneline, tau_prime.oneline)
+                assert fast == slow, (tau.cycles_string(), tau_prime.cycles_string())
 
 
 def test_relative_atoms_specializations():

@@ -1,5 +1,6 @@
 """Tests for the shared weak-order engine: one divided difference per chain
-node on a cold cache, and the rank check on every chain move."""
+node on a cold cache, the rank check on every chain move, and the atom
+walker with the inverse action it steps down by."""
 
 from __future__ import annotations
 
@@ -9,11 +10,14 @@ from invschub import weak_order
 from invschub.involutions import identity_involution, inv_schubert, involutions
 from invschub.mu_involutions import (
     Composition,
+    all_compositions,
+    atoms_mu_bruteforce,
+    atoms_mu_top,
     identity_mu_involution,
     mu_inv_schubert,
     mu_involutions,
 )
-from invschub.weak_order import clear_cache, lhat_mu
+from invschub.weak_order import act, atom_words, clear_cache, lhat_mu, lower
 
 
 def test_cold_descent_divides_once_per_node_below_the_top(monkeypatch):
@@ -49,3 +53,49 @@ def test_every_chain_move_is_rank_checked(monkeypatch):
     with pytest.raises(AssertionError):
         mu_inv_schubert(identity_mu_involution(Composition((2, 1))))
     clear_cache()
+
+
+def test_lower_finds_the_one_predecessor_of_every_descent():
+    for n in range(1, 6):
+        for mu in all_compositions(n):
+            words = [pi.oneline for pi in mu_involutions(mu)]
+            preds: dict[tuple, list] = {}
+            for sigma in words:
+                for i in range(1, n):
+                    image = act(i, sigma, mu.nu)
+                    if image != sigma:
+                        preds.setdefault((i, image), []).append(sigma)
+            for word in words:
+                for i in range(1, n):
+                    found = lower(i, word, mu.nu)
+                    assert preds.get((i, word), []) == ([] if found is None else [found])
+
+
+def test_atom_words_equal_bruteforce_on_small_mu_involutions():
+    # Relative atoms of every pair at n <= 4 (atoms of every pi among them)
+    # against the definitional scan of S_n.
+    for n in range(1, 5):
+        for mu in all_compositions(n):
+            elements = list(mu_involutions(mu))
+            for base in elements:
+                for pi in elements:
+                    slow = atoms_mu_bruteforce(pi, base)
+                    fast = atom_words(pi.oneline, base.oneline, mu.nu)
+                    assert fast == {w.oneline for w in slow}, (str(base), str(pi))
+
+
+def test_atom_words_at_the_top_equal_atoms_mu_top():
+    for mu in all_compositions(6):
+        top = tuple(range(6, 0, -1))
+        found = atom_words(top, tuple(range(1, 7)), mu.nu)
+        assert found == {w.oneline for w in atoms_mu_top(mu)}, mu
+
+
+def test_every_atom_step_is_length_checked(monkeypatch):
+    # A predecessor whose atoms already descend at s_1 must be refused.
+    real = weak_order.lower
+    monkeypatch.setattr(
+        weak_order, "lower", lambda i, word, nu: (2, 1, 3) if word == (3, 2, 1) else real(i, word, nu)
+    )
+    with pytest.raises(AssertionError):
+        atom_words((3, 2, 1), (1, 2, 3), (0, 3))
