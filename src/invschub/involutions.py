@@ -288,23 +288,12 @@ def weak_le(tau: Involution, tau_prime: Involution) -> bool:
     if tau.n != tau_prime.n:
         raise ValueError("rank mismatch")
     nu, target = (0, tau.n), tau_prime.oneline
-    target_rank = lhat_mu(target, nu)
-    seen = {tau.oneline}
-    frontier = [tau.oneline]
-    while frontier:
-        nxt = []
-        for word in frontier:
-            if word == target:
-                return True
-            if lhat_mu(word, nu) >= target_rank:
-                continue
-            for i in range(1, tau.n):
-                image = act(i, word, nu)
-                if image not in seen:
-                    seen.add(image)
-                    nxt.append(image)
-        frontier = nxt
-    return False
+    # Every move that changes a word raises lhat by exactly one, so level d
+    # of the search holds the words of rank lhat(tau) + d above tau.
+    level = {tau.oneline}
+    for _ in range(lhat_mu(target, nu) - lhat_mu(tau.oneline, nu)):
+        level = {act(i, w, nu) for w in level for i in range(1, tau.n)} - level
+    return target in level
 
 
 # ---------------------------------------------------------------------------
@@ -325,17 +314,7 @@ def atoms_bruteforce(
     tau: Involution, max_n: int = BRUTE_FORCE_BOUND
 ) -> frozenset[Permutation]:
     """A(tau) by the definition: all w with m(w).id = tau, l(w) = lhat(tau)."""
-    if tau.n > max_n:
-        raise EnumerationBoundError(
-            "brute force over S_%d exceeds the bound %d" % (tau.n, max_n)
-        )
-    target_length = involution_length(tau)
-    base = identity_involution(tau.n)
-    return frozenset(
-        w
-        for w in all_permutations(tau.n)
-        if w.length() == target_length and monoid_apply_word(w, base) == tau
-    )
+    return relative_atoms_bruteforce(identity_involution(tau.n), tau, max_n)
 
 
 def relative_atoms(tau: Involution, tau_prime: Involution) -> frozenset[Permutation]:

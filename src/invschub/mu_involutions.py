@@ -23,6 +23,7 @@ from typing import Iterator, Sequence
 
 from .involutions import (
     BRUTE_FORCE_BOUND,
+    POSET_RANK_BOUND,
     atoms,
     involution_diagram,
     involution_words,
@@ -370,7 +371,7 @@ def _mu_words(mu: Composition) -> list[tuple[int, ...]]:
 
 def mu_weak_order_graph(
     mu: Composition,
-    max_n: int = 8,
+    max_n: int = POSET_RANK_BOUND,
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
 ) -> WeakOrderGraph:
     """The labeled weak-order digraph on I_mu, ranked by lhat_mu.

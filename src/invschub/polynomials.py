@@ -20,6 +20,7 @@ x1*x2
 from __future__ import annotations
 
 import re
+from itertools import zip_longest
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -35,10 +36,10 @@ __all__ = [
     "CHECK_DIVIDED_DIFFERENCE",
 ]
 
-# When True, every divided difference re-multiplies its result by
-# (x_i - x_{i+1}) and asserts it reproduces f - s_i.f exactly, i.e. that the
-# division left no remainder.  Cheap at the sizes used here and catches
-# regressions in the term-wise division.
+# When True, every divided difference asserts that its quotient q leaves no
+# remainder: f - s_i.f - (x_i - x_{i+1}).q is accumulated term by term and
+# must come out zero.  Linear in the term counts, and catches regressions in
+# the term-wise division.
 CHECK_DIVIDED_DIFFERENCE = True
 
 
@@ -47,6 +48,26 @@ def _trim(exponents: tuple[int, ...]) -> tuple[int, ...]:
     while end > 0 and exponents[end - 1] == 0:
         end -= 1
     return exponents[:end]
+
+
+def _accumulate(terms: dict[tuple[int, ...], int], key: tuple[int, ...], coeff: int) -> None:
+    # Add coeff to the term at key; a term that cancels is dropped.
+    new = terms.get(key, 0) + coeff
+    if new:
+        terms[key] = new
+    else:
+        terms.pop(key, None)
+
+
+def _read_pair(exponents: tuple[int, ...], i: int) -> tuple:
+    # (head, e_i, e_{i+1}, tail) of a trimmed monomial padded through x_{i+1}.
+    padded = exponents + (0,) * (i + 1 - len(exponents))
+    return padded[: i - 1], padded[i - 1], padded[i], padded[i + 1 :]
+
+
+def _write_pair(head: tuple[int, ...], a: int, b: int, tail: tuple[int, ...]) -> tuple[int, ...]:
+    # head * x_i^a x_{i+1}^b * tail, trimmed; a non-empty tail ends non-zero.
+    return head + (a, b) + tail if tail else _trim(head + (a, b))
 
 
 def _grlex_key(exponents: tuple[int, ...]) -> tuple:
@@ -69,9 +90,7 @@ class IntPolynomial:
                 key = _trim(tuple(exps))
                 if any(e < 0 for e in key):
                     raise ValueError("negative exponent in %r" % (exps,))
-                cleaned[key] = cleaned.get(key, 0) + coeff
-                if cleaned[key] == 0:
-                    del cleaned[key]
+                _accumulate(cleaned, key, coeff)
         self._terms = cleaned
 
     @property
@@ -120,11 +139,7 @@ class IntPolynomial:
         other = _coerce(other)
         result = dict(self._terms)
         for exps, coeff in other._terms.items():
-            new = result.get(exps, 0) + coeff
-            if new == 0:
-                result.pop(exps, None)
-            else:
-                result[exps] = new
+            _accumulate(result, exps, coeff)
         return _raw(result)
 
     __radd__ = __add__
@@ -143,17 +158,9 @@ class IntPolynomial:
         result: dict[tuple[int, ...], int] = {}
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
-                if len(e1) < len(e2):
-                    e1p = e1 + (0,) * (len(e2) - len(e1))
-                    prod = tuple(a + b for a, b in zip(e1p, e2))
-                else:
-                    e2p = e2 + (0,) * (len(e1) - len(e2))
-                    prod = tuple(a + b for a, b in zip(e1, e2p))
-                new = result.get(prod, 0) + c1 * c2
-                if new == 0:
-                    result.pop(prod, None)
-                else:
-                    result[prod] = new
+                # The sum of two trimmed exponent tuples is already trimmed.
+                prod = tuple(a + b for a, b in zip_longest(e1, e2, fillvalue=0))
+                _accumulate(result, prod, c1 * c2)
         return _raw(result)
 
     __rmul__ = __mul__
@@ -256,32 +263,22 @@ def swap_variables(f: IntPolynomial, i: int) -> IntPolynomial:
     """
     if i < 1:
         raise ValueError("generator index must be >= 1")
+    # A bijection on monomials: nothing merges, cancels or needs validating.
     result: dict[tuple[int, ...], int] = {}
     for exps, coeff in f._terms.items():
-        padded = list(exps) + [0] * max(0, i + 1 - len(exps))
-        padded[i - 1], padded[i] = padded[i], padded[i - 1]
-        key = _trim(tuple(padded))
-        result[key] = result.get(key, 0) + coeff
-    return IntPolynomial(result)
-
-
-def _divide_pair(p: int, q: int) -> list[tuple[int, int, int]]:
-    # (x^p y^q - x^q y^p) / (x - y) as a list of (a, b, sign) with the
-    # convention that the result is sum of sign * x^a y^b.
-    if p == q:
-        return []
-    if p > q:
-        return [(q + t, p - 1 - t, 1) for t in range(p - q)]
-    return [(a, b, -1) for (b, a, _s) in _divide_pair(q, p)]
+        head, a, b, tail = _read_pair(exps, i)
+        result[_write_pair(head, b, a, tail)] = coeff
+    return _raw(result)
 
 
 def divided_difference(f: IntPolynomial, i: int) -> IntPolynomial:
     """d_i(f) = (f - s_i.f) / (x_i - x_{i+1}).
 
     The quotient is assembled term by term from the telescoping identity
-    (x^p y^q - x^q y^p)/(x - y) = x^q y^q (x^{p-q-1} + ... + y^{p-q-1}),
-    so it is exact by construction; with CHECK_DIVIDED_DIFFERENCE the
-    zero-remainder property is re-asserted by multiplying back.
+    (x^p y^q - x^q y^p)/(x - y) = sign * sum of x^a y^(p+q-1-a) over
+    min(p, q) <= a < max(p, q), with sign = +1 if p > q and -1 if p < q,
+    so it is exact by construction.  With CHECK_DIVIDED_DIFFERENCE,
+    ``_check_quotient`` re-asserts the zero remainder term by term.
 
     >>> print(divided_difference(variable(1), 1))
     1
@@ -292,25 +289,29 @@ def divided_difference(f: IntPolynomial, i: int) -> IntPolynomial:
         raise ValueError("generator index must be >= 1")
     result: dict[tuple[int, ...], int] = {}
     for exps, coeff in f._terms.items():
-        padded = list(exps) + [0] * max(0, i + 1 - len(exps))
-        p, q = padded[i - 1], padded[i]
-        for a, b, sign in _divide_pair(p, q):
-            padded[i - 1], padded[i] = a, b
-            key = _trim(tuple(padded))
-            new = result.get(key, 0) + sign * coeff
-            if new == 0:
-                result.pop(key, None)
-            else:
-                result[key] = new
-        padded[i - 1], padded[i] = p, q
+        head, p, q, tail = _read_pair(exps, i)
+        signed = coeff if p > q else -coeff
+        for a in range(min(p, q), max(p, q)):
+            _accumulate(result, _write_pair(head, a, p + q - 1 - a, tail), signed)
     quotient = _raw(result)
     if CHECK_DIVIDED_DIFFERENCE:
-        lhs = quotient * (variable(i) - variable(i + 1))
-        if lhs != f - swap_variables(f, i):
-            raise AssertionError(
-                "divided difference left a remainder for i=%d on %s" % (i, f)
-            )
+        _check_quotient(f, i, quotient)
     return quotient
+
+
+def _check_quotient(f: IntPolynomial, i: int, quotient: IntPolynomial) -> None:
+    # f - s_i.f - (x_i - x_{i+1}).quotient, accumulated in one dict, must be empty.
+    remainder: dict[tuple[int, ...], int] = {}
+    for exps, coeff in f._terms.items():
+        head, p, q, tail = _read_pair(exps, i)
+        _accumulate(remainder, exps, coeff)
+        _accumulate(remainder, _write_pair(head, q, p, tail), -coeff)
+    for exps, coeff in quotient._terms.items():
+        head, a, b, tail = _read_pair(exps, i)
+        _accumulate(remainder, _write_pair(head, a + 1, b, tail), -coeff)
+        _accumulate(remainder, _write_pair(head, a, b + 1, tail), coeff)
+    if remainder:
+        raise AssertionError("divided difference left a remainder for i=%d on %s" % (i, f))
 
 
 _TERM_RE = re.compile(
@@ -345,12 +346,7 @@ def parse_polynomial(text: str) -> IntPolynomial:
     pieces: list[tuple[int, str]] = []
     sign = 1
     current = []
-    depth_guard = normalized
-    if depth_guard.startswith("+") or depth_guard.startswith("-"):
-        pass
-    else:
-        depth_guard = "+" + depth_guard
-    for ch in depth_guard:
+    for ch in normalized:
         if ch in "+-":
             if "".join(current).strip():
                 pieces.append((sign, "".join(current)))

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from invschub import polynomials
 from invschub.polynomials import (
     IntPolynomial,
     ONE,
@@ -178,3 +179,20 @@ def test_divided_difference_kills_symmetric_multiples():
     for _ in range(10):
         f = rand_poly(rng, nvars=3)
         assert divided_difference(f * sym, 1) == divided_difference(f, 1) * sym
+
+
+def test_zero_remainder_check_rejects_a_wrong_quotient(monkeypatch):
+    x1, x2, x3 = variable(1), variable(2), variable(3)
+    f = x1 ** 3 * x2
+    quotient = divided_difference(f, 1)
+    assert quotient == x1 ** 2 * x2 + x1 * x2 ** 2
+    polynomials._check_quotient(f, 1, quotient)
+    wrong_quotients = (quotient + x3, quotient - x1 ** 2 * x2, -quotient, swap_variables(quotient, 1) + x1)
+    for wrong in wrong_quotients:
+        with pytest.raises(AssertionError):
+            polynomials._check_quotient(f, 1, wrong)
+    # Every divided difference goes through the check while it is on.
+    checked = []
+    monkeypatch.setattr(polynomials, "_check_quotient", lambda *args: checked.append(args))
+    result = divided_difference(f, 2)
+    assert checked == [(f, 2, result)]
