@@ -374,7 +374,7 @@ def mu_weak_order_graph(
     max_n: int = POSET_RANK_BOUND,
     vertex_budget: int = DEFAULT_VERTEX_BUDGET,
 ) -> WeakOrderGraph:
-    """The labeled weak-order digraph on I_mu, ranked by lhat_mu.
+    """The labeled weak-order digraph on I_mu, ranked by breadth-first level.
 
     >>> mu_weak_order_graph(parse_composition("3,1")).vertex_count
     16

@@ -191,7 +191,7 @@ def verify_brion_general(
     """
     if tau.n > max_n:
         raise EnumerationBoundError(
-            "atom enumeration over S_%d exceeds the bound %d" % (tau.n, max_n)
+            "atom-sum check at rank %d exceeds the bound %d" % (tau.n, max_n)
         )
     lhs = _atom_sum(atoms(tau))
     rhs = inv_schubert(tau)

@@ -17,9 +17,9 @@ and i+1, then relabels i <-> i+1.
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .polynomials import IntPolynomial, ONE, divided_difference, monomial, variable
@@ -170,7 +170,8 @@ class WeakOrderGraph:
     """A rank-labeled directed multigraph with generator-labeled edges.
 
     Vertices are identified by index into ``vertices``; each vertex carries
-    its one-line notation, a display label and its rank.  Edges are
+    its one-line notation, a display label and its rank (its breadth-first
+    level up from the identity, which equals lhat_mu).  Edges are
     (from_index, generator, to_index) triples.  Vertex order is
     deterministic: by (rank, one-line notation).
     """
@@ -219,25 +220,26 @@ class WeakOrderGraph:
         lines.append("}")
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "vertices": [
-                {
-                    "id": idx,
-                    "oneline": "[" + ",".join(str(v) for v in ol) + "]",
-                    "cycles": label,
-                    "rank": rank,
-                }
-                for idx, (ol, label, rank) in enumerate(self.vertices)
-            ],
-            "edges": [
-                {"from": u, "to": v, "label": "s_%d" % gen}
-                for (u, gen, v) in self.edges
-            ],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        """The graph as ``json.dumps(..., indent=2, sort_keys=True)`` would
+        print {"edges": [{"from", "label", "to"}], "vertices": [{"cycles",
+        "id", "oneline", "rank"}]}, written directly.  Only the labels need
+        escaping; everything else is built from integers."""
+        edges = ",\n".join(
+            '    {\n      "from": %d,\n      "label": "s_%d",\n      "to": %d\n    }'
+            % (u, gen, v)
+            for (u, gen, v) in self.edges
+        )
+        vertices = ",\n".join(
+            '    {\n      "cycles": %s,\n      "id": %d,\n      "oneline": "[%s]",'
+            '\n      "rank": %d\n    }'
+            % (encode_basestring_ascii(label), idx, ",".join(map(str, ol)), rank)
+            for idx, (ol, label, rank) in enumerate(self.vertices)
+        )
+        return '{\n  "edges": %s,\n  "vertices": %s\n}\n' % (
+            _json_list(edges),
+            _json_list(vertices),
+        )
 
     def to_text(self) -> str:
         lines = ["%s: %d vertices, %d edges" % (self.name, len(self.vertices), len(self.edges))]
@@ -251,15 +253,23 @@ class WeakOrderGraph:
         return "\n".join(lines) + "\n"
 
 
+def _json_list(items: str) -> str:
+    return "[\n%s\n  ]" % items if items else "[]"
+
+
 def build_graph(
     name: str, elements: Iterable[Word], nu: Word, label: Callable[[Word], str]
 ) -> WeakOrderGraph:
-    """The weak-order graph on ``elements``, ranked by lhat_mu, with an
-    edge (u, j, v) whenever m(s_j) moves u to v, which must be a vertex."""
-    ranked = sorted((lhat_mu(word, nu), word) for word in elements)
-    index = {word: idx for idx, (_, word) in enumerate(ranked)}
-    edges: list[tuple[int, int, int]] = []
-    for idx, (_, word) in enumerate(ranked):
+    """The weak-order graph on ``elements``, with an edge (u, j, v) whenever
+    m(s_j) moves u to v, which must be a vertex.  A vertex's rank is its
+    level in the breadth-first search up from the identity word; every
+    element must be reached, and every edge must raise the level by exactly
+    one, or AssertionError is raised."""
+    words = list(elements)
+    index = {word: idx for idx, word in enumerate(words)}
+    moves: list[list[tuple[int, int]]] = []
+    for word in words:
+        out = []
         for j in range(1, nu[-1]):
             image = act(j, word, nu)
             if image != word:
@@ -267,9 +277,33 @@ def build_graph(
                     raise AssertionError(
                         "m(s_%d) maps %r outside the enumerated poset" % (j, word)
                     )
-                edges.append((idx, j, index[image]))
-    edges.sort()
-    vertices = tuple((word, label(word), rank) for (rank, word) in ranked)
+                out.append((j, index[image]))
+        moves.append(out)
+    level = [-1] * len(words)
+    start = index[tuple(range(1, nu[-1] + 1))]
+    level[start] = 0
+    frontier = [start]
+    while frontier:
+        reached = []
+        for u in frontier:
+            for j, v in moves[u]:
+                if level[v] < 0:
+                    level[v] = level[u] + 1
+                    reached.append(v)
+                elif level[v] != level[u] + 1:
+                    raise AssertionError(
+                        "m(s_%d) moves %r from level %d to level %d"
+                        % (j, words[u], level[u], level[v])
+                    )
+        frontier = reached
+    if -1 in level:
+        raise AssertionError(
+            "%r is never reached from the identity" % (words[level.index(-1)],)
+        )
+    order = sorted(range(len(words)), key=lambda idx: (level[idx], words[idx]))
+    position = {old: new for new, old in enumerate(order)}
+    edges = sorted((position[u], j, position[v]) for u, out in enumerate(moves) for j, v in out)
+    vertices = tuple((words[old], label(words[old]), level[old]) for old in order)
     return WeakOrderGraph(name, vertices, tuple(edges))
 
 

@@ -69,7 +69,8 @@ def test_brion_general_fixture():
 
 def test_brion_general_bound():
     tau = parse_involution("(1,8)", 8)
-    with pytest.raises(EnumerationBoundError):
+    message = "^atom-sum check at rank 8 exceeds the bound 7$"
+    with pytest.raises(EnumerationBoundError, match=message):
         verify_brion_general(tau)
     assert verify_brion_general(tau, max_n=8).equal
 

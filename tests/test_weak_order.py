@@ -1,13 +1,22 @@
 """Tests for the shared weak-order engine: one divided difference per chain
-node on a cold cache, the rank check on every chain move, and the atom
-walker with the inverse action it steps down by."""
+node on a cold cache, the rank check on every chain move, the atom
+walker with the inverse action it steps down by, and the graph builder's
+breadth-first ranks and direct JSON writer."""
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
 from invschub import weak_order
-from invschub.involutions import identity_involution, inv_schubert, involutions
+from invschub.involutions import (
+    identity_involution,
+    inv_schubert,
+    involution_words,
+    involutions,
+    weak_order_graph,
+)
 from invschub.mu_involutions import (
     Composition,
     all_compositions,
@@ -16,8 +25,17 @@ from invschub.mu_involutions import (
     identity_mu_involution,
     mu_inv_schubert,
     mu_involutions,
+    mu_weak_order_graph,
 )
-from invschub.weak_order import act, atom_words, clear_cache, lhat_mu, lower
+from invschub.weak_order import (
+    WeakOrderGraph,
+    act,
+    atom_words,
+    build_graph,
+    clear_cache,
+    lhat_mu,
+    lower,
+)
 
 
 def test_cold_descent_divides_once_per_node_below_the_top(monkeypatch):
@@ -99,3 +117,70 @@ def test_every_atom_step_is_length_checked(monkeypatch):
     )
     with pytest.raises(AssertionError):
         atom_words((3, 2, 1), (1, 2, 3), (0, 3))
+
+
+def _graphs():
+    """(graph, nu) for I_1..I_8 and I_mu of every composition with n <= 6."""
+    for n in range(1, 9):
+        yield weak_order_graph(n), (0, n)
+    for n in range(1, 7):
+        for mu in all_compositions(n):
+            yield mu_weak_order_graph(mu), mu.nu
+
+
+def test_graph_ranks_equal_lhat_mu():
+    for graph, nu in _graphs():
+        for word, _, rank in graph.vertices:
+            assert rank == lhat_mu(word, nu), (graph.name, word)
+        keys = [(rank, word) for word, _, rank in graph.vertices]
+        assert keys == sorted(keys), graph.name
+
+
+def test_graph_builder_rejects_an_edge_that_skips_a_level(monkeypatch):
+    # m(s_1) sends the identity of I_3 straight to the top, two ranks up.
+    real = weak_order.act
+    monkeypatch.setattr(
+        weak_order,
+        "act",
+        lambda i, word, nu: real(2, real(1, word, nu), nu)
+        if (i, word) == (1, (1, 2, 3))
+        else real(i, word, nu),
+    )
+    with pytest.raises(AssertionError, match=r"from level \d+ to level \d+"):
+        build_graph("jump", involution_words(3), (0, 3), str)
+
+
+def test_graph_builder_rejects_an_element_never_reached():
+    # (2,3,1) and (3,1,2) move onto each other, never onto or from I_3.
+    elements = involution_words(3) + [(2, 3, 1), (3, 1, 2)]
+    with pytest.raises(AssertionError, match="never reached"):
+        build_graph("stray", elements, (0, 3), str)
+
+
+def _json_dict(graph):
+    # The schema the JSON writer follows, as the dict json.dumps renders.
+    return {
+        "vertices": [
+            {
+                "id": idx,
+                "oneline": "[" + ",".join(str(v) for v in ol) + "]",
+                "cycles": label,
+                "rank": rank,
+            }
+            for idx, (ol, label, rank) in enumerate(graph.vertices)
+        ],
+        "edges": [
+            {"from": u, "to": v, "label": "s_%d" % gen}
+            for (u, gen, v) in graph.edges
+        ],
+    }
+
+
+def test_graph_json_equals_json_dumps_of_the_schema():
+    for graph, _ in _graphs():
+        expected = json.dumps(_json_dict(graph), indent=2, sort_keys=True) + "\n"
+        assert graph.to_json() == expected, graph.name
+    assert '"edges": []' in weak_order_graph(1).to_json()
+    # A label that needs escaping, in a graph with no edges.
+    odd = WeakOrderGraph("odd", (((1,), 'a"b\\c\u00e9\n', 0),), ())
+    assert odd.to_json() == json.dumps(_json_dict(odd), indent=2, sort_keys=True) + "\n"
