@@ -298,10 +298,20 @@ def _add_format(parser: argparse.ArgumentParser, choices=("text", "json"), defau
     )
 
 
+def _bound_value(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("bound must be at least 1, got %d" % value)
+    return value
+
+
 def _add_max_n(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--max-n",
-        type=int,
+        type=_bound_value,
         default=None,
         metavar="N",
         help="override the enumeration bound (prints a warning)",

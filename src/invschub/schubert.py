@@ -14,9 +14,7 @@ it by moving diagram cells to strictly smaller row indices, which increases
 the monomial), so repeatedly reading off the trailing monomial of the
 residual, converting it to a permutation through the inverse Lehmer code and
 subtracting recovers the coefficients; each step only disturbs monomials
-strictly above the one it clears, hence the loop terminates.  A slower
-exact-elimination fallback (`method="solve"`) is kept for independent
-cross-checking.
+strictly above the one it clears, hence the loop terminates.
 """
 
 from __future__ import annotations
@@ -25,8 +23,6 @@ from typing import Iterator
 
 from .permutations import (
     Permutation,
-    all_permutations,
-    code,
     is_dominant,
     permutation_from_code,
     rothe_diagram,
@@ -145,9 +141,7 @@ def _check_artin_bound(f: IntPolynomial, n: int) -> None:
                 )
 
 
-def expand_in_schubert_basis(
-    f: IntPolynomial, n: int, method: str = "peel"
-) -> SchubertExpansion:
+def expand_in_schubert_basis(f: IntPolynomial, n: int) -> SchubertExpansion:
     """Write f as an integer combination of S_w, w in S_n.
 
     Every monomial of f must satisfy the Artin bound a_i <= n - i.  The
@@ -158,42 +152,15 @@ def expand_in_schubert_basis(
     [('[2,3,1]', 1), ('[3,1,2]', 1)]
     """
     _check_artin_bound(f, n)
-    if method == "peel":
-        coefficients: dict[Permutation, int] = {}
-        residual = f
-        while not residual.is_zero():
-            exps, coeff = residual.trailing_term()
-            padded = exps + (0,) * (n - len(exps))
-            w = permutation_from_code(padded)
-            coefficients[w] = coefficients.get(w, 0) + coeff
-            residual = residual - schubert(w).scale(coeff)
-        expansion = SchubertExpansion(coefficients)
-    elif method == "solve":
-        # Triangular elimination against the full rank-n basis, scanning
-        # permutations in increasing graded-lex order of their minimal
-        # monomials x^{code(w)}: when w's turn comes, every unprocessed u
-        # has code(u) above code(w) and so cannot contribute at x^{code(w)}.
-        basis = sorted(
-            all_permutations(n),
-            key=lambda w: (sum(code(w)), code(w)),
-        )
-        coefficients = {}
-        residual = f
-        for w in basis:
-            if residual.is_zero():
-                break
-            c = residual.coefficient(code(w))
-            if c != 0:
-                coefficients[w] = c
-                residual = residual - schubert(w).scale(c)
-        if not residual.is_zero():
-            raise AssertionError(
-                "elimination left a nonzero residual %s" % residual
-            )
-        expansion = SchubertExpansion(coefficients)
-    else:
-        raise ValueError("unknown expansion method %r" % method)
-
+    coefficients: dict[Permutation, int] = {}
+    residual = f
+    while not residual.is_zero():
+        exps, coeff = residual.trailing_term()
+        padded = exps + (0,) * (n - len(exps))
+        w = permutation_from_code(padded)
+        coefficients[w] = coefficients.get(w, 0) + coeff
+        residual = residual - schubert(w).scale(coeff)
+    expansion = SchubertExpansion(coefficients)
     if expansion.reconstruct() != f:
         raise AssertionError("Schubert expansion failed to reconstruct input")
     return expansion

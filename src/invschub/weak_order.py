@@ -9,7 +9,8 @@ nu = (0, n).  m(s_i) stays when letter i appears after letter i+1; swaps
 the two letters when they lie in different blocks, or in one block that
 fixes both (as a permutation of its own alphabet); and otherwise
 conjugates inside the block: it swaps the block slots at the ranks of i
-and i+1, then relabels i <-> i+1.
+and i+1, then relabels i <-> i+1.  Its inverse ``lower`` is the same rule
+with i and i+1 exchanged.
 
 >>> act(3, (3, 2, 4, 1), (0, 3, 4)), lhat_mu((4, 3, 2, 1), (0, 3, 4))
 ((4, 3, 2, 1), 5)
@@ -41,23 +42,36 @@ __all__ = [
 Word = tuple[int, ...]
 
 
-def act(i: int, word: Word, nu: Word) -> Word:
-    """m(s_i) . word by the four-case rule, for 1 <= i < n."""
-    p, q = word.index(i), word.index(i + 1)
+def _move(a: int, b: int, word: Word, nu: Word) -> Word:
+    """The four-case rule for the ordered letter pair (a, b), b = a +- 1.
+
+    ``word`` itself when a lies right of b.  Otherwise the two letters swap
+    when they lie in different blocks, or when their positions are the
+    block's slots at the ranks of a and b; in any other case the pair is
+    conjugated: those two slots swap, then a <-> b.
+    """
+    p, q = word.index(a), word.index(b)
     if p > q:
         return word
     images = list(word)
-    a = bisect_right(nu, p)
-    lo, hi = nu[a - 1], nu[a]
+    c = bisect_right(nu, p)
+    lo, hi = nu[c - 1], nu[c]
     if q < hi:
-        # Same block: the slots at the ranks of i and i+1 are adjacent,
+        # Same block: the slots at the ranks of a and b are adjacent,
         # since no letter of the block lies between them.
-        slot = lo + sum(1 for x in word[lo:hi] if x < i)
+        least = a if a < b else b
+        slot = lo + sum(1 for x in word[lo:hi] if x < least)
         if (p, q) != (slot, slot + 1):
+            # Conjugate: the slot swap, then the letter swap below.
             images[slot], images[slot + 1] = images[slot + 1], images[slot]
-            return tuple(i + 1 if x == i else i if x == i + 1 else x for x in images)
-    images[p], images[q] = i + 1, i
+            p, q = images.index(a), images.index(b)
+    images[p], images[q] = b, a
     return tuple(images)
+
+
+def act(i: int, word: Word, nu: Word) -> Word:
+    """m(s_i) . word by the four-case rule, for 1 <= i < n."""
+    return _move(i, i + 1, word, nu)
 
 
 def act_word(generators: Sequence[int], word: Word, nu: Word) -> Word:
@@ -67,39 +81,12 @@ def act_word(generators: Sequence[int], word: Word, nu: Word) -> Word:
     return word
 
 
-def _involutive(block: Sequence[int]) -> bool:
-    image = dict(zip(sorted(block), block))
-    return all(image[y] == x for x, y in image.items())
-
-
 def lower(i: int, word: Word, nu: Word) -> Word | None:
-    """The unique sigma != word with act(i, sigma, nu) == word, or None.
-
-    The candidates are the letter swap i <-> i+1 and, with both letters in
-    one block, that swap followed by the swap of the block slots at their
-    ranks (tried first: where the letter swap is the answer, it gives back
-    ``word``).  One is kept only if its touched blocks still standardize
-    to involutions and ``act`` maps it back to ``word``.
-    """
-    p, q = word.index(i + 1), word.index(i)
-    if p > q:
-        return None
-    swapped = list(word)
-    swapped[p], swapped[q] = i, i + 1
-    a, b = bisect_right(nu, p), bisect_right(nu, q)
-    candidates = [tuple(swapped)]
-    if a == b:
-        k = nu[a - 1] + sum(1 for x in word[nu[a - 1] : nu[a]] if x < i)
-        swapped[k], swapped[k + 1] = swapped[k + 1], swapped[k]
-        candidates.insert(0, tuple(swapped))
-    for sigma in candidates:
-        if (
-            sigma != word
-            and all(_involutive(sigma[nu[c - 1] : nu[c]]) for c in {a, b})
-            and act(i, sigma, nu) == word
-        ):
-            return sigma
-    return None
+    """The unique sigma != word with act(i, sigma, nu) == word, or None:
+    the four-case rule with i and i+1 exchanged.  It is None exactly when
+    i lies left of i+1 in ``word``."""
+    sigma = _move(i + 1, i, word, nu)
+    return None if sigma == word else sigma
 
 
 def atom_words(target: Word, base: Word, nu: Word) -> frozenset[Word]:

@@ -1,15 +1,23 @@
-"""The closed characterizations of atoms and relative atoms, kept as test
-oracles independent of the weak-order recursion.
+"""Slow oracles kept for the tests, independent of the fast paths.
 
-Both scan all of S_n and test conditions on the inverse v = w^-1 of each
-candidate w.  Involutions are raw one-line tuples and the cycles of tau
-are read once per call; the scan runs over v itself (v[x] is the position
-of x in w), so only the accepted candidates are inverted.
+The closed characterizations of atoms and relative atoms stand apart from
+the weak-order recursion.  Both scan all of S_n and test conditions on the
+inverse v = w^-1 of each candidate w.  Involutions are raw one-line tuples
+and the cycles of tau are read once per call; the scan runs over v itself
+(v[x] is the position of x in w), so only the accepted candidates are
+inverted.
+
+Triangular elimination against the whole basis of S_n stands apart from
+the trailing-term peel of ``expand_in_schubert_basis``.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
+
+from invschub.permutations import all_permutations, code
+from invschub.polynomials import IntPolynomial
+from invschub.schubert import SchubertExpansion, schubert
 
 Word = tuple[int, ...]
 
@@ -89,3 +97,23 @@ def relative_atoms_by_characterization(tau: Word, tau_prime: Word) -> frozenset[
         for v in _inverse_words(len(tau))
         if _relative_conditions(v, cyc_prime, cyc_set, fix_set)
     )
+
+
+def expand_by_elimination(f: IntPolynomial, n: int) -> SchubertExpansion:
+    """f in the Schubert basis of S_n by elimination, scanning permutations
+    in increasing graded-lex order of their minimal monomials x^{code(w)}:
+    when w's turn comes, every unprocessed u has code(u) above code(w) and
+    so cannot contribute at x^{code(w)}."""
+    basis = sorted(all_permutations(n), key=lambda w: (sum(code(w)), code(w)))
+    coefficients = {}
+    residual = f
+    for w in basis:
+        if residual.is_zero():
+            break
+        c = residual.coefficient(code(w))
+        if c != 0:
+            coefficients[w] = c
+            residual = residual - schubert(w).scale(c)
+    if not residual.is_zero():
+        raise AssertionError("elimination left a nonzero residual %s" % residual)
+    return SchubertExpansion(coefficients)

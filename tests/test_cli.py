@@ -434,6 +434,8 @@ BAD_INVOCATIONS = [
     ["poset", "-n", "3", "-m", "2,1"],
     ["poset", "-n", "0"],
     ["poset", "-n", "-2"],
+    ["poset", "-n", "3", "--max-n", "0"],
+    ["atoms", "-t", "(1,2)", "-n", "2", "--bruteforce", "--max-n", "-1"],
     ["verify"],
     ["expand", "-f", "x1 + y2", "-n", "3"],
 ]

@@ -74,7 +74,7 @@ def test_every_chain_move_is_rank_checked(monkeypatch):
 
 
 def test_lower_finds_the_one_predecessor_of_every_descent():
-    for n in range(1, 6):
+    for n in range(1, 7):
         for mu in all_compositions(n):
             words = [pi.oneline for pi in mu_involutions(mu)]
             preds: dict[tuple, list] = {}
@@ -87,6 +87,7 @@ def test_lower_finds_the_one_predecessor_of_every_descent():
                 for i in range(1, n):
                     found = lower(i, word, mu.nu)
                     assert preds.get((i, word), []) == ([] if found is None else [found])
+                    assert (found is None) == (word.index(i) < word.index(i + 1))
 
 
 def test_atom_words_equal_bruteforce_on_small_mu_involutions():
