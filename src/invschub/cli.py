@@ -72,14 +72,6 @@ def _emit_json(obj: object) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
 
-def _warn_max_n(args: argparse.Namespace) -> None:
-    if getattr(args, "max_n", None) is not None:
-        print(
-            "warning: enumeration bound overridden to %d" % args.max_n,
-            file=sys.stderr,
-        )
-
-
 def _cmd_schubert(args: argparse.Namespace) -> int:
     w = parse_permutation(args.word)
     poly = schubert(w)
@@ -127,11 +119,13 @@ def _print_atoms(args: argparse.Namespace, header: dict, atom_set) -> int:
 
 
 def _bound(args: argparse.Namespace, default: int) -> int:
-    return args.max_n if args.max_n is not None else default
+    if args.max_n is None:
+        return default
+    print("warning: enumeration bound overridden to %d" % args.max_n, file=sys.stderr)
+    return args.max_n
 
 
 def _cmd_atoms(args: argparse.Namespace) -> int:
-    _warn_max_n(args)
     tau = parse_involution(args.tau, args.n)
     if args.bruteforce:
         atom_set = atoms_bruteforce(tau, max_n=_bound(args, BRUTE_FORCE_BOUND))
@@ -141,7 +135,6 @@ def _cmd_atoms(args: argparse.Namespace) -> int:
 
 
 def _cmd_relative_atoms(args: argparse.Namespace) -> int:
-    _warn_max_n(args)
     base = parse_involution(args.tau, args.n)
     target = parse_involution(args.upper, args.n)
     if args.bruteforce:
@@ -153,7 +146,6 @@ def _cmd_relative_atoms(args: argparse.Namespace) -> int:
 
 
 def _cmd_poset(args: argparse.Namespace) -> int:
-    _warn_max_n(args)
     bound = _bound(args, POSET_RANK_BOUND)
     if args.n is not None:
         graph = weak_order_graph(args.n, max_n=bound)
@@ -169,7 +161,6 @@ def _cmd_poset(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    _warn_max_n(args)
     if args.all_n is not None:
         reports = verify_all(args.all_n, max_n=_bound(args, BRUTE_FORCE_BOUND))
     elif args.mu is not None:

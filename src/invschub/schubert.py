@@ -2,10 +2,11 @@
 Ordinary Schubert polynomials.
 
 S_{w0} = x1^{n-1} x2^{n-2} ... x_{n-1}, and S_w = d_i(S_{w s_i}) whenever
-l(w s_i) = l(w) + 1.  The recursion climbs by right multiplication at the
-first ascent and descends from w0 through the shared memoized walker of
-:mod:`invschub.weak_order`; its steps and its staircase anchor are its own,
-independent of the monoid action.
+l(w s_i) = l(w) + 1.  S_w is the mu = (1^n) case of the weak-order engine
+of :mod:`invschub.weak_order`: ``shat_mu`` of w^-1 cut into single letters,
+where m(s_i) is left multiplication by s_i, the rank is the length and the
+anchor is the staircase monomial.  This module has no step rule, anchor or
+cache of its own.
 
 The inverse direction - expanding an arbitrary polynomial in the Schubert
 basis - uses greedy trailing-term peeling.  The graded-lex MINIMAL monomial
@@ -19,8 +20,6 @@ strictly above the one it clears, hence the loop terminates.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 from .permutations import (
     Permutation,
     is_dominant,
@@ -28,7 +27,7 @@ from .permutations import (
     rothe_diagram,
 )
 from .polynomials import IntPolynomial, ZERO, monomial
-from .weak_order import descend
+from .weak_order import shat_mu
 
 __all__ = [
     "schubert",
@@ -36,16 +35,6 @@ __all__ = [
     "expand_in_schubert_basis",
     "SchubertExpansion",
 ]
-
-
-def _first_ascent_moves(word: tuple[int, ...]) -> Iterator[tuple[int, tuple[int, ...]]]:
-    # w -> w s_i at the first ascent i, until w0.
-    while True:
-        p = next((p for p in range(len(word) - 1) if word[p] < word[p + 1]), None)
-        if p is None:
-            return
-        word = word[:p] + (word[p + 1], word[p]) + word[p + 2 :]
-        yield p + 1, word
 
 
 def schubert(w: Permutation) -> IntPolynomial:
@@ -56,8 +45,7 @@ def schubert(w: Permutation) -> IntPolynomial:
     >>> print(schubert(Permutation([1, 3, 2])))
     x1 + x2
     """
-    staircase = tuple(range(w.n - 1, -1, -1))
-    return descend(None, w.oneline, _first_ascent_moves(w.oneline), lambda: monomial(staircase))
+    return shat_mu(w.inverse().oneline, tuple(range(w.n + 1)))
 
 
 def schubert_dominant(w: Permutation) -> IntPolynomial:

@@ -1,20 +1,23 @@
 """
 Mechanical verification of the atom-sum factorization identities.
 
-Every verifier assembles an :class:`IdentityReport` whose two sides are
-computed by pipelines that share only polynomial arithmetic and the
-memoized descent walker of :mod:`invschub.weak_order`, not its steps or
-its anchors:
+Every verifier assembles an :class:`IdentityReport` from three routes:
 
 * ``lhs`` enumerates an atom set and sums ordinary Schubert polynomials of
-  the inverses (descent by right multiplication at the first ascent, down
-  from the staircase monomial);
+  the inverses;
 * ``rhs`` is a fully factored product read directly off a diagram, or the
   divided-difference chain of the monoid action anchored at the
-  closed-orbit product -- no atom or ordinary-Schubert code is involved;
+  closed-orbit product;
 * ``expansion`` re-expands the rhs in the Schubert basis by peeling the
   graded-lex minimal monomial, a third route whose support must land back
   on the inverted atom set.
+
+Ordinary Schubert polynomials are the mu = (1^n) case of the weak-order
+engine, so lhs and rhs share its monoid action, its ``anchor`` and its
+memoized chain wherever the rhs is not a closed product.  The independence
+lives in the tests: their definitional oracle applies d_i along a reduced
+word to the staircase monomial without the engine, and must agree with
+``schubert`` on all of S_n for n <= 6.
 
 A failed identity never raises: ``equal`` is simply False and the caller
 decides what to do (the command line maps it to exit code 3).

@@ -1,19 +1,24 @@
 """
 The weak-order engine under involutions and mu-involutions: the monoid
 action and the rank lhat_mu on raw one-line tuples, the weak-order graph,
-and one memoized divided-difference descent with its single cache.
+and one memoized divided-difference chain ``shat_mu`` with its single
+cache.
 
 A mu-involution is a pair (word, nu): its one-line tuple and the prefix
 sums ``Composition.nu`` that cut it into blocks; involutions of [n] are
-nu = (0, n).  m(s_i) stays when letter i appears after letter i+1; swaps
-the two letters when they lie in different blocks, or in one block that
-fixes both (as a permutation of its own alphabet); and otherwise
-conjugates inside the block: it swaps the block slots at the ranks of i
-and i+1, then relabels i <-> i+1.  Its inverse ``lower`` is the same rule
-with i and i+1 exchanged.
+nu = (0, n), and every permutation is a mu-involution at nu = (0, 1, ..., n),
+where m(s_i) is left multiplication by s_i and ``shat_mu`` of w is the
+ordinary Schubert polynomial of w^-1.  m(s_i) stays when letter i appears
+after letter i+1; swaps the two letters when they lie in different blocks,
+or in one block that fixes both (as a permutation of its own alphabet); and
+otherwise conjugates inside the block: it swaps the block slots at the
+ranks of i and i+1, then relabels i <-> i+1.  Its inverse ``lower`` is the
+same rule with i and i+1 exchanged.
 
 >>> act(3, (3, 2, 4, 1), (0, 3, 4)), lhat_mu((4, 3, 2, 1), (0, 3, 4))
 ((4, 3, 2, 1), 5)
+>>> print(shat_mu((2, 3, 1), (0, 1, 2, 3)))
+x1^2
 """
 
 from __future__ import annotations
@@ -34,7 +39,6 @@ __all__ = [
     "lhat_mu",
     "build_graph",
     "anchor",
-    "descend",
     "shat_mu",
     "clear_cache",
 ]
@@ -135,6 +139,10 @@ def lhat_mu(word: Word, nu: Word) -> int:
     does not standardize to an involution raises AssertionError."""
     rank, ordered = 0, []
     for lo, hi in zip(nu, nu[1:]):
+        if hi - lo == 1:
+            # A single letter is an involution of length 0.
+            ordered.append(word[lo])
+            continue
         block = word[lo:hi]
         alphabet = sorted(block)
         image = dict(zip(alphabet, block))
@@ -298,9 +306,8 @@ def build_graph(
 # Memoized descent
 # ---------------------------------------------------------------------------
 
-# Chain-node polynomials keyed by (tag, word): the tag is nu for the
-# mu-involution chains and None for the ordinary Schubert chain.
-_CACHE: dict[tuple[Word | None, Word], IntPolynomial] = {}
+# Chain-node polynomials keyed by (nu, word).
+_CACHE: dict[tuple[Word, Word], IntPolynomial] = {}
 
 
 def clear_cache(n: int | None = None) -> None:
@@ -312,38 +319,12 @@ def clear_cache(n: int | None = None) -> None:
             del _CACHE[key]
 
 
-def descend(
-    tag: Word | None,
-    word: Word,
-    moves: Iterator[tuple[int, Word]],
-    top_polynomial: Callable[[], IntPolynomial],
-) -> IntPolynomial:
-    """The polynomial of ``word``: climb the ``moves`` (i, raised word) up
-    to the first cached node or w0 (worth ``top_polynomial()``), then apply
-    d_i back down, caching every node of the chain."""
-    top = tuple(range(len(word), 0, -1))
-    below: list[tuple[Word, int]] = []
-    while (tag, word) not in _CACHE:
-        if word == top:
-            _CACHE[tag, word] = top_polynomial()
-            break
-        step = next(moves, None)
-        if step is None:
-            raise AssertionError("raising chain stops below the top at %r" % (word,))
-        below.append((word, step[0]))
-        word = step[1]
-    poly = _CACHE[tag, word]
-    for word, i in reversed(below):
-        poly = divided_difference(poly, i)
-        _CACHE[tag, word] = poly
-    return poly
-
-
 def anchor(nu: Word) -> IntPolynomial:
     """Shat^mu at w0: the closed-orbit product of the REVERSED composition.
     Block [lo, hi) of nu lands on positions n-hi+1 .. n-lo, each carrying
     lo cross factors, plus x_i for 2i <= m and x_i + x_j for i < j <= m-i
-    (m = hi - lo, i and j counted inside the landing block)."""
+    (m = hi - lo, i and j counted inside the landing block).  At
+    nu = (0, 1, ..., n) it is the staircase x1^(n-1) x2^(n-2) ... x_(n-1)."""
     n, poly = nu[-1], ONE
     exponents = [0] * n
     for lo, hi in zip(nu, nu[1:]):
@@ -375,5 +356,24 @@ def _greedy_moves(word: Word, nu: Word) -> Iterator[tuple[int, Word]]:
 
 
 def shat_mu(word: Word, nu: Word) -> IntPolynomial:
-    """Shat^mu of the mu-involution ``word`` cut at ``nu``."""
-    return descend(nu, word, _greedy_moves(word, nu), lambda: anchor(nu))
+    """Shat^mu of the mu-involution ``word`` cut at ``nu``: climb the
+    ``_greedy_moves`` up to the first cached node or w0 (worth
+    ``anchor(nu)``), then apply d_i back down, caching every node of the
+    chain under (nu, word)."""
+    top = tuple(range(nu[-1], 0, -1))
+    moves = _greedy_moves(word, nu)
+    below: list[tuple[Word, int]] = []
+    while (nu, word) not in _CACHE:
+        if word == top:
+            _CACHE[nu, word] = anchor(nu)
+            break
+        step = next(moves, None)
+        if step is None:
+            raise AssertionError("raising chain stops below the top at %r" % (word,))
+        below.append((word, step[0]))
+        word = step[1]
+    poly = _CACHE[nu, word]
+    for word, i in reversed(below):
+        poly = divided_difference(poly, i)
+        _CACHE[nu, word] = poly
+    return poly

@@ -9,14 +9,18 @@ inverted.
 
 Triangular elimination against the whole basis of S_n stands apart from
 the trailing-term peel of ``expand_in_schubert_basis``.
+
+The definition S_w = d_{w^-1 w0} x^delta, along one reduced word, stands
+apart from the weak-order engine behind ``schubert``: it imports nothing
+from ``invschub.weak_order``.
 """
 
 from __future__ import annotations
 
 from itertools import permutations
 
-from invschub.permutations import all_permutations, code
-from invschub.polynomials import IntPolynomial
+from invschub.permutations import Permutation, all_permutations, code, longest, reduced_word
+from invschub.polynomials import IntPolynomial, divided_difference, monomial
 from invschub.schubert import SchubertExpansion, schubert
 
 Word = tuple[int, ...]
@@ -117,3 +121,12 @@ def expand_by_elimination(f: IntPolynomial, n: int) -> SchubertExpansion:
     if not residual.is_zero():
         raise AssertionError("elimination left a nonzero residual %s" % residual)
     return SchubertExpansion(coefficients)
+
+
+def schubert_by_definition(w: Permutation) -> IntPolynomial:
+    """S_w = d_{a_1} ... d_{a_l} x1^(n-1) x2^(n-2) ... x_(n-1), where
+    a_1 ... a_l is a reduced word of w^-1 w0: d_{a_l} is applied first."""
+    poly = monomial(tuple(range(w.n - 1, -1, -1)))
+    for i in reversed(reduced_word(w.inverse() * longest(w.n))):
+        poly = divided_difference(poly, i)
+    return poly

@@ -468,6 +468,26 @@ def test_max_n_override_warns_and_succeeds(capsys) -> None:
     assert out.startswith("involutions_9: 2620 vertices, 10480 edges\n")
 
 
+MAX_N_IGNORED = [
+    ["verify", "--mu", "3,1", "--max-n", "5"],
+    ["verify", "--dominant-involution", "(1,3)", "-n", "3", "--max-n", "5"],
+    ["atoms", "-t", "(1,3)", "-n", "3", "--max-n", "5"],
+    ["relative-atoms", "-t", "(1,2)", "-u", "(1,3)", "-n", "3", "--max-n", "5"],
+]
+
+
+def test_max_n_warns_only_where_a_bound_applies(capsys) -> None:
+    # These paths take no enumeration bound, so nothing is overridden.
+    for argv in MAX_N_IGNORED:
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 0, argv
+        assert out != "", argv
+        assert err == "", argv
+    rc, _, err = run_cli(capsys, ["atoms", "-t", "(1,3)", "-n", "3", "--bruteforce", "--max-n", "5"])
+    assert rc == 0
+    assert err == "warning: enumeration bound overridden to 5\n"
+
+
 def test_help_exits_zero(capsys) -> None:
     rc, out, _ = run_cli(capsys, ["--help"])
     assert rc == 0

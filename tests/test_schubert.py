@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from characterization import expand_by_elimination
+from characterization import expand_by_elimination, schubert_by_definition
 
 from invschub.permutations import (
     Permutation,
@@ -45,6 +45,15 @@ def test_identity_and_longest():
 def test_s3_table():
     for oneline, text in S3_TABLE.items():
         assert schubert(Permutation(oneline)) == parse_polynomial(text)
+
+
+def test_schubert_equals_definition_through_s6():
+    # The engine's mu = (1^n) chain against d_i along a reduced word.
+    clear_cache()
+    for n in range(1, 7):
+        for w in all_permutations(n):
+            assert schubert(w) == schubert_by_definition(w), w
+    clear_cache()
 
 
 def test_descent_recursion_everywhere_s4():

@@ -1,5 +1,6 @@
 """Tests for the shared weak-order engine: one divided difference per chain
-node on a cold cache, the rank check on every chain move, the atom
+node on a cold cache and the rank check on every chain move (ordinary
+Schubert polynomials included, as the mu = (1^n) case), the atom
 walker with the inverse action it steps down by, and the graph builder's
 breadth-first ranks and direct JSON writer."""
 
@@ -27,6 +28,8 @@ from invschub.mu_involutions import (
     mu_involutions,
     mu_weak_order_graph,
 )
+from invschub.permutations import all_permutations, identity
+from invschub.schubert import schubert
 from invschub.weak_order import (
     WeakOrderGraph,
     act,
@@ -47,10 +50,14 @@ def test_cold_descent_divides_once_per_node_below_the_top(monkeypatch):
         return real(f, i)
 
     monkeypatch.setattr(weak_order, "divided_difference", counted)
-    families = [(list(involutions(n)), inv_schubert) for n in (5, 6)] + [
-        (list(mu_involutions(Composition(parts))), mu_inv_schubert)
-        for parts in ((3, 2), (2, 2, 2), (1, 4))
-    ]
+    families = (
+        [(list(involutions(n)), inv_schubert) for n in (5, 6)]
+        + [
+            (list(mu_involutions(Composition(parts))), mu_inv_schubert)
+            for parts in ((3, 2), (2, 2, 2), (1, 4))
+        ]
+        + [(list(all_permutations(n)), schubert) for n in (5, 6)]
+    )
     for elements, polynomial in families:
         clear_cache()
         calls.clear()
@@ -70,6 +77,8 @@ def test_every_chain_move_is_rank_checked(monkeypatch):
         inv_schubert(identity_involution(3))
     with pytest.raises(AssertionError):
         mu_inv_schubert(identity_mu_involution(Composition((2, 1))))
+    with pytest.raises(AssertionError):
+        schubert(identity(3))
     clear_cache()
 
 
