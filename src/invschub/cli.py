@@ -5,6 +5,12 @@ Subcommands: schubert, inv-schubert, mu-schubert, atoms, relative-atoms,
 poset, verify, expand, diagram.  All output is deterministic (sorted term
 and node order) and every rendered value is re-parseable by the CLI.
 
+Every command renders through one path: its handler parses and computes
+the result once and returns one renderer per format it supports, and
+``main`` calls only the renderer of the format asked for and writes its
+output in one piece.  So text mode never builds JSON, and a command that
+is refused prints nothing on stdout.
+
 Exit codes: 0 success; 1 parse/validation error (one-line diagnostic on
 stderr); 2 enumeration-bound refusal; 3 failed verification.
 """
@@ -14,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable
 
 from .involutions import (
     BRUTE_FORCE_BOUND,
@@ -37,19 +44,22 @@ from .mu_involutions import (
 from .permutations import (
     EnumerationBoundError,
     Permutation,
-    code,
     parse_permutation,
     rothe_diagram,
 )
-from .polynomials import parse_polynomial
+from .polynomials import IntPolynomial, parse_polynomial
 from .schubert import expand_in_schubert_basis, schubert
 from .verify import (
+    IdentityReport,
     verify_all,
     verify_involution_identity,
     verify_mu_identity,
 )
 
 __all__ = ["build_parser", "main"]
+
+# A command's result: one renderer per format, and the exit code.
+Output = tuple[dict[str, Callable[[], str]], int]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -68,54 +78,40 @@ def _render_perm(w: Permutation) -> str:
     return w.compact() if w.n <= 9 else str(w)
 
 
-def _emit_json(obj: object) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+def _text_json(text: Callable[[], str], payload: Callable[[], object], status: int = 0) -> Output:
+    """The text and json renderers; the JSON payload is built only when
+    that format is asked for."""
+    return {"text": text, "json": lambda: json.dumps(payload(), indent=2, sort_keys=True) + "\n"}, status
 
 
-def _cmd_schubert(args: argparse.Namespace) -> int:
+def _polynomial(poly: IntPolynomial, header: dict) -> Output:
+    return _text_json(lambda: "%s\n" % poly, lambda: {**header, "polynomial": str(poly)})
+
+
+def _cmd_schubert(args: argparse.Namespace) -> Output:
     w = parse_permutation(args.word)
-    poly = schubert(w)
-    if args.format == "json":
-        _emit_json({"word": str(w), "polynomial": str(poly)})
-    else:
-        print(poly)
-    return 0
+    return _polynomial(schubert(w), {"word": str(w)})
 
 
-def _cmd_inv_schubert(args: argparse.Namespace) -> int:
+def _cmd_inv_schubert(args: argparse.Namespace) -> Output:
     tau = parse_involution(args.tau, args.n)
-    poly = inv_schubert(tau)
-    if args.format == "json":
-        _emit_json(
-            {"cycles": tau.cycles_string(), "n": tau.n, "polynomial": str(poly)}
-        )
-    else:
-        print(poly)
-    return 0
+    return _polynomial(inv_schubert(tau), {"cycles": tau.cycles_string(), "n": tau.n})
 
 
-def _cmd_mu_schubert(args: argparse.Namespace) -> int:
+def _cmd_mu_schubert(args: argparse.Namespace) -> Output:
     mu = parse_composition(args.mu)
     pi = parse_mu_involution(args.pi, mu)
-    poly = mu_inv_schubert(pi)
-    if args.format == "json":
-        _emit_json({"mu": str(mu), "word": str(pi), "polynomial": str(poly)})
-    else:
-        print(poly)
-    return 0
+    return _polynomial(mu_inv_schubert(pi), {"mu": str(mu), "word": str(pi)})
 
 
-def _print_atoms(args: argparse.Namespace, header: dict, atom_set) -> int:
-    ordered = sorted(atom_set, key=lambda w: w.oneline)
-    if args.format == "json":
-        # The default method's label predates the weak-order recursion.
-        method = "bruteforce" if args.bruteforce else "characterization"
-        atoms_json = [_render_perm(w) for w in ordered]
-        _emit_json({**header, "method": method, "atoms": atoms_json, "count": len(ordered)})
-    else:
-        for w in ordered:
-            print(_render_perm(w))
-    return 0
+def _atoms(args: argparse.Namespace, header: dict, atom_set) -> Output:
+    ordered = [_render_perm(w) for w in sorted(atom_set, key=lambda w: w.oneline)]
+    # The default method's label predates the weak-order recursion.
+    method = "bruteforce" if args.bruteforce else "characterization"
+    return _text_json(
+        lambda: "".join(word + "\n" for word in ordered),
+        lambda: {**header, "method": method, "atoms": ordered, "count": len(ordered)},
+    )
 
 
 def _bound(args: argparse.Namespace, default: int) -> int:
@@ -125,16 +121,16 @@ def _bound(args: argparse.Namespace, default: int) -> int:
     return args.max_n
 
 
-def _cmd_atoms(args: argparse.Namespace) -> int:
+def _cmd_atoms(args: argparse.Namespace) -> Output:
     tau = parse_involution(args.tau, args.n)
     if args.bruteforce:
         atom_set = atoms_bruteforce(tau, max_n=_bound(args, BRUTE_FORCE_BOUND))
     else:
         atom_set = atoms(tau)
-    return _print_atoms(args, {"cycles": tau.cycles_string(), "n": tau.n}, atom_set)
+    return _atoms(args, {"cycles": tau.cycles_string(), "n": tau.n}, atom_set)
 
 
-def _cmd_relative_atoms(args: argparse.Namespace) -> int:
+def _cmd_relative_atoms(args: argparse.Namespace) -> Output:
     base = parse_involution(args.tau, args.n)
     target = parse_involution(args.upper, args.n)
     if args.bruteforce:
@@ -142,151 +138,96 @@ def _cmd_relative_atoms(args: argparse.Namespace) -> int:
     else:
         atom_set = relative_atoms(base, target)
     header = {"base": base.cycles_string(), "target": target.cycles_string(), "n": base.n}
-    return _print_atoms(args, header, atom_set)
+    return _atoms(args, header, atom_set)
 
 
-def _cmd_poset(args: argparse.Namespace) -> int:
+def _cmd_poset(args: argparse.Namespace) -> Output:
     bound = _bound(args, POSET_RANK_BOUND)
     if args.n is not None:
         graph = weak_order_graph(args.n, max_n=bound)
     else:
         graph = mu_weak_order_graph(parse_composition(args.mu), max_n=bound)
-    if args.format == "dot":
-        sys.stdout.write(graph.to_dot())
-    elif args.format == "json":
-        sys.stdout.write(graph.to_json())
-    else:
-        sys.stdout.write(graph.to_text())
-    return 0
+    return {"text": graph.to_text, "json": graph.to_json, "dot": graph.to_dot}, 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _passed(report: IdentityReport) -> bool:
+    return report.equal and report.multiplicity_free
+
+
+def _cmd_verify(args: argparse.Namespace) -> Output:
     if args.all_n is not None:
         reports = verify_all(args.all_n, max_n=_bound(args, BRUTE_FORCE_BOUND))
-    elif args.mu is not None:
-        reports = [verify_mu_identity(parse_composition(args.mu))]
+
+        def text() -> str:
+            lines = ["%s %s" % ("ok" if _passed(r) else "FAIL", r.subject) for r in reports]
+            return "\n".join(lines + ["checked %d identities" % len(reports)]) + "\n"
+
+        status = 0 if all(map(_passed, reports)) else 3
+        return _text_json(text, lambda: [r.to_json_dict() for r in reports], status)
+    if args.mu is not None:
+        report = verify_mu_identity(parse_composition(args.mu))
     else:
         if args.n is None:
             raise ValueError("--dominant-involution requires -n")
-        tau = parse_involution(args.dominant_involution, args.n)
-        reports = [verify_involution_identity(tau)]
-    if args.format == "json":
-        if len(reports) == 1 and args.all_n is None:
-            sys.stdout.write(reports[0].to_json())
-        else:
-            _emit_json([r.to_json_dict() for r in reports])
-    else:
-        if args.all_n is None:
-            for report in reports:
-                sys.stdout.write(report.to_text())
-        else:
-            for report in reports:
-                verdict = "ok" if report.equal and report.multiplicity_free else "FAIL"
-                print("%s %s" % (verdict, report.subject))
-            print("checked %d identities" % len(reports))
-    failed = [r for r in reports if not r.equal or not r.multiplicity_free]
-    return 3 if failed else 0
+        report = verify_involution_identity(parse_involution(args.dominant_involution, args.n))
+    return {"text": report.to_text, "json": report.to_json}, 0 if _passed(report) else 3
 
 
-def _cmd_expand(args: argparse.Namespace) -> int:
-    f = parse_polynomial(args.f)
+def _cmd_expand(args: argparse.Namespace) -> Output:
+    f = parse_polynomial(args.f, args.n)
     expansion = expand_in_schubert_basis(f, args.n)
-    if args.format == "json":
-        _emit_json(
-            {
-                "polynomial": str(f),
-                "n": args.n,
-                "expansion": [
-                    {"perm": str(w), "coeff": c} for w, c in expansion.sorted_items()
-                ],
-                "multiplicity_free": expansion.is_multiplicity_free(),
-            }
-        )
-    else:
-        print(expansion)
-    return 0
+    return _text_json(
+        lambda: "%s\n" % expansion,
+        lambda: {
+            "polynomial": str(f),
+            "n": args.n,
+            "expansion": [{"perm": str(w), "coeff": c} for w, c in expansion.sorted_items()],
+            "multiplicity_free": expansion.is_multiplicity_free(),
+        },
+    )
 
 
-def _cells(pairs) -> str:
-    return " ".join("(%d,%d)" % cell for cell in sorted(pairs))
-
-
-def _cmd_diagram(args: argparse.Namespace) -> int:
+def _diagram_table(args: argparse.Namespace) -> tuple[str, dict, list, list]:
+    """A diagram as (title line, JSON header, named cell families, trailing values)."""
     if args.word is not None:
         w = parse_permutation(args.word)
-        cells = sorted(rothe_diagram(w).cells)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "kind": "rothe",
-                    "word": str(w),
-                    "cells": [[i, j] for i, j in cells],
-                    "code": list(code(w)),
-                    "length": len(cells),
-                }
-            )
-        else:
-            print("rothe diagram of %s" % _render_perm(w))
-            print("cells (%d): %s" % (len(cells), _cells(cells)))
-            print("code: %s" % ",".join(str(c) for c in code(w)))
-            print("length: %d" % len(cells))
-    elif args.tau is not None:
+        rothe = rothe_diagram(w)
+        title, header = "rothe diagram of %s" % _render_perm(w), {"kind": "rothe", "word": str(w)}
+        return title, header, [("cells", rothe.cells)], [("code", rothe.code), ("length", len(rothe.cells))]
+    if args.tau is not None:
         if args.n is None:
             raise ValueError("diagram -t requires -n")
         tau = parse_involution(args.tau, args.n)
         diagram = involution_diagram(tau)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "kind": "involution",
-                    "cycles": tau.cycles_string(),
-                    "n": tau.n,
-                    "cells": [[i, j] for i, j in sorted(diagram.d_all)],
-                    "diagonal": [[i, j] for i, j in sorted(diagram.d1)],
-                    "strict": [[i, j] for i, j in sorted(diagram.d2)],
-                    "code": list(diagram.inv_code),
-                    "length": diagram.inv_length,
-                }
-            )
-        else:
-            print(
-                "involution diagram of %s in S_%d" % (tau.cycles_string(), tau.n)
-            )
-            print("cells (%d): %s" % (len(diagram.d_all), _cells(diagram.d_all)))
-            print("diagonal (%d): %s" % (len(diagram.d1), _cells(diagram.d1)))
-            print("strict (%d): %s" % (len(diagram.d2), _cells(diagram.d2)))
-            print("code: %s" % ",".join(str(c) for c in diagram.inv_code))
-            print("length: %d" % diagram.inv_length)
-    else:
-        mu = parse_composition(args.mu)
-        diagram = degenerate_diagram(mu)
-        if args.format == "json":
-            _emit_json(
-                {
-                    "kind": "degenerate",
-                    "mu": str(mu),
-                    "cross": [[i, j] for i, j in sorted(diagram.d0)],
-                    "diagonal": [[i, j] for i, j in sorted(diagram.d1)],
-                    "strict": [[i, j] for i, j in sorted(diagram.d2)],
-                    "size": diagram.size,
-                }
-            )
-        else:
-            print("degenerate diagram of mu %s" % mu)
-            print("cross (%d): %s" % (len(diagram.d0), _cells(diagram.d0)))
-            print("diagonal (%d): %s" % (len(diagram.d1), _cells(diagram.d1)))
-            print("strict (%d): %s" % (len(diagram.d2), _cells(diagram.d2)))
-            print("size: %d" % diagram.size)
-    return 0
+        title = "involution diagram of %s in S_%d" % (tau.cycles_string(), tau.n)
+        header = {"kind": "involution", "cycles": tau.cycles_string(), "n": tau.n}
+        families = [("cells", diagram.d_all), ("diagonal", diagram.d1), ("strict", diagram.d2)]
+        return title, header, families, [("code", diagram.inv_code), ("length", diagram.inv_length)]
+    mu = parse_composition(args.mu)
+    diagram = degenerate_diagram(mu)
+    families = [("cross", diagram.d0), ("diagonal", diagram.d1), ("strict", diagram.d2)]
+    header = {"kind": "degenerate", "mu": str(mu)}
+    return "degenerate diagram of mu %s" % mu, header, families, [("size", diagram.size)]
+
+
+def _cmd_diagram(args: argparse.Namespace) -> Output:
+    title, header, families, values = _diagram_table(args)
+    families = [(name, sorted(cells)) for name, cells in families]
+
+    def text() -> str:
+        lines = [title]
+        for name, cells in families:
+            lines.append("%s (%d): %s" % (name, len(cells), " ".join("(%d,%d)" % cell for cell in cells)))
+        for name, value in values:
+            lines.append("%s: %s" % (name, ",".join(map(str, value)) if isinstance(value, tuple) else value))
+        return "\n".join(lines) + "\n"
+
+    # json renders tuples as lists: cells as [i, j] pairs, codes as lists.
+    return _text_json(text, lambda: {**header, **dict(families), **dict(values)})
 
 
 def _add_format(parser: argparse.ArgumentParser, choices=("text", "json"), default: str = "text") -> None:
-    parser.add_argument(
-        "--format",
-        choices=list(choices),
-        default=default,
-        help="output format (default: %(default)s)",
-    )
+    parser.add_argument("--format", choices=list(choices), default=default, help="output format (default: %(default)s)")
 
 
 def _bound_value(text: str) -> int:
@@ -301,11 +242,7 @@ def _bound_value(text: str) -> int:
 
 def _add_max_n(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--max-n",
-        type=_bound_value,
-        default=None,
-        metavar="N",
-        help="override the enumeration bound (prints a warning)",
+        "--max-n", type=_bound_value, default=None, metavar="N", help="override the enumeration bound (prints a warning)"
     )
 
 
@@ -395,13 +332,16 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        renderers, status = args.func(args)
+        output = renderers[args.format]()
     except EnumerationBoundError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    sys.stdout.write(output)
+    return status
 
 
 if __name__ == "__main__":

@@ -369,11 +369,7 @@ def _mu_words(mu: Composition) -> list[tuple[int, ...]]:
     return sorted(collected)
 
 
-def mu_weak_order_graph(
-    mu: Composition,
-    max_n: int = POSET_RANK_BOUND,
-    vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-) -> WeakOrderGraph:
+def mu_weak_order_graph(mu: Composition, max_n: int = POSET_RANK_BOUND) -> WeakOrderGraph:
     """The labeled weak-order digraph on I_mu, ranked by breadth-first level.
 
     >>> mu_weak_order_graph(parse_composition("3,1")).vertex_count
@@ -384,9 +380,9 @@ def mu_weak_order_graph(
             "poset construction for n=%d exceeds the bound %d" % (mu.n, max_n)
         )
     expected = count_mu_involutions(mu)
-    if expected > vertex_budget:
+    if expected > DEFAULT_VERTEX_BUDGET:
         raise EnumerationBoundError(
-            "|I_mu| = %d exceeds the vertex budget %d" % (expected, vertex_budget)
+            "|I_mu| = %d exceeds the vertex budget %d" % (expected, DEFAULT_VERTEX_BUDGET)
         )
     elements = _mu_words(mu)
     if len(elements) != expected:

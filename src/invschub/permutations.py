@@ -236,17 +236,17 @@ def reduced_word(w: Permutation) -> tuple[int, ...]:
     return tuple(reversed(word))
 
 
-def all_reduced_words(w: Permutation, length_cap: int = REDUCED_WORD_LENGTH_CAP) -> frozenset[tuple[int, ...]]:
+def all_reduced_words(w: Permutation) -> frozenset[tuple[int, ...]]:
     """Every reduced word of w.
 
-    Raises ReducedWordBoundError when l(w) exceeds ``length_cap``.
+    Raises ReducedWordBoundError when l(w) exceeds REDUCED_WORD_LENGTH_CAP.
 
     >>> sorted(all_reduced_words(Permutation([3, 2, 1])))
     [(1, 2, 1), (2, 1, 2)]
     """
-    if w.length() > length_cap:
+    if w.length() > REDUCED_WORD_LENGTH_CAP:
         raise ReducedWordBoundError(
-            "l(w) = %d exceeds the enumeration cap %d" % (w.length(), length_cap)
+            "l(w) = %d exceeds the enumeration cap %d" % (w.length(), REDUCED_WORD_LENGTH_CAP)
         )
 
     def recurse(v: Permutation) -> frozenset[tuple[int, ...]]:

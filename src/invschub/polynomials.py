@@ -328,10 +328,13 @@ _TERM_RE = re.compile(
 _VAR_RE = re.compile(r"x(\d+)(?:\s*\^\s*(\d+))?")
 
 
-def parse_polynomial(text: str) -> IntPolynomial:
+def parse_polynomial(text: str, n: int | None = None) -> IntPolynomial:
     """Parse the textual polynomial format, e.g. "x1^2*x2 + x1*x3 - 2".
 
-    Accepts arbitrary whitespace and both "-" and the unicode minus.
+    Accepts arbitrary whitespace and both "-" and the unicode minus.  Every
+    "+" or "-" must be followed by a term; only the first term may carry a
+    sign of its own.  With n given, a variable above x_n is refused before
+    any exponent tuple is built.
 
     >>> parse_polynomial("x1^2*x2 + x1*x3") == (
     ...     variable(1) ** 2 * variable(2) + variable(1) * variable(3))
@@ -342,26 +345,14 @@ def parse_polynomial(text: str) -> IntPolynomial:
         raise ValueError("empty polynomial text")
     if normalized == "0":
         return ZERO
-    # Split into signed terms.
-    pieces: list[tuple[int, str]] = []
-    sign = 1
-    current = []
-    for ch in normalized:
-        if ch in "+-":
-            if "".join(current).strip():
-                pieces.append((sign, "".join(current)))
-            sign = 1 if ch == "+" else -1
-            current = []
-        else:
-            current.append(ch)
-    if "".join(current).strip():
-        pieces.append((sign, "".join(current)))
-    if not pieces:
-        raise ValueError("cannot parse polynomial %r" % text)
-
+    # [sign, term, sign, term, ...]: only the first term may come unsigned.
+    parts = re.split(r"([+-])", normalized)
+    parts = parts[1:] if not parts[0].strip() else ["+"] + parts
     total = ZERO
-    for sign, body in pieces:
+    for op, body in zip(parts[0::2], parts[1::2]):
         body = body.strip()
+        if not body:
+            raise ValueError("cannot parse polynomial %r: %r is not followed by a term" % (text, op))
         # The term regex is permissive about separators; stray stars would
         # otherwise slip through.
         if body.startswith("*") or body.endswith("*") or "**" in body:
@@ -377,12 +368,14 @@ def parse_polynomial(text: str) -> IntPolynomial:
             power = int(var_match.group(2)) if var_match.group(2) else 1
             if idx < 1:
                 raise ValueError("variable index must be >= 1 in %r" % body)
+            if n is not None and idx > n:
+                raise ValueError("variable x%d is beyond x%d for n=%d" % (idx, n, n))
             exps[idx] = exps.get(idx, 0) + power
         if not exps and coeff_text is None:
-            raise ValueError("cannot parse polynomial term %r" % body.strip())
+            raise ValueError("cannot parse polynomial term %r" % body)
         width = max(exps) if exps else 0
         key = tuple(exps.get(k, 0) for k in range(1, width + 1))
-        total = total + IntPolynomial({key: sign * coeff})
+        total = total + IntPolynomial({key: (1 if op == "+" else -1) * coeff})
     return total
 
 

@@ -116,16 +116,17 @@ class SchubertExpansion:
 
 
 def _check_artin_bound(f: IntPolynomial, n: int) -> None:
-    for exps, _coeff in f.terms.items():
+    # Monomials are trimmed, so the last exponent of each is non-zero.
+    for exps in f.terms:
         if len(exps) > n:
             raise ValueError(
-                "monomial %r uses more than %d variables" % (exps, n)
+                "monomial with x%d^%d uses more than %d variables" % (len(exps), exps[-1], n)
             )
         for i, e in enumerate(exps, start=1):
             if e > n - i:
                 raise ValueError(
-                    "monomial %r violates the Artin bound a_%d <= %d for n=%d"
-                    % (exps, i, n - i, n)
+                    "monomial with x%d^%d violates the Artin bound a_%d <= %d for n=%d"
+                    % (i, e, i, n - i, n)
                 )
 
 

@@ -310,13 +310,9 @@ def build_graph(
 _CACHE: dict[tuple[Word, Word], IntPolynomial] = {}
 
 
-def clear_cache(n: int | None = None) -> None:
-    """Drop memoized polynomials (all of rank n, or everything)."""
-    if n is None:
-        _CACHE.clear()
-    else:
-        for key in [k for k in _CACHE if len(k[1]) == n]:
-            del _CACHE[key]
+def clear_cache() -> None:
+    """Drop every memoized polynomial."""
+    _CACHE.clear()
 
 
 def anchor(nu: Word) -> IntPolynomial:

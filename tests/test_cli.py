@@ -16,7 +16,7 @@ import pytest
 
 from invschub import cli
 from invschub.mu_involutions import parse_composition, parse_mu_involution
-from invschub.verify import verify_mu_identity
+from invschub.verify import IdentityReport, verify_mu_identity
 from invschub.weak_order import clear_cache
 
 
@@ -167,6 +167,11 @@ def test_relative_atoms_text(capsys) -> None:
     assert rc == 0
     assert err == ""
     assert out == "1243\n"
+    # Incomparable involutions: an empty atom set prints nothing at all.
+    rc, out, err = run_cli(
+        capsys, ["relative-atoms", "-t", "(1,2)", "-u", "(3,4)", "-n", "4"]
+    )
+    assert (rc, out, err) == (0, "", "")
 
 
 def test_relative_atoms_json(capsys) -> None:
@@ -190,6 +195,14 @@ def test_relative_atoms_json(capsys) -> None:
     assert data["target"] == "(1,3)"
     assert data["atoms"] == ["231", "312"]
     assert data["count"] == 2
+    rc, out, _ = run_cli(
+        capsys,
+        ["relative-atoms", "-t", "(1,2)", "-u", "(3,4)", "-n", "4", "--format", "json"],
+    )
+    assert rc == 0
+    data = json.loads(out)
+    assert data["atoms"] == []
+    assert data["count"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +310,25 @@ def test_verify_dominant_text(capsys) -> None:
         "expansion: S[2,1,3]\n"
         "multiplicity_free: True\n"
     )
+    rc, out, err = run_cli(
+        capsys,
+        ["verify", "--dominant-involution", "(1,2)", "-n", "3", "--format", "json"],
+    )
+    assert rc == 0
+    assert err == ""
+    assert json.loads(out) == {
+        "equal": True,
+        "expansion": [{"coeff": 1, "perm": "[2,1,3]"}],
+        "lhs": "x1",
+        "multiplicity_free": True,
+        "rhs": "x1",
+        "subject": "dominant-involution (1,2) in S_3",
+    }
 
 
-def test_verify_all_text(capsys) -> None:
+def test_verify_all_text(capsys, monkeypatch) -> None:
+    # Text mode renders only text: building the JSON payload would fail here.
+    monkeypatch.setattr(IdentityReport, "to_json_dict", None)
     rc, out, err = run_cli(capsys, ["verify", "--all-n", "3", "--format", "text"])
     assert rc == 0
     assert err == ""
@@ -397,6 +426,21 @@ def test_diagram_rothe_json(capsys) -> None:
     assert data["code"] == [3, 1, 1, 0]
     assert data["length"] == 5
     assert [1, 1] in data["cells"]
+    # The involution diagram goes through the same table: every family and value.
+    rc, out, _ = run_cli(
+        capsys, ["diagram", "-t", "(1,6)(2,5)(3,7)", "-n", "7", "--format", "json"]
+    )
+    assert rc == 0
+    assert json.loads(out) == {
+        "kind": "involution",
+        "cycles": "(1,6)(2,5)(3,7)",
+        "n": 7,
+        "cells": [[1, 1], [1, 2], [1, 3], [1, 4], [1, 5], [2, 2], [2, 3], [2, 4], [3, 3], [3, 4]],
+        "diagonal": [[1, 1], [2, 2], [3, 3]],
+        "strict": [[1, 2], [1, 3], [1, 4], [1, 5], [2, 3], [2, 4], [3, 4]],
+        "code": [5, 3, 2, 0, 0, 0, 0],
+        "length": 10,
+    }
 
 
 def test_diagram_degenerate_json(capsys) -> None:
@@ -438,6 +482,8 @@ BAD_INVOCATIONS = [
     ["atoms", "-t", "(1,2)", "-n", "2", "--bruteforce", "--max-n", "-1"],
     ["verify"],
     ["expand", "-f", "x1 + y2", "-n", "3"],
+    ["expand", "-f", "x1 - - x2", "-n", "3"],
+    ["expand", "-f", "x2000000", "-n", "3"],
 ]
 
 
@@ -448,6 +494,7 @@ def test_exit_code_one_on_bad_input(capsys) -> None:
         assert out == "", argv
         assert err.startswith("error: "), argv
         assert err.endswith("\n") and err.count("\n") == 1, argv
+        assert len(err) <= 200, argv
 
 
 def test_exit_code_two_on_enumeration_bound(capsys) -> None:
@@ -526,6 +573,8 @@ DETERMINISM_MATRIX = [
     ["verify", "--all-n", "3"],
     ["expand", "-f", "x1^2*x2 + x2^2*x3", "-n", "4", "--format", "json"],
     ["diagram", "-m", "1,3", "--format", "json"],
+    ["diagram", "-t", "(1,6)(2,5)(3,7)", "-n", "7", "--format", "json"],
+    ["diagram", "-w", "4231", "--format", "json"],
 ]
 
 

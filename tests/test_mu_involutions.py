@@ -267,7 +267,9 @@ def test_mu_weak_order_graph_guards():
         mu_weak_order_graph(parse_composition("5,4"))
     mu_weak_order_graph(parse_composition("2,1"), max_n=3)
     with pytest.raises(EnumerationBoundError):
-        mu_weak_order_graph(parse_composition("4,4"), max_n=8, vertex_budget=10)
+        # |I_(1^9)| = 9! = 362,880 is over the vertex budget, and is refused
+        # from the count alone, before any enumeration.
+        mu_weak_order_graph(parse_composition("1,1,1,1,1,1,1,1,1"), max_n=9)
 
 
 def test_mu_poset_json_deterministic():

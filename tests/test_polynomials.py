@@ -108,6 +108,16 @@ def test_parse_roundtrip():
         parse_polynomial("x0")
     with pytest.raises(ValueError):
         parse_polynomial("x1 +* x2")
+    # Every operator needs a term after it; only one leading sign is legal.
+    for text in ("x1 - - x2", "--x1", "x1 -+ x2", "x1-"):
+        with pytest.raises(ValueError, match="cannot parse"):
+            parse_polynomial(text)
+    assert parse_polynomial("-x1") == monomial((1,), -1)
+    assert parse_polynomial("+x1") == monomial((1,))
+    # With a rank, a variable above x_n is refused at parse time.
+    assert parse_polynomial("x1 + x3", 3) == monomial((1,)) + monomial((0, 0, 1))
+    with pytest.raises(ValueError, match="x2000000"):
+        parse_polynomial("x2000000", 3)
 
 
 def test_swap_variables():

@@ -131,12 +131,15 @@ def test_expand_product_monk_like():
     f = variable(1) * schubert(Permutation([2, 1, 3]))
     exp = expand_in_schubert_basis(f, 3)
     assert exp.coefficients == {Permutation([3, 1, 2]): 1}
+    # Negative coefficients are reported, not refused: x1 - x2 = 2 S_{213} - S_{132}.
+    exp = expand_in_schubert_basis(variable(1) - variable(2), 3)
+    assert exp.coefficients == {Permutation([2, 1, 3]): 2, Permutation([1, 3, 2]): -1}
 
 
 def test_expand_artin_bound_enforced():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"x1\^3 violates"):
         expand_in_schubert_basis(variable(1) ** 3, 3)  # x1^3 needs n >= 4
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"x4\^1 uses more than 3 variables"):
         expand_in_schubert_basis(variable(4), 3)
 
 
@@ -157,6 +160,6 @@ def test_expansion_object():
 def test_cache_isolation():
     clear_cache()
     p1 = schubert(Permutation([2, 3, 1]))
-    clear_cache(3)
+    clear_cache()
     p2 = schubert(Permutation([2, 3, 1]))
     assert p1 == p2
