@@ -37,7 +37,7 @@ from .permutations import (
 )
 from .polynomials import IntPolynomial, ONE, variable
 from .weak_order import (
-    WeakOrderGraph, act, act_word, anchor, atom_words, build_graph, lhat_mu, shat_mu
+    WeakOrderGraph, act, act_word, anchor, atom_words, build_graph, climb, lhat_mu, shat_mu
 )
 
 __all__ = [
@@ -244,28 +244,9 @@ def involution_length(tau: Involution) -> int:
 
 
 def involutions(n: int) -> Iterator[Involution]:
-    """All involutions of [n], in lexicographic one-line order."""
-    for word in involution_words(n):
+    """All involutions of [n] as ``climb`` finds them, in lexicographic one-line order."""
+    for word in sorted(climb((0, n))[0]):
         yield Involution(Permutation(word))
-
-
-def involution_words(n: int) -> list[tuple[int, ...]]:
-    """One-line tuples of all involutions of [n], in lexicographic order."""
-
-    def build(remaining: tuple[int, ...], images: dict[int, int]) -> Iterator[tuple[int, ...]]:
-        if not remaining:
-            yield tuple(images[i] for i in range(1, n + 1))
-            return
-        first, rest = remaining[0], remaining[1:]
-        images[first] = first
-        yield from build(rest, images)
-        del images[first]
-        for idx, partner in enumerate(rest):
-            images[first], images[partner] = partner, first
-            yield from build(rest[:idx] + rest[idx + 1 :], images)
-            del images[first], images[partner]
-
-    return sorted(build(tuple(range(1, n + 1)), {}))
 
 
 def weak_order_graph(n: int, max_n: int = POSET_RANK_BOUND) -> WeakOrderGraph:
@@ -274,13 +255,11 @@ def weak_order_graph(n: int, max_n: int = POSET_RANK_BOUND) -> WeakOrderGraph:
     >>> weak_order_graph(2).rank_profile()
     (1, 1)
     """
-    if n < 1:
-        raise ValueError("rank must be at least 1")
     if n > max_n:
         raise EnumerationBoundError(
             "poset construction for n=%d exceeds the bound %d" % (n, max_n)
         )
-    return build_graph("involutions_%d" % n, involution_words(n), (0, n), _cycles_string)
+    return build_graph("involutions_%d" % n, (0, n), _cycles_string)
 
 
 def weak_le(tau: Involution, tau_prime: Involution) -> bool:

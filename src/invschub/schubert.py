@@ -140,6 +140,8 @@ def expand_in_schubert_basis(f: IntPolynomial, n: int) -> SchubertExpansion:
     >>> sorted((str(w), c) for w, c in exp.coefficients.items())
     [('[2,3,1]', 1), ('[3,1,2]', 1)]
     """
+    if n < 1:
+        raise ValueError("rank must be at least 1")
     _check_artin_bound(f, n)
     coefficients: dict[Permutation, int] = {}
     residual = f

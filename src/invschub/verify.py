@@ -3,8 +3,7 @@ Mechanical verification of the atom-sum factorization identities.
 
 Every verifier assembles an :class:`IdentityReport` from three routes:
 
-* ``lhs`` enumerates an atom set and sums ordinary Schubert polynomials of
-  the inverses;
+* ``lhs`` enumerates an atom set and sums S_{w^-1} over its words w;
 * ``rhs`` is a fully factored product read directly off a diagram, or the
   divided-difference chain of the monoid action anchored at the
   closed-orbit product;
@@ -13,11 +12,12 @@ Every verifier assembles an :class:`IdentityReport` from three routes:
   on the inverted atom set.
 
 Ordinary Schubert polynomials are the mu = (1^n) case of the weak-order
-engine, so lhs and rhs share its monoid action, its ``anchor`` and its
-memoized chain wherever the rhs is not a closed product.  The independence
-lives in the tests: their definitional oracle applies d_i along a reduced
-word to the staircase monomial without the engine, and must agree with
-``schubert`` on all of S_n for n <= 6.
+engine: ``shat_mu`` of w cut into single letters is S_{w^-1}, which the lhs
+sums over the atoms w without inverting them.  lhs and rhs share its
+action, ``anchor`` and memoized chain unless the rhs is a closed product.
+The independence lives in the tests: their definitional oracle applies d_i
+along a reduced word to the staircase monomial without the engine, and
+must agree with ``schubert`` on all of S_n for n <= 6.
 
 A failed identity never raises: ``equal`` is simply False and the caller
 decides what to do (the command line maps it to exit code 3).
@@ -44,7 +44,8 @@ from .mu_involutions import (
 )
 from .permutations import EnumerationBoundError, Permutation, is_dominant
 from .polynomials import IntPolynomial, ZERO
-from .schubert import SchubertExpansion, expand_in_schubert_basis, schubert
+from .schubert import SchubertExpansion, expand_in_schubert_basis
+from .weak_order import shat_mu
 
 __all__ = [
     "IdentityReport",
@@ -111,17 +112,17 @@ def _report(subject: str, lhs: IntPolynomial, rhs: IntPolynomial, n: int) -> Ide
 
 
 def _atom_sum(atom_set: frozenset[Permutation]) -> IntPolynomial:
-    """Sum of ordinary Schubert polynomials of the inverses."""
+    """Sum of S_{w^-1} over the atoms w, in one-line order."""
     total = ZERO
     for w in sorted(atom_set, key=lambda w: w.oneline):
-        total = total + schubert(w.inverse())
+        total = total + shat_mu(w.oneline, tuple(range(w.n + 1)))
     return total
 
 
 def verify_involution_identity(tau: Involution) -> IdentityReport:
     """Check the factorization identity for a dominant involution.
 
-    lhs sums schubert(w.inverse()) over atoms(tau); rhs is the product of
+    lhs sums S_{w^-1} over atoms(tau); rhs is the product of
     x_i over diagonal diagram cells and (x_i + x_j) over strict ones.
 
     >>> from .involutions import parse_involution
@@ -147,9 +148,9 @@ def verify_involution_identity(tau: Involution) -> IdentityReport:
 def verify_mu_identity(mu: Composition) -> IdentityReport:
     """Check the factorization identity for the top mu-involution.
 
-    rhs is the factored diagram product for ``mu``.  lhs sums
-    schubert(w.inverse()) over the atom set of the top element for the
-    *reversed* composition: that index set is the one whose inverses form
+    rhs is the factored diagram product for ``mu``.  lhs sums S_{w^-1}
+    over the atom set of the top element for the *reversed*
+    composition: that index set is the one whose inverses form
     the expansion support of the rhs for every composition (the unreversed
     sum already fails at mu = (1,4), whichever of w or w^(-1) indexes the
     summands; the test suite checks the reversed form exhaustively for
@@ -179,12 +180,12 @@ def verify_brion_general(
 ) -> IdentityReport:
     """Check the atom-sum identity for an arbitrary involution.
 
-    lhs sums schubert(w.inverse()) over atoms(tau); rhs is the
-    divided-difference chain polynomial of tau (a sum of monomials once
-    tau is not dominant).  The atoms come from the weak-order recursion,
-    not from a scan of S_n; the bound stays because the Schubert sum and
-    the basis expansion still grow faster than exponentially in n, and
-    nothing yet predicts their cost.
+    lhs sums S_{w^-1} over atoms(tau); rhs is the divided-difference
+    chain polynomial of tau (a sum of monomials once tau is not dominant).
+    The atoms come from the weak-order recursion, not from a scan of S_n;
+    the bound stays because the Schubert sum and the basis expansion still
+    grow faster than exponentially in n, and nothing yet predicts their
+    cost.
 
     >>> from .involutions import parse_involution
     >>> verify_brion_general(parse_involution("(1,3)", 3)).equal

@@ -1,8 +1,8 @@
 """
 The weak-order engine under involutions and mu-involutions: the monoid
-action and the rank lhat_mu on raw one-line tuples, the weak-order graph,
-and one memoized divided-difference chain ``shat_mu`` with its single
-cache.
+action and the rank lhat_mu on raw one-line tuples, the climb up from the
+identity that finds I_mu and its weak-order graph, and one memoized
+divided-difference chain ``shat_mu`` with its single cache.
 
 A mu-involution is a pair (word, nu): its one-line tuple and the prefix
 sums ``Composition.nu`` that cut it into blocks; involutions of [n] are
@@ -23,10 +23,12 @@ x1^2
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .polynomials import IntPolynomial, ONE, divided_difference, monomial, variable
 
@@ -37,6 +39,8 @@ __all__ = [
     "lower",
     "atom_words",
     "lhat_mu",
+    "count",
+    "climb",
     "build_graph",
     "anchor",
     "shat_mu",
@@ -252,54 +256,70 @@ def _json_list(items: str) -> str:
     return "[\n%s\n  ]" % items if items else "[]"
 
 
-def build_graph(
-    name: str, elements: Iterable[Word], nu: Word, label: Callable[[Word], str]
-) -> WeakOrderGraph:
-    """The weak-order graph on ``elements``, with an edge (u, j, v) whenever
-    m(s_j) moves u to v, which must be a vertex.  A vertex's rank is its
-    level in the breadth-first search up from the identity word; every
-    element must be reached, and every edge must raise the level by exactly
-    one, or AssertionError is raised."""
-    words = list(elements)
-    index = {word: idx for idx, word in enumerate(words)}
-    moves: list[list[tuple[int, int]]] = []
-    for word in words:
-        out = []
-        for j in range(1, nu[-1]):
+@lru_cache(maxsize=None)
+def _involution_count(m: int) -> int:
+    if m < 2:
+        return 1
+    return _involution_count(m - 1) + (m - 1) * _involution_count(m - 2)
+
+
+def count(nu: Word) -> int:
+    """|I_mu| for the blocks cut at ``nu``: the multinomial coefficient of
+    the block sizes times the number of involutions of each block."""
+    total = math.factorial(nu[-1])
+    for lo, hi in zip(nu, nu[1:]):
+        total = total // math.factorial(hi - lo) * _involution_count(hi - lo)
+    return total
+
+
+def climb(nu: Word) -> tuple[list[Word], list[int], list[tuple[int, int, int]]]:
+    """Breadth-first search up from the identity word by ``act``: the words
+    reached, each once and in order of level, their levels, and every move
+    (u, j, v), m(s_j) sending words[u] to words[v].  A move that does not
+    raise the level by one, or a reach other than ``count(nu)`` words,
+    raises AssertionError; so the words are all of I_mu, ranked by level.
+
+    >>> climb((0, 2))
+    ([(1, 2), (2, 1)], [0, 1], [(0, 1, 1)])
+    """
+    n = nu[-1]
+    if n < 1:
+        raise ValueError("rank must be at least 1")
+    words = [tuple(range(1, n + 1))]
+    index, level, moves = {words[0]: 0}, [0], []
+    for u, word in enumerate(words):  # a queue: words grows behind u
+        for j in range(1, n):
             image = act(j, word, nu)
-            if image != word:
-                if image not in index:
-                    raise AssertionError(
-                        "m(s_%d) maps %r outside the enumerated poset" % (j, word)
-                    )
-                out.append((j, index[image]))
-        moves.append(out)
-    level = [-1] * len(words)
-    start = index[tuple(range(1, nu[-1] + 1))]
-    level[start] = 0
-    frontier = [start]
-    while frontier:
-        reached = []
-        for u in frontier:
-            for j, v in moves[u]:
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    reached.append(v)
-                elif level[v] != level[u] + 1:
-                    raise AssertionError(
-                        "m(s_%d) moves %r from level %d to level %d"
-                        % (j, words[u], level[u], level[v])
-                    )
-        frontier = reached
-    if -1 in level:
+            if image == word:
+                continue
+            v = index.get(image)
+            if v is None:
+                v = index[image] = len(words)
+                words.append(image)
+                level.append(level[u] + 1)
+            elif level[v] != level[u] + 1:
+                raise AssertionError(
+                    "m(s_%d) moves %r from level %d to level %d" % (j, word, level[u], level[v])
+                )
+            moves.append((u, j, v))
+    if len(words) != count(nu):
         raise AssertionError(
-            "%r is never reached from the identity" % (words[level.index(-1)],)
+            "reached %d words from the identity, expected |I_mu| = %d" % (len(words), count(nu))
         )
+    return words, level, moves
+
+
+def build_graph(name: str, nu: Word, label: Callable[[Word], str]) -> WeakOrderGraph:
+    """The weak-order graph on I_mu as ``climb(nu)`` finds it: the words
+    reached from the identity, ranked by level and sorted by (rank, word),
+    with an edge (u, j, v) whenever m(s_j) moves u to v."""
+    words, level, moves = climb(nu)
     order = sorted(range(len(words)), key=lambda idx: (level[idx], words[idx]))
-    position = {old: new for new, old in enumerate(order)}
-    edges = sorted((position[u], j, position[v]) for u, out in enumerate(moves) for j, v in out)
+    position = sorted(range(len(order)), key=order.__getitem__)  # order's inverse
+    edges = tuple(sorted((position[u], j, position[v]) for u, j, v in moves))
+    del moves  # freed before the labels are made, to keep the peak RSS down
     vertices = tuple((words[old], label(words[old]), level[old]) for old in order)
-    return WeakOrderGraph(name, vertices, tuple(edges))
+    return WeakOrderGraph(name, vertices, edges)
 
 
 # ---------------------------------------------------------------------------

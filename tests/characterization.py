@@ -13,11 +13,15 @@ the trailing-term peel of ``expand_in_schubert_basis``.
 The definition S_w = d_{w^-1 w0} x^delta, along one reduced word, stands
 apart from the weak-order engine behind ``schubert``: it imports nothing
 from ``invschub.weak_order``.
+
+The definition of I_mu, the words of S_n whose every block standardizes to
+an involution, stands apart from the climb up from the identity by the
+monoid action that ``involutions`` and ``mu_involutions`` enumerate.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import accumulate, permutations
 
 from invschub.permutations import Permutation, all_permutations, code, longest, reduced_word
 from invschub.polynomials import IntPolynomial, divided_difference, monomial
@@ -29,6 +33,22 @@ Word = tuple[int, ...]
 def _cycles(tau: Word) -> list[tuple[int, int]]:
     # The 1- and 2-cycles (i, j), i <= j = tau(i).
     return [(i, j) for i, j in enumerate(tau, start=1) if i <= j]
+
+
+def mu_involution_words(parts: tuple[int, ...]) -> list[Word]:
+    """One-line tuples of I_mu, in lexicographic order: S_n filtered by
+    "every block standardizes to an involution"."""
+    nu = list(accumulate(parts, initial=0))
+
+    def involutive(block: Word) -> bool:
+        image = dict(zip(sorted(block), block))
+        return all(image[y] == x for x, y in image.items())
+
+    return [
+        w
+        for w in permutations(range(1, nu[-1] + 1))
+        if all(involutive(w[lo:hi]) for lo, hi in zip(nu, nu[1:]))
+    ]
 
 
 def _inverse_words(n: int):

@@ -481,9 +481,13 @@ BAD_INVOCATIONS = [
     ["poset", "-n", "3", "--max-n", "0"],
     ["atoms", "-t", "(1,2)", "-n", "2", "--bruteforce", "--max-n", "-1"],
     ["verify"],
+    ["verify", "--all-n", "0"],
+    ["verify", "--all-n", "-1"],
     ["expand", "-f", "x1 + y2", "-n", "3"],
     ["expand", "-f", "x1 - - x2", "-n", "3"],
     ["expand", "-f", "x2000000", "-n", "3"],
+    ["expand", "-f", "0", "-n", "-5", "--format", "json"],
+    ["expand", "-f", "0", "-n", "0"],
 ]
 
 

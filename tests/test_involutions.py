@@ -43,6 +43,7 @@ from invschub.permutations import (
 )
 from invschub.polynomials import ONE, divided_difference, parse_polynomial
 from invschub.schubert import schubert
+from invschub.verify import verify_all
 
 # Number of involutions in S_n for n = 1..7.
 INVOLUTION_COUNTS = [1, 2, 4, 10, 26, 76, 232]
@@ -184,6 +185,10 @@ def test_weak_order_graph_bound():
     for n in (0, -2):
         with pytest.raises(ValueError, match="rank must be at least 1"):
             weak_order_graph(n)
+        with pytest.raises(ValueError, match="rank must be at least 1"):
+            list(involutions(n))
+        with pytest.raises(ValueError, match="rank must be at least 1"):
+            verify_all(n)
     weak_order_graph(9, max_n=9)  # override works
 
 

@@ -16,7 +16,7 @@ from invschub.permutations import (
     longest,
     parse_permutation,
 )
-from invschub.polynomials import ONE, divided_difference, monomial, parse_polynomial, variable
+from invschub.polynomials import ONE, ZERO, divided_difference, monomial, parse_polynomial, variable
 from invschub.schubert import (
     SchubertExpansion,
     expand_in_schubert_basis,
@@ -141,6 +141,8 @@ def test_expand_artin_bound_enforced():
         expand_in_schubert_basis(variable(1) ** 3, 3)  # x1^3 needs n >= 4
     with pytest.raises(ValueError, match=r"x4\^1 uses more than 3 variables"):
         expand_in_schubert_basis(variable(4), 3)
+    with pytest.raises(ValueError, match="rank must be at least 1"):
+        expand_in_schubert_basis(ZERO, 0)
 
 
 def test_expansion_object():

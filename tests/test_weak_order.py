@@ -1,20 +1,21 @@
 """Tests for the shared weak-order engine: one divided difference per chain
 node on a cold cache and the rank check on every chain move (ordinary
 Schubert polynomials included, as the mu = (1^n) case), the atom
-walker with the inverse action it steps down by, and the graph builder's
-breadth-first ranks and direct JSON writer."""
+walker with the inverse action it steps down by, the climb from the
+identity that enumerates I_mu (against the definition, and short of the
+count), and the graph builder's breadth-first ranks and direct JSON writer."""
 
 from __future__ import annotations
 
 import json
 
 import pytest
+from characterization import mu_involution_words
 
 from invschub import weak_order
 from invschub.involutions import (
     identity_involution,
     inv_schubert,
-    involution_words,
     involutions,
     weak_order_graph,
 )
@@ -157,14 +158,27 @@ def test_graph_builder_rejects_an_edge_that_skips_a_level(monkeypatch):
         else real(i, word, nu),
     )
     with pytest.raises(AssertionError, match=r"from level \d+ to level \d+"):
-        build_graph("jump", involution_words(3), (0, 3), str)
+        build_graph("jump", (0, 3), str)
 
 
-def test_graph_builder_rejects_an_element_never_reached():
-    # (2,3,1) and (3,1,2) move onto each other, never onto or from I_3.
-    elements = involution_words(3) + [(2, 3, 1), (3, 1, 2)]
-    with pytest.raises(AssertionError, match="never reached"):
-        build_graph("stray", elements, (0, 3), str)
+def test_graph_builder_rejects_a_climb_short_of_the_count(monkeypatch):
+    # m(s_2) fixes the identity of I_3, so (1,3,2) is never reached.
+    real = weak_order.act
+    monkeypatch.setattr(
+        weak_order,
+        "act",
+        lambda i, word, nu: word if (i, word) == (2, (1, 2, 3)) else real(i, word, nu),
+    )
+    with pytest.raises(AssertionError, match=r"reached 3 words from the identity, expected \|I_mu\| = 4"):
+        build_graph("short", (0, 3), str)
+
+
+def test_climb_enumerates_the_definition_of_i_mu():
+    for n in range(1, 7):
+        for mu in all_compositions(n):
+            assert [pi.oneline for pi in mu_involutions(mu)] == mu_involution_words(mu.parts), mu
+    for n in range(1, 8):
+        assert [tau.oneline for tau in involutions(n)] == mu_involution_words((n,)), n
 
 
 def _json_dict(graph):
