@@ -4,6 +4,10 @@ Schubert polynomials of permutations, involutions, and mu-involutions.
 Exact integer arithmetic throughout: sparse polynomials over Z, divided
 differences, weak-order posets, atom sets, and mechanical verification of
 the atom-sum factorization identities.
+
+The functions named like their own module (``schubert``, ``involutions``
+and ``mu_involutions``) are not re-exported here, so that
+``import invschub.schubert`` always binds the module; import them from it.
 """
 
 from __future__ import annotations
@@ -21,14 +25,12 @@ from .involutions import (
     inv_schubert_dominant,
     involution_diagram,
     involution_length,
-    involutions,
     longest_involution,
     monoid_apply,
     monoid_apply_word,
     parse_involution,
     relative_atoms,
     relative_atoms_bruteforce,
-    weak_le,
     weak_order_graph,
 )
 from .mu_involutions import (
@@ -43,31 +45,24 @@ from .mu_involutions import (
     identity_mu_involution,
     mu_closed_orbit_polynomial,
     mu_inv_schubert,
-    mu_involutions,
     mu_length,
     mu_monoid_apply,
     mu_monoid_apply_word,
-    mu_strings,
     mu_weak_order_graph,
     parse_composition,
     parse_mu_involution,
-    sort_mu,
     top_mu_involution,
 )
 from .permutations import (
     EnumerationBoundError,
     Permutation,
-    ReducedWordBoundError,
     all_permutations,
-    all_reduced_words,
     code,
-    compose,
     identity,
     is_dominant,
     longest,
     parse_permutation,
     permutation_from_code,
-    product_of_word,
     reduced_word,
     rothe_diagram,
     standardize,
@@ -81,7 +76,7 @@ from .polynomials import (
     parse_polynomial,
     variable,
 )
-from .schubert import SchubertExpansion, expand_in_schubert_basis, schubert, schubert_dominant
+from .schubert import SchubertExpansion, expand_in_schubert_basis, schubert_dominant
 from .weak_order import WeakOrderGraph
 from .verify import (
     IdentityReport,

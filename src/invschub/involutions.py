@@ -24,20 +24,20 @@ force and the closed characterization on the inverse of each candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .permutations import (
     EnumerationBoundError,
     Permutation,
-    all_permutations,
     identity,
     is_dominant,
     longest,
+    parse_permutation,
     reduced_word,
 )
 from .polynomials import IntPolynomial, ONE, variable
 from .weak_order import (
-    WeakOrderGraph, act, act_word, anchor, atom_words, build_graph, climb, lhat_mu, shat_mu
+    WeakOrderGraph, act, act_word, anchor, atom_words, build_graph, climb, shat_mu
 )
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "involution_length",
     "involutions",
     "weak_order_graph",
-    "weak_le",
     "atoms",
     "atoms_bruteforce",
     "relative_atoms",
@@ -179,8 +178,6 @@ def parse_involution(text: str, n: int) -> Involution:
             seen.update((a, b))
             images[a - 1], images[b - 1] = b, a
         return Involution(Permutation(images))
-    from .permutations import parse_permutation
-
     return Involution(parse_permutation(text, n))
 
 
@@ -255,24 +252,16 @@ def weak_order_graph(n: int, max_n: int = POSET_RANK_BOUND) -> WeakOrderGraph:
     >>> weak_order_graph(2).rank_profile()
     (1, 1)
     """
+    _refuse_poset_rank(n, max_n)
+    return build_graph("involutions_%d" % n, (0, n), _cycles_string)
+
+
+def _refuse_poset_rank(n: int, max_n: int) -> None:
+    # The poset has |I_n| (or |I_mu|) vertices, which grows factorially.
     if n > max_n:
         raise EnumerationBoundError(
             "poset construction for n=%d exceeds the bound %d" % (n, max_n)
         )
-    return build_graph("involutions_%d" % n, (0, n), _cycles_string)
-
-
-def weak_le(tau: Involution, tau_prime: Involution) -> bool:
-    """True iff tau <= tau' in weak order (tau' reachable by raising moves)."""
-    if tau.n != tau_prime.n:
-        raise ValueError("rank mismatch")
-    nu, target = (0, tau.n), tau_prime.oneline
-    # Every move that changes a word raises lhat by exactly one, so level d
-    # of the search holds the words of rank lhat(tau) + d above tau.
-    level = {tau.oneline}
-    for _ in range(lhat_mu(target, nu) - lhat_mu(tau.oneline, nu)):
-        level = {act(i, w, nu) for w in level for i in range(1, tau.n)} - level
-    return target in level
 
 
 # ---------------------------------------------------------------------------
@@ -309,21 +298,12 @@ def relative_atoms(tau: Involution, tau_prime: Involution) -> frozenset[Permutat
 def relative_atoms_bruteforce(
     tau: Involution, tau_prime: Involution, max_n: int = BRUTE_FORCE_BOUND
 ) -> frozenset[Permutation]:
-    """A_*(tau, tau') by the definition."""
-    if tau.n != tau_prime.n:
-        raise ValueError("rank mismatch")
-    if tau.n > max_n:
-        raise EnumerationBoundError(
-            "brute force over S_%d exceeds the bound %d" % (tau.n, max_n)
-        )
-    gap = involution_length(tau_prime) - involution_length(tau)
-    if gap < 0:
-        return frozenset()
-    return frozenset(
-        w
-        for w in all_permutations(tau.n)
-        if w.length() == gap and monoid_apply_word(w, tau) == tau_prime
-    )
+    """A_*(tau, tau') by the definition: ``atoms_mu_bruteforce`` at mu = (n)."""
+    # mu_involutions builds on this module, so it is imported at call time.
+    from .mu_involutions import Composition, MuInvolution, atoms_mu_bruteforce
+
+    mu = Composition((tau.n,))
+    return atoms_mu_bruteforce(MuInvolution(tau_prime.perm, mu), MuInvolution(tau.perm, mu), max_n)
 
 
 # ---------------------------------------------------------------------------
@@ -368,18 +348,23 @@ def inv_schubert_dominant(tau: Involution) -> IntPolynomial:
     if not is_dominant(tau.perm):
         raise ValueError("%s is not a dominant involution" % tau)
     diagram = involution_diagram(tau)
-    poly = ONE
-    for (i, _) in sorted(diagram.d1):
-        poly = poly * variable(i)
-    for (i, j) in sorted(diagram.d2):
-        poly = poly * (variable(i) + variable(j))
-    full = ONE
-    for (i, j) in sorted(diagram.d_all):
-        full = full * (variable(i) + variable(j))
-    if poly.scale(2 ** tau.kappa) != full:
+    poly = _diagram_product(diagram.d1, diagram.d2)
+    if poly.scale(2 ** tau.kappa) != _diagram_product((), diagram.d_all):
         raise AssertionError(
             "half-sum form disagrees with the diagram product for %s" % tau
         )
+    return poly
+
+
+def _diagram_product(
+    linear: Iterable[tuple[int, int]], strict: Iterable[tuple[int, int]]
+) -> IntPolynomial:
+    """prod_{(i,j) in linear} x_i * prod_{(i,j) in strict} (x_i + x_j)."""
+    poly = ONE
+    for (i, _) in sorted(linear):
+        poly = poly * variable(i)
+    for (i, j) in sorted(strict):
+        poly = poly * (variable(i) + variable(j))
     return poly
 
 

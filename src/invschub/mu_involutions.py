@@ -22,6 +22,8 @@ from typing import Iterator, Sequence
 from .involutions import (
     BRUTE_FORCE_BOUND,
     POSET_RANK_BOUND,
+    _diagram_product,
+    _refuse_poset_rank,
     atoms,
     involution_diagram,
     longest_involution,
@@ -33,9 +35,8 @@ from .permutations import (
     identity,
     longest,
     reduced_word,
-    standardize,
 )
-from .polynomials import IntPolynomial, ONE, variable
+from .polynomials import IntPolynomial
 from .weak_order import (
     WeakOrderGraph, act, act_word, build_graph, climb, count, lhat_mu, shat_mu
 )
@@ -47,12 +48,10 @@ __all__ = [
     "DegenerateDiagram",
     "parse_composition",
     "parse_mu_involution",
-    "mu_strings",
     "identity_mu_involution",
     "top_mu_involution",
     "mu_monoid_apply",
     "mu_monoid_apply_word",
-    "sort_mu",
     "mu_length",
     "count_mu_involutions",
     "mu_involutions",
@@ -175,9 +174,11 @@ class MuInvolution:
     def __init__(self, perm: Permutation, mu: Composition):
         if perm.n != mu.n:
             raise ValueError("rank mismatch: permutation of %d vs composition of %d" % (perm.n, mu.n))
-        for a in range(1, mu.k + 1):
-            block = tuple(perm(p) for p in mu.block_positions(a))
-            if not standardize(block).is_involution():
+        for a, (lo, hi) in enumerate(zip(mu.nu, mu.nu[1:]), start=1):
+            block = perm.oneline[lo:hi]
+            # The block as a permutation of its own alphabet must be an involution.
+            image = dict(zip(sorted(block), block))
+            if any(image[y] != x for x, y in image.items()):
                 raise ValueError(
                     "block %d (%s) of %s does not standardize to an involution"
                     % (a, "".join(str(x) for x in block) if perm.n <= 9 else
@@ -196,7 +197,9 @@ class MuInvolution:
 
     @property
     def strings(self) -> tuple[tuple[int, ...], ...]:
-        return mu_strings(self.perm, self.mu)
+        """The blocks of the one-line notation, cut at ``mu.nu``."""
+        word, nu = self.perm.oneline, self.mu.nu
+        return tuple(word[lo:hi] for lo, hi in zip(nu, nu[1:]))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -250,20 +253,6 @@ def parse_mu_involution(text: str, mu: Composition | None = None) -> MuInvolutio
     return MuInvolution(Permutation(letters), inferred)
 
 
-def mu_strings(w: Permutation, mu: Composition) -> tuple[tuple[int, ...], ...]:
-    """Positional slices of the one-line notation at the nu boundaries.
-
-    >>> from .permutations import Permutation
-    >>> mu_strings(Permutation([3,7,1,8,4,2,6,5]), parse_composition("4,1,3"))
-    ((3, 7, 1, 8), (4,), (2, 6, 5))
-    """
-    if w.n != mu.n:
-        raise ValueError("rank mismatch")
-    return tuple(
-        tuple(w(p) for p in mu.block_positions(a)) for a in range(1, mu.k + 1)
-    )
-
-
 def identity_mu_involution(mu: Composition) -> MuInvolution:
     return MuInvolution(identity(mu.n), mu)
 
@@ -300,17 +289,6 @@ def mu_monoid_apply_word(w: Permutation, pi: MuInvolution) -> MuInvolution:
     return MuInvolution(Permutation(image), pi.mu)
 
 
-def sort_mu(pi: MuInvolution) -> Permutation:
-    """Concatenation of the increasing rearrangements of the blocks.
-
-    >>> sort_mu(parse_mu_involution("586|21|743")).compact()
-    '56812347'
-    """
-    return Permutation(
-        [x for block in pi.strings for x in sorted(block)]
-    )
-
-
 def mu_length(pi: MuInvolution) -> int:
     """lhat_mu(pi): blockwise involution lengths plus l(sort(pi)).
 
@@ -339,10 +317,7 @@ def mu_weak_order_graph(mu: Composition, max_n: int = POSET_RANK_BOUND) -> WeakO
     >>> mu_weak_order_graph(parse_composition("3,1")).vertex_count
     16
     """
-    if mu.n > max_n:
-        raise EnumerationBoundError(
-            "poset construction for n=%d exceeds the bound %d" % (mu.n, max_n)
-        )
+    _refuse_poset_rank(mu.n, max_n)
     if count(mu.nu) > DEFAULT_VERTEX_BUDGET:
         raise EnumerationBoundError(
             "|I_mu| = %d exceeds the vertex budget %d" % (count(mu.nu), DEFAULT_VERTEX_BUDGET)
@@ -388,7 +363,9 @@ def atoms_mu_bruteforce(
     candidates: Sequence[Permutation] | None = None,
 ) -> frozenset[Permutation]:
     """Relative atoms by the definition: all w with m(w).base = target and
-    l(w) = lhat_mu(target) - lhat_mu(base).
+    l(w) = lhat_mu(target) - lhat_mu(base), with m(w) applied to the raw
+    word along ``reduced_word(w)``.  At mu = (n) this is
+    ``relative_atoms_bruteforce``.
 
     ``candidates`` restricts the search space (the filter stays exhaustive
     over whatever is supplied); without it, all of S_n is scanned, subject
@@ -402,13 +379,14 @@ def atoms_mu_bruteforce(
                 "brute force over S_%d exceeds the bound %d" % (target.n, max_n)
             )
         candidates = all_permutations(target.n)
-    gap = mu_length(target) - mu_length(base)
+    nu = target.mu.nu
+    gap = lhat_mu(target.oneline, nu) - lhat_mu(base.oneline, nu)
     if gap < 0:
         return frozenset()
     return frozenset(
         w
         for w in candidates
-        if w.length() == gap and mu_monoid_apply_word(w, base) == target
+        if w.length() == gap and act_word(reduced_word(w), base.oneline, nu) == target.oneline
     )
 
 
@@ -469,14 +447,7 @@ def mu_closed_orbit_polynomial(mu: Composition) -> IntPolynomial:
     x1^3*x2*x3 + x1^2*x2^2*x3
     """
     diagram = degenerate_diagram(mu)
-    poly = ONE
-    for (i, _) in sorted(diagram.d0):
-        poly = poly * variable(i)
-    for (i, _) in sorted(diagram.d1):
-        poly = poly * variable(i)
-    for (i, j) in sorted(diagram.d2):
-        poly = poly * (variable(i) + variable(j))
-    return poly
+    return _diagram_product(diagram.d0 | diagram.d1, diagram.d2)
 
 
 def mu_inv_schubert(pi: MuInvolution) -> IntPolynomial:

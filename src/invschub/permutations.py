@@ -25,37 +25,20 @@ __all__ = [
     "RotheDiagram",
     "identity",
     "longest",
-    "simple_transposition",
-    "compose",
-    "inverse",
-    "length",
     "reduced_word",
-    "all_reduced_words",
     "rothe_diagram",
     "code",
     "permutation_from_code",
     "is_dominant",
-    "string_as_permutation",
     "standardize",
     "all_permutations",
     "parse_permutation",
-    "product_of_word",
     "EnumerationBoundError",
-    "ReducedWordBoundError",
-    "REDUCED_WORD_LENGTH_CAP",
 ]
-
-# all_reduced_words refuses inputs longer than this (the number of words
-# grows factorially; exceeding the cap is an error, never silent truncation).
-REDUCED_WORD_LENGTH_CAP = 20
 
 
 class EnumerationBoundError(ValueError):
     """Raised when an enumeration would exceed a configured bound."""
-
-
-class ReducedWordBoundError(EnumerationBoundError):
-    """Raised when reduced-word enumeration would exceed the length cap."""
 
 
 class Permutation:
@@ -112,7 +95,10 @@ class Permutation:
         return "".join(str(v) for v in self._images)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        return compose(self, other)
+        """(u * v)(i) = u(v(i)).  Ranks must agree."""
+        if self.n != other.n:
+            raise ValueError("rank mismatch: %d vs %d" % (self.n, other.n))
+        return Permutation(self._images[j - 1] for j in other._images)
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
@@ -191,26 +177,6 @@ def longest(n: int) -> Permutation:
     return Permutation(range(n, 0, -1))
 
 
-def simple_transposition(i: int, n: int) -> Permutation:
-    """s_i in S_n, swapping i and i+1."""
-    return identity(n).right_multiply_s(i)
-
-
-def compose(u: Permutation, v: Permutation) -> Permutation:
-    """(u * v)(i) = u(v(i)).  Ranks must agree."""
-    if u.n != v.n:
-        raise ValueError("rank mismatch: %d vs %d" % (u.n, v.n))
-    return Permutation(u.oneline[j - 1] for j in v.oneline)
-
-
-def inverse(w: Permutation) -> Permutation:
-    return w.inverse()
-
-
-def length(w: Permutation) -> int:
-    return w.length()
-
-
 def reduced_word(w: Permutation) -> tuple[int, ...]:
     """A reduced word for w (product of s_i, leftmost factor first).
 
@@ -234,40 +200,6 @@ def reduced_word(w: Permutation) -> tuple[int, ...]:
     # current steps track w * s_{i_1} * ... * s_{i_k} = id, so
     # w = s_{i_k} * ... * s_{i_1}.
     return tuple(reversed(word))
-
-
-def all_reduced_words(w: Permutation) -> frozenset[tuple[int, ...]]:
-    """Every reduced word of w.
-
-    Raises ReducedWordBoundError when l(w) exceeds REDUCED_WORD_LENGTH_CAP.
-
-    >>> sorted(all_reduced_words(Permutation([3, 2, 1])))
-    [(1, 2, 1), (2, 1, 2)]
-    """
-    if w.length() > REDUCED_WORD_LENGTH_CAP:
-        raise ReducedWordBoundError(
-            "l(w) = %d exceeds the enumeration cap %d" % (w.length(), REDUCED_WORD_LENGTH_CAP)
-        )
-
-    def recurse(v: Permutation) -> frozenset[tuple[int, ...]]:
-        descents = v.descents()
-        if not descents:
-            return frozenset({()})
-        words = set()
-        for i in descents:
-            for prefix in recurse(v.right_multiply_s(i)):
-                words.add(prefix + (i,))
-        return frozenset(words)
-
-    return recurse(w)
-
-
-def product_of_word(word: Sequence[int], n: int) -> Permutation:
-    """s_{i_1} * s_{i_2} * ... * s_{i_k} in S_n."""
-    result = identity(n)
-    for i in word:
-        result = result.right_multiply_s(i)
-    return result
 
 
 def rothe_diagram(w: Permutation) -> RotheDiagram:
@@ -334,22 +266,6 @@ def is_dominant(w: Permutation) -> bool:
                 if imgs[i] < imgs[k] < imgs[j]:
                     return False
     return True
-
-
-def string_as_permutation(letters: Sequence[int]) -> dict[int, int]:
-    """Read a string of distinct letters as a permutation of its alphabet.
-
-    The alphabet is the set of letters ordered increasingly; the i-th
-    smallest alphabet element maps to the i-th letter.
-
-    >>> string_as_permutation([5, 2, 6, 4])
-    {2: 5, 4: 2, 5: 6, 6: 4}
-    """
-    letters = tuple(letters)
-    if len(set(letters)) != len(letters):
-        raise ValueError("letters must be distinct, got %r" % (list(letters),))
-    alphabet = sorted(letters)
-    return dict(zip(alphabet, letters))
 
 
 def standardize(letters: Sequence[int]) -> Permutation:

@@ -215,12 +215,8 @@ def verify_all(n: int, max_n: int = BRUTE_FORCE_BOUND) -> list[IdentityReport]:
         raise EnumerationBoundError(
             "verification sweep at rank %d exceeds the bound %d" % (n, max_n)
         )
-    reports = []
-    for tau in involutions(n):
-        reports.append(verify_brion_general(tau, max_n=max_n))
-    for tau in involutions(n):
-        if is_dominant(tau.perm):
-            reports.append(verify_involution_identity(tau))
-    for mu in all_compositions(n):
-        reports.append(verify_mu_identity(mu))
+    taus = list(involutions(n))
+    reports = [verify_brion_general(tau, max_n=max_n) for tau in taus]
+    reports += [verify_involution_identity(tau) for tau in taus if is_dominant(tau.perm)]
+    reports += [verify_mu_identity(mu) for mu in all_compositions(n)]
     return reports

@@ -17,17 +17,119 @@ from ``invschub.weak_order``.
 The definition of I_mu, the words of S_n whose every block standardizes to
 an involution, stands apart from the climb up from the identity by the
 monoid action that ``involutions`` and ``mu_involutions`` enumerate.
+
+Every reduced word of w, by recursion on right descents, stands apart
+from the one word ``reduced_word`` picks.  The blocks of a mu-involution,
+read position by position, stand apart from the slicing behind
+``MuInvolution.strings``.
+
+``weak_le`` walks up the weak order by the engine's own action, so it is
+the oracle for empty relative-atom sets: the walk down that builds them
+must come up empty exactly when the walk up misses.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, permutations
+from typing import Sequence
 
-from invschub.permutations import Permutation, all_permutations, code, longest, reduced_word
+from invschub.involutions import Involution
+from invschub.mu_involutions import Composition, MuInvolution
+from invschub.permutations import (
+    EnumerationBoundError,
+    Permutation,
+    all_permutations,
+    code,
+    identity,
+    longest,
+    reduced_word,
+)
 from invschub.polynomials import IntPolynomial, divided_difference, monomial
 from invschub.schubert import SchubertExpansion, schubert
+from invschub.weak_order import act, lhat_mu
 
 Word = tuple[int, ...]
+
+# all_reduced_words refuses inputs longer than this (the number of words
+# grows factorially; exceeding the cap is an error, never silent truncation).
+REDUCED_WORD_LENGTH_CAP = 20
+
+
+class ReducedWordBoundError(EnumerationBoundError):
+    """Raised when reduced-word enumeration would exceed the length cap."""
+
+
+def all_reduced_words(w: Permutation) -> frozenset[Word]:
+    """Every reduced word of w.
+
+    Raises ReducedWordBoundError when l(w) exceeds REDUCED_WORD_LENGTH_CAP.
+
+    >>> sorted(all_reduced_words(Permutation([3, 2, 1])))
+    [(1, 2, 1), (2, 1, 2)]
+    """
+    if w.length() > REDUCED_WORD_LENGTH_CAP:
+        raise ReducedWordBoundError(
+            "l(w) = %d exceeds the enumeration cap %d" % (w.length(), REDUCED_WORD_LENGTH_CAP)
+        )
+
+    def recurse(v: Permutation) -> frozenset[Word]:
+        descents = v.descents()
+        if not descents:
+            return frozenset({()})
+        words = set()
+        for i in descents:
+            for prefix in recurse(v.right_multiply_s(i)):
+                words.add(prefix + (i,))
+        return frozenset(words)
+
+    return recurse(w)
+
+
+def product_of_word(word: Sequence[int], n: int) -> Permutation:
+    """s_{i_1} * s_{i_2} * ... * s_{i_k} in S_n."""
+    result = identity(n)
+    for i in word:
+        result = result.right_multiply_s(i)
+    return result
+
+
+def weak_le(tau: Involution, tau_prime: Involution) -> bool:
+    """True iff tau <= tau' in weak order (tau' reachable by raising moves)."""
+    if tau.n != tau_prime.n:
+        raise ValueError("rank mismatch")
+    nu, target = (0, tau.n), tau_prime.oneline
+    # Every move that changes a word raises lhat by exactly one, so level d
+    # of the search holds the words of rank lhat(tau) + d above tau.
+    level = {tau.oneline}
+    for _ in range(lhat_mu(target, nu) - lhat_mu(tau.oneline, nu)):
+        level = {act(i, w, nu) for w in level for i in range(1, tau.n)} - level
+    return target in level
+
+
+def mu_strings(w: Permutation, mu: Composition) -> tuple[Word, ...]:
+    """Positional slices of the one-line notation at the nu boundaries.
+
+    >>> from invschub.mu_involutions import parse_composition
+    >>> mu_strings(Permutation([3,7,1,8,4,2,6,5]), parse_composition("4,1,3"))
+    ((3, 7, 1, 8), (4,), (2, 6, 5))
+    """
+    if w.n != mu.n:
+        raise ValueError("rank mismatch")
+    return tuple(
+        tuple(w(p) for p in mu.block_positions(a)) for a in range(1, mu.k + 1)
+    )
+
+
+def sort_mu(pi: MuInvolution) -> Permutation:
+    """Concatenation of the increasing rearrangements of the blocks.
+
+    >>> from invschub.mu_involutions import parse_mu_involution
+    >>> sort_mu(parse_mu_involution("586|21|743")).compact()
+    '56812347'
+    """
+    return Permutation(
+        [x for block in mu_strings(pi.perm, pi.mu) for x in sorted(block)]
+    )
 
 
 def _cycles(tau: Word) -> list[tuple[int, int]]:

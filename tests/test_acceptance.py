@@ -31,6 +31,8 @@ import dataclasses
 import itertools
 import json
 
+from characterization import sort_mu
+
 from invschub import cli
 from invschub.involutions import (
     Involution,
@@ -61,7 +63,6 @@ from invschub.mu_involutions import (
     mu_weak_order_graph,
     parse_composition,
     parse_mu_involution,
-    sort_mu,
     top_mu_involution,
 )
 from invschub.permutations import (

@@ -7,7 +7,12 @@ import itertools
 import json
 
 import pytest
-from characterization import atoms_by_characterization, relative_atoms_by_characterization
+from characterization import (
+    all_reduced_words,
+    atoms_by_characterization,
+    relative_atoms_by_characterization,
+    weak_le,
+)
 
 from invschub.involutions import (
     BRUTE_FORCE_BOUND,
@@ -27,17 +32,14 @@ from invschub.involutions import (
     parse_involution,
     relative_atoms,
     relative_atoms_bruteforce,
-    weak_le,
     weak_order_graph,
 )
 from invschub.permutations import (
     EnumerationBoundError,
     Permutation,
     all_permutations,
-    all_reduced_words,
     identity,
     is_dominant,
-    length,
     longest,
     parse_permutation,
 )
@@ -267,7 +269,7 @@ def test_atoms_definition_properties():
     cases = list(involutions(5)) + [parse_involution("(1,8)", 8), longest_involution(8)]
     for tau in cases:
         for w in atoms(tau):
-            assert length(w) == involution_length(tau)
+            assert w.length() == involution_length(tau)
             assert monoid_apply_word(w, identity_involution(tau.n)) == tau
 
 

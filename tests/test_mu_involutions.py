@@ -8,7 +8,7 @@ import itertools
 import json
 
 import pytest
-from characterization import schubert_by_definition
+from characterization import mu_strings, schubert_by_definition, sort_mu
 
 from invschub.involutions import (
     Involution,
@@ -35,11 +35,9 @@ from invschub.mu_involutions import (
     mu_length,
     mu_monoid_apply,
     mu_monoid_apply_word,
-    mu_strings,
     mu_weak_order_graph,
     parse_composition,
     parse_mu_involution,
-    sort_mu,
     top_mu_involution,
 )
 from invschub.permutations import (
@@ -47,7 +45,6 @@ from invschub.permutations import (
     Permutation,
     all_permutations,
     identity,
-    length,
     longest,
     parse_permutation,
 )
@@ -117,6 +114,11 @@ def test_parse_and_render():
 def test_mu_strings():
     w = parse_permutation("37184265")
     assert mu_strings(w, parse_composition("4,1,3")) == ((3, 7, 1, 8), (4,), (2, 6, 5))
+    pi = parse_mu_involution("586|21|743")
+    assert pi.strings == ((5, 8, 6), (2, 1), (7, 4, 3))
+    for mu in small_compositions(4):
+        for pi in mu_involutions(mu):
+            assert pi.strings == mu_strings(pi.perm, mu)
 
 
 def test_identity_and_top():
@@ -129,7 +131,7 @@ def test_identity_and_top():
 def test_sort_and_length_fixture():
     pi = parse_mu_involution("586|21|743")
     assert sort_mu(pi).oneline == (5, 6, 8, 1, 2, 3, 4, 7)
-    assert length(sort_mu(pi)) == 13
+    assert sort_mu(pi).length() == 13
     assert mu_length(pi) == 17  # 1 + 1 + 2 blockwise, plus 13
 
 
@@ -234,7 +236,7 @@ def test_all_singleton_blocks_reduce_to_permutations():
     assert count_mu_involutions(mu) == 24
     for w in all_permutations(4):
         pi = MuInvolution(w, mu)
-        assert mu_length(pi) == length(w)
+        assert mu_length(pi) == w.length()
         assert mu_inv_schubert(pi) == schubert_by_definition(w.inverse())
     assert atoms_mu_top(mu) == frozenset({longest(4)})
 
@@ -314,7 +316,7 @@ def test_atoms_are_words_reaching_the_top():
         top = top_mu_involution(mu)
         bottom = identity_mu_involution(mu)
         for w in atoms_mu_top(mu):
-            assert length(w) == mu_length(top)
+            assert w.length() == mu_length(top)
             assert mu_monoid_apply_word(w, bottom) == top
 
 

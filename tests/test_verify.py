@@ -16,6 +16,7 @@ from invschub.involutions import (
 from invschub.mu_involutions import parse_composition
 from invschub.permutations import EnumerationBoundError, parse_permutation
 from invschub.polynomials import parse_polynomial
+from invschub import verify
 from invschub.verify import (
     IdentityReport,
     verify_all,
@@ -107,8 +108,11 @@ def test_report_text_shape():
     assert text.endswith("\n")
 
 
-def test_verify_all_n4():
+def test_verify_all_n4(monkeypatch):
+    climbs = []
+    monkeypatch.setattr(verify, "involutions", lambda n: climbs.append(n) or involutions(n))
     reports = verify_all(4)
+    assert climbs == [4]  # I_4 is climbed once, for both involution sweeps
     assert all(r.equal and r.multiplicity_free for r in reports)
     brion = [r for r in reports if r.subject.startswith("involution ")]
     dominant = [r for r in reports if r.subject.startswith("dominant-involution ")]
