@@ -13,8 +13,6 @@ and ``mu_involutions``) are not re-exported here, so that
 from __future__ import annotations
 
 from .involutions import (
-    BRUTE_FORCE_BOUND,
-    POSET_RANK_BOUND,
     Involution,
     InvolutionDiagram,
     atoms,
@@ -34,6 +32,8 @@ from .involutions import (
     weak_order_graph,
 )
 from .mu_involutions import (
+    BRUTE_FORCE_BOUND,
+    POSET_RANK_BOUND,
     Composition,
     DegenerateDiagram,
     MuInvolution,

@@ -23,8 +23,6 @@ import sys
 from typing import Callable
 
 from .involutions import (
-    BRUTE_FORCE_BOUND,
-    POSET_RANK_BOUND,
     atoms,
     atoms_bruteforce,
     inv_schubert,
@@ -35,6 +33,8 @@ from .involutions import (
     weak_order_graph,
 )
 from .mu_involutions import (
+    BRUTE_FORCE_BOUND,
+    POSET_RANK_BOUND,
     degenerate_diagram,
     mu_inv_schubert,
     mu_weak_order_graph,

@@ -3,9 +3,11 @@ Involutions in S_n: diagrams and lengths, the idempotent monoid action
 m(s_i), the weak order poset, atoms and relative atoms, and involution
 Schubert polynomials.
 
-The action, the poset and the polynomials are the mu = (n) view of the
-weak-order engine in :mod:`invschub.weak_order`, where the monoid
-generator reduces to the three-case rule
+Involutions are the mu = (n) case of the mu-theory, and this module builds
+on :mod:`invschub.mu_involutions`: the resource bounds, the diagram product
+and the definitional brute force are its.  The action, the poset and the
+polynomials are the weak-order engine in :mod:`invschub.weak_order` at
+nu = (0, n), where the monoid generator reduces to the three-case rule
 
     m(s_i) . tau = tau            if tau(i+1) < tau(i)
                  = s_i tau        if tau(i) = i and tau(i+1) = i+1
@@ -24,18 +26,27 @@ force and the closed characterization on the inverse of each candidate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
+from .mu_involutions import (
+    BRUTE_FORCE_BOUND,
+    POSET_RANK_BOUND,
+    Composition,
+    MuInvolution,
+    _diagram_product,
+    _refuse_poset_rank,
+    atoms_mu_bruteforce,
+)
 from .permutations import (
-    EnumerationBoundError,
     Permutation,
     identity,
     is_dominant,
     longest,
     parse_permutation,
     reduced_word,
+    rothe_diagram,
 )
-from .polynomials import IntPolynomial, ONE, variable
+from .polynomials import IntPolynomial
 from .weak_order import (
     WeakOrderGraph, act, act_word, anchor, atom_words, build_graph, climb, shat_mu
 )
@@ -62,10 +73,6 @@ __all__ = [
     "POSET_RANK_BOUND",
     "BRUTE_FORCE_BOUND",
 ]
-
-# Default resource bounds; CLI callers may override them explicitly.
-POSET_RANK_BOUND = 8
-BRUTE_FORCE_BOUND = 7
 
 
 class Involution:
@@ -221,16 +228,10 @@ def involution_diagram(tau: Involution) -> InvolutionDiagram:
     >>> involution_diagram(parse_involution("(1,3)", 3)).inv_length
     2
     """
-    n = tau.n
-    cells = frozenset(
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if j < tau(i) and i < tau(j) and i <= j
-    )
+    cells = frozenset((i, j) for (i, j) in rothe_diagram(tau.perm).cells if i <= j)
     d1 = frozenset(c for c in cells if c[0] == c[1])
     d2 = frozenset(c for c in cells if c[0] < c[1])
-    row_counts = [0] * n
+    row_counts = [0] * tau.n
     for (i, _) in cells:
         row_counts[i - 1] += 1
     return InvolutionDiagram(cells, d1, d2, tuple(row_counts), len(cells))
@@ -254,14 +255,6 @@ def weak_order_graph(n: int, max_n: int = POSET_RANK_BOUND) -> WeakOrderGraph:
     """
     _refuse_poset_rank(n, max_n)
     return build_graph("involutions_%d" % n, (0, n), _cycles_string)
-
-
-def _refuse_poset_rank(n: int, max_n: int) -> None:
-    # The poset has |I_n| (or |I_mu|) vertices, which grows factorially.
-    if n > max_n:
-        raise EnumerationBoundError(
-            "poset construction for n=%d exceeds the bound %d" % (n, max_n)
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +292,6 @@ def relative_atoms_bruteforce(
     tau: Involution, tau_prime: Involution, max_n: int = BRUTE_FORCE_BOUND
 ) -> frozenset[Permutation]:
     """A_*(tau, tau') by the definition: ``atoms_mu_bruteforce`` at mu = (n)."""
-    # mu_involutions builds on this module, so it is imported at call time.
-    from .mu_involutions import Composition, MuInvolution, atoms_mu_bruteforce
-
     mu = Composition((tau.n,))
     return atoms_mu_bruteforce(MuInvolution(tau_prime.perm, mu), MuInvolution(tau.perm, mu), max_n)
 
@@ -353,18 +343,6 @@ def inv_schubert_dominant(tau: Involution) -> IntPolynomial:
         raise AssertionError(
             "half-sum form disagrees with the diagram product for %s" % tau
         )
-    return poly
-
-
-def _diagram_product(
-    linear: Iterable[tuple[int, int]], strict: Iterable[tuple[int, int]]
-) -> IntPolynomial:
-    """prod_{(i,j) in linear} x_i * prod_{(i,j) in strict} (x_i + x_j)."""
-    poly = ONE
-    for (i, _) in sorted(linear):
-        poly = poly * variable(i)
-    for (i, j) in sorted(strict):
-        poly = poly * (variable(i) + variable(j))
     return poly
 
 

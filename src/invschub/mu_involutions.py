@@ -8,26 +8,20 @@ permutation whose one-line notation, cut into blocks of sizes mu_1, ...,
 mu_k, has every block standardizing to an involution.  Blocks are written
 pipe-separated, e.g. "586|21|743" for mu = (3,2,3).
 
-The monoid action, the rank lhat_mu, the weak-order graph and the
-polynomial descent are the weak-order engine in :mod:`invschub.weak_order`,
-which works on the one-line tuple and the prefix sums ``Composition.nu``.
+This module stands on the weak-order engine alone: the monoid action, the
+rank lhat_mu, the weak-order graph, the atom walk and the polynomial
+descent are :mod:`invschub.weak_order`, which works on the one-line tuple
+and the prefix sums ``Composition.nu``.  Involutions are the case mu = (n),
+so :mod:`invschub.involutions` builds on this module and shares its
+resource bounds, its diagram product and its definitional brute force.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .involutions import (
-    BRUTE_FORCE_BOUND,
-    POSET_RANK_BOUND,
-    _diagram_product,
-    _refuse_poset_rank,
-    atoms,
-    involution_diagram,
-    longest_involution,
-)
 from .permutations import (
     EnumerationBoundError,
     Permutation,
@@ -35,10 +29,11 @@ from .permutations import (
     identity,
     longest,
     reduced_word,
+    rothe_diagram,
 )
-from .polynomials import IntPolynomial
+from .polynomials import IntPolynomial, ONE, variable
 from .weak_order import (
-    WeakOrderGraph, act, act_word, build_graph, climb, count, lhat_mu, shat_mu
+    WeakOrderGraph, act, act_word, atom_words, build_graph, climb, count, lhat_mu, shat_mu
 )
 
 __all__ = [
@@ -62,8 +57,13 @@ __all__ = [
     "mu_closed_orbit_polynomial",
     "mu_inv_schubert",
     "DEFAULT_VERTEX_BUDGET",
+    "POSET_RANK_BOUND",
+    "BRUTE_FORCE_BOUND",
 ]
 
+# Default resource bounds; CLI callers may override them explicitly.
+POSET_RANK_BOUND = 8
+BRUTE_FORCE_BOUND = 7
 DEFAULT_VERTEX_BUDGET = 50000
 
 
@@ -309,6 +309,14 @@ def mu_involutions(mu: Composition) -> Iterator[MuInvolution]:
         yield MuInvolution(Permutation(word), mu)
 
 
+def _refuse_poset_rank(n: int, max_n: int) -> None:
+    # The poset has |I_n| (or |I_mu|) vertices, which grows factorially.
+    if n > max_n:
+        raise EnumerationBoundError(
+            "poset construction for n=%d exceeds the bound %d" % (n, max_n)
+        )
+
+
 def mu_weak_order_graph(mu: Composition, max_n: int = POSET_RANK_BOUND) -> WeakOrderGraph:
     """The labeled weak-order digraph on I_mu: the words ``climb`` reaches
     from the identity, counted against |I_mu| and ranked by level, with w0
@@ -340,20 +348,16 @@ def atoms_mu_top(mu: Composition) -> frozenset[Permutation]:
     >>> sorted(w.compact() for w in atoms_mu_top(parse_composition("3,1")))
     ['3421', '4231']
     """
-    n = mu.n
-    block_options: list[list[tuple[int, ...]]] = []
-    for a in range(1, mu.k + 1):
-        alphabet = list(range(n - mu.nu[a] + 1, n - mu.nu[a - 1] + 1))
-        block_atoms = atoms(longest_involution(mu.parts[a - 1]))
-        block_options.append(
-            [tuple(alphabet[v(t) - 1] for t in range(1, len(alphabet) + 1)) for v in sorted(
-                block_atoms, key=lambda w: w.oneline)]
-        )
-    result = set()
-    for combo in itertools.product(*block_options):
-        word = [x for block in combo for x in block]
-        result.add(Permutation(word))
-    return frozenset(result)
+    n, nu = mu.n, mu.nu
+    block_options = []
+    for lo, hi in zip(nu, nu[1:]):
+        m = hi - lo
+        block_atoms = atom_words(tuple(range(m, 0, -1)), tuple(range(1, m + 1)), (0, m))
+        block_options.append([tuple(x + n - hi for x in w) for w in block_atoms])
+    return frozenset(
+        Permutation(x for block in combo for x in block)
+        for combo in itertools.product(*block_options)
+    )
 
 
 def atoms_mu_bruteforce(
@@ -424,11 +428,13 @@ def degenerate_diagram(mu: Composition) -> DegenerateDiagram:
                     d0.add((i, j))
     d1: set[tuple[int, int]] = set()
     d2: set[tuple[int, int]] = set()
-    for a in range(1, mu.k + 1):
-        base = mu.nu[a - 1]
-        diagram = involution_diagram(longest_involution(mu.parts[a - 1]))
-        d1.update((base + i, base + j) for (i, j) in diagram.d1)
-        d2.update((base + i, base + j) for (i, j) in diagram.d2)
+    for lo, hi in zip(mu.nu, mu.nu[1:]):
+        # Dhat(w0_m): the cells (i, j), i <= j, of the Rothe diagram of w0_m.
+        for (i, j) in rothe_diagram(longest(hi - lo)).cells:
+            if i == j:
+                d1.add((lo + i, lo + j))
+            elif i < j:
+                d2.add((lo + i, lo + j))
     if (d0 & d1) or (d0 & d2) or (d1 & d2):
         raise AssertionError("degenerate diagram parts are not disjoint")
     return DegenerateDiagram(frozenset(d0), frozenset(d1), frozenset(d2))
@@ -448,6 +454,18 @@ def mu_closed_orbit_polynomial(mu: Composition) -> IntPolynomial:
     """
     diagram = degenerate_diagram(mu)
     return _diagram_product(diagram.d0 | diagram.d1, diagram.d2)
+
+
+def _diagram_product(
+    linear: Iterable[tuple[int, int]], strict: Iterable[tuple[int, int]]
+) -> IntPolynomial:
+    """prod_{(i,j) in linear} x_i * prod_{(i,j) in strict} (x_i + x_j)."""
+    poly = ONE
+    for (i, _) in sorted(linear):
+        poly = poly * variable(i)
+    for (i, j) in sorted(strict):
+        poly = poly * (variable(i) + variable(j))
+    return poly
 
 
 def mu_inv_schubert(pi: MuInvolution) -> IntPolynomial:

@@ -23,6 +23,7 @@ from typing import Iterable, Iterator, Sequence
 __all__ = [
     "Permutation",
     "RotheDiagram",
+    "inversions",
     "identity",
     "longest",
     "reduced_word",
@@ -48,7 +49,7 @@ class Permutation:
     Permutation([2, 3, 1])
     """
 
-    __slots__ = ("_images", "_length")
+    __slots__ = ("_images",)
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
@@ -61,7 +62,6 @@ class Permutation:
                 % (n, list(images))
             )
         self._images = images
-        self._length = None
 
     @property
     def oneline(self) -> tuple[int, ...]:
@@ -108,15 +108,7 @@ class Permutation:
 
     def length(self) -> int:
         """Number of inversions, i.e. pairs i < j with w(i) > w(j)."""
-        if self._length is None:
-            imgs = self._images
-            self._length = sum(
-                1
-                for i in range(len(imgs))
-                for j in range(i + 1, len(imgs))
-                if imgs[i] > imgs[j]
-            )
-        return self._length
+        return inversions(self._images)
 
     def right_multiply_s(self, i: int) -> "Permutation":
         """w * s_i: swap the entries in positions i and i+1."""
@@ -145,6 +137,11 @@ class Permutation:
 
     def is_involution(self) -> bool:
         return all(self._images[v - 1] == i + 1 for i, v in enumerate(self._images))
+
+
+def inversions(seq: Sequence[int]) -> int:
+    """Number of pairs i < j with seq[i] > seq[j]."""
+    return sum(1 for k, a in enumerate(seq) for b in seq[k + 1 :] if a > b)
 
 
 @dataclass(frozen=True)
@@ -208,12 +205,12 @@ def rothe_diagram(w: Permutation) -> RotheDiagram:
     >>> rothe_diagram(Permutation([6, 4, 3, 5, 7, 2, 1])).code
     (5, 3, 2, 2, 2, 1, 0)
     """
-    winv = w.inverse()
+    images, inverse = w.oneline, w.inverse().oneline
     cells = frozenset(
         (i, j)
         for i in range(1, w.n + 1)
-        for j in range(1, w.n + 1)
-        if j < w(i) and i < winv(j)
+        for j in range(1, images[i - 1])
+        if i < inverse[j - 1]
     )
     row_counts = [0] * w.n
     for (i, _) in cells:

@@ -29,7 +29,6 @@ import json
 from dataclasses import dataclass
 
 from .involutions import (
-    BRUTE_FORCE_BOUND,
     Involution,
     atoms,
     inv_schubert,
@@ -37,6 +36,7 @@ from .involutions import (
     involutions,
 )
 from .mu_involutions import (
+    BRUTE_FORCE_BOUND,
     Composition,
     all_compositions,
     atoms_mu_top,
@@ -170,7 +170,7 @@ def verify_mu_identity(mu: Composition) -> IdentityReport:
     'x1^2*x2'
     """
     reversed_mu = Composition(tuple(reversed(mu.parts)))
-    lhs = _atom_sum(frozenset(atoms_mu_top(reversed_mu)))
+    lhs = _atom_sum(atoms_mu_top(reversed_mu))
     rhs = mu_closed_orbit_polynomial(mu)
     return _report("mu %s" % mu, lhs, rhs, mu.n)
 

@@ -26,10 +26,10 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Sequence
 
+from .permutations import inversions
 from .polynomials import IntPolynomial, ONE, divided_difference, monomial, variable
 
 __all__ = [
@@ -133,10 +133,6 @@ def atom_words(target: Word, base: Word, nu: Word) -> frozenset[Word]:
     return walk(target, lhat_mu(target, nu))
 
 
-def _inversions(seq: Sequence[int]) -> int:
-    return sum(1 for k, a in enumerate(seq) for b in seq[k + 1 :] if a > b)
-
-
 def lhat_mu(word: Word, nu: Word) -> int:
     """Blockwise involution lengths (l(z) + kappa(z)) / 2, kappa counting
     2-cycles, plus the length of the blockwise sorted word.  A block that
@@ -154,9 +150,9 @@ def lhat_mu(word: Word, nu: Word) -> int:
             raise AssertionError(
                 "block %r of %r does not standardize to an involution" % (block, word)
             )
-        rank += (_inversions(block) + sum(1 for x, y in image.items() if y > x)) // 2
+        rank += (inversions(block) + sum(1 for x, y in image.items() if y > x)) // 2
         ordered += alphabet
-    return rank + _inversions(ordered)
+    return rank + inversions(ordered)
 
 
 # ---------------------------------------------------------------------------
@@ -256,19 +252,15 @@ def _json_list(items: str) -> str:
     return "[\n%s\n  ]" % items if items else "[]"
 
 
-@lru_cache(maxsize=None)
-def _involution_count(m: int) -> int:
-    if m < 2:
-        return 1
-    return _involution_count(m - 1) + (m - 1) * _involution_count(m - 2)
-
-
 def count(nu: Word) -> int:
     """|I_mu| for the blocks cut at ``nu``: the multinomial coefficient of
     the block sizes times the number of involutions of each block."""
     total = math.factorial(nu[-1])
     for lo, hi in zip(nu, nu[1:]):
-        total = total // math.factorial(hi - lo) * _involution_count(hi - lo)
+        involutions, fewer = 1, 1  # |I_m| and |I_(m-1)|, from m = 1
+        for m in range(2, hi - lo + 1):
+            involutions, fewer = involutions + (m - 1) * fewer, involutions
+        total = total // math.factorial(hi - lo) * involutions
     return total
 
 

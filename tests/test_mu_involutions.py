@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 import pytest
 from characterization import mu_strings, schubert_by_definition, sort_mu
@@ -14,6 +15,7 @@ from invschub.involutions import (
     Involution,
     atoms,
     inv_schubert,
+    involution_diagram,
     involution_length,
     involutions,
     longest_involution,
@@ -50,6 +52,7 @@ from invschub.permutations import (
 )
 from invschub.polynomials import ONE, divided_difference, parse_polynomial
 from invschub.schubert import schubert
+from invschub.weak_order import count
 
 
 def small_compositions(max_n: int):
@@ -154,6 +157,13 @@ def test_counts_and_enumeration():
         assert len(set(elements)) == len(elements)
         onelines = [pi.oneline for pi in elements]
         assert onelines == sorted(onelines)
+    # Beyond the climb's reach: the involution numbers at mu = (n), and n!
+    # at mu = (1^n).
+    involution_numbers = (1, 2, 4, 10, 26, 76, 232, 764, 2620, 9496, 35696, 140152)
+    for n, expected in enumerate(involution_numbers, start=1):
+        assert count((0, n)) == expected
+    for n in range(1, 11):
+        assert count(tuple(range(n + 1))) == math.factorial(n)
 
 
 def test_four_case_action_fixtures():
@@ -377,6 +387,42 @@ def test_exponent_count_of_diagram():
         assert undercount == len(d.d2)
         if all(p <= 2 for p in mu.parts):
             assert undercount == 0
+
+
+def _dhat(word):
+    """Dhat by its definition: the cells (i, j), i <= j, with j < tau(i) and
+    i < tau(j), for the involution tau with one-line notation ``word``."""
+    n = len(word)
+    return {
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(i, n + 1)
+        if j < word[i - 1] and i < word[j - 1]
+    }
+
+
+def test_diagrams_equal_the_definition_of_dhat():
+    for n in range(1, 8):
+        for tau in involutions(n):
+            d = involution_diagram(tau)
+            assert d.d_all == _dhat(tau.oneline)
+            assert d.d1 == {(i, j) for (i, j) in d.d_all if i == j}
+            assert d.d2 == d.d_all - d.d1
+            assert d.inv_code == tuple(
+                sum(1 for (i, _) in d.d_all if i == row) for row in range(1, n + 1)
+            )
+    for mu in small_compositions(7):
+        blocks = list(zip(mu.nu, mu.nu[1:]))
+        cross = {
+            (i, j) for lo, hi in blocks for i in range(lo + 1, hi + 1) for j in range(hi + 1, mu.n + 1)
+        }
+        within = {
+            (lo + i, lo + j) for lo, hi in blocks for (i, j) in _dhat(tuple(range(hi - lo, 0, -1)))
+        }
+        d = degenerate_diagram(mu)
+        assert d.d0 == cross
+        assert d.d1 == {(i, j) for (i, j) in within if i == j}
+        assert d.d2 == within - d.d1
 
 
 def test_mu_closed_orbit_polynomial():
