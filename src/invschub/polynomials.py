@@ -2,8 +2,24 @@
 Sparse multivariate polynomials over the integers, with the variable-swap
 action of the symmetric group and the divided difference operators d_i.
 
-Monomials are exponent tuples with trailing zeros trimmed, so the same
-polynomial built over different numbers of variables compares equal.
+Each monomial is stored as one int key holding the exponent of x_k in
+byte k-1 (little-endian): x1^2*x3 is 0x010002.  Trailing zero exponents
+cost nothing, so the same polynomial built over any number of variables
+has the same keys and compares equal.  Reading the pair (e_i, e_{i+1}) is
+two shifts and a mask, s_i and the product of two monomials are one
+addition, and d_i steps from one quotient term to the next by a fixed
+amount.  The format is private to this module: every public function and
+method takes and returns exponent tuples with trailing zeros trimmed, and
+keys are decoded by ``int.to_bytes``, whose bytes compare as those tuples
+do.
+
+Exponents lie in 0..MAX_EXPONENT (255), checked where they enter: the
+constructor, ``monomial`` and ``parse_polynomial`` raise ValueError above
+it, and a product or power that would carry a byte into the next variable
+raises ValueError instead of wrapping.  s_i and d_i never leave the range.
+Every divided difference is checked: with CHECK_DIVIDED_DIFFERENCE,
+f - s_i.f - (x_i - x_{i+1}).d_i(f) is summed term by term and must cancel.
+
 Coefficients are plain Python ints (arbitrary precision); zero coefficients
 are never stored, so structural equality is polynomial equality.
 
@@ -20,7 +36,6 @@ x1*x2
 from __future__ import annotations
 
 import re
-from itertools import zip_longest
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -34,6 +49,7 @@ __all__ = [
     "divided_difference",
     "parse_polynomial",
     "CHECK_DIVIDED_DIFFERENCE",
+    "MAX_EXPONENT",
 ]
 
 # When True, every divided difference asserts that its quotient q leaves no
@@ -42,38 +58,52 @@ __all__ = [
 # the term-wise division.
 CHECK_DIVIDED_DIFFERENCE = True
 
-
-def _trim(exponents: tuple[int, ...]) -> tuple[int, ...]:
-    end = len(exponents)
-    while end > 0 and exponents[end - 1] == 0:
-        end -= 1
-    return exponents[:end]
+# The largest exponent a monomial key holds: one byte per variable.
+MAX_EXPONENT = 255
 
 
-def _accumulate(terms: dict[tuple[int, ...], int], key: tuple[int, ...], coeff: int) -> None:
-    # Add coeff to the term at key; a term that cancels is dropped.
-    new = terms.get(key, 0) + coeff
-    if new:
-        terms[key] = new
-    else:
-        terms.pop(key, None)
+def _key(exponents: Iterable[int]) -> int:
+    # The key of an exponent vector; the one place exponents are range-checked.
+    exps = tuple(exponents)
+    try:
+        return int.from_bytes(bytes(exps), "little")
+    except ValueError:
+        k, e = next((k, e) for k, e in enumerate(exps, 1) if not 0 <= e <= MAX_EXPONENT)
+        raise ValueError("exponent %d of x%d is outside 0..%d" % (e, k, MAX_EXPONENT)) from None
 
 
-def _read_pair(exponents: tuple[int, ...], i: int) -> tuple:
-    # (head, e_i, e_{i+1}, tail) of a trimmed monomial padded through x_{i+1}.
-    padded = exponents + (0,) * (i + 1 - len(exponents))
-    return padded[: i - 1], padded[i - 1], padded[i], padded[i + 1 :]
+def _exponents(key: int) -> bytes:
+    # The trimmed exponent vector of a key, decoded in C.
+    return key.to_bytes((key.bit_length() + 7) >> 3, "little")
 
 
-def _write_pair(head: tuple[int, ...], a: int, b: int, tail: tuple[int, ...]) -> tuple[int, ...]:
-    # head * x_i^a x_{i+1}^b * tail, trimmed; a non-empty tail ends non-zero.
-    return head + (a, b) + tail if tail else _trim(head + (a, b))
+def _graded(terms: dict[int, int]) -> list[tuple[int, bytes, int]]:
+    # (degree, exponent bytes, coefficient) per term.  These triples order
+    # the terms graded-lexicographically with x1 > x2 > ...: total degree
+    # first, then the exponent vector left to right.  The vectors are
+    # distinct, so coefficients are never compared.
+    vectors = [key.to_bytes((key.bit_length() + 7) >> 3, "little") for key in terms]
+    return list(zip(map(sum, vectors), vectors, terms.values()))
 
 
-def _grlex_key(exponents: tuple[int, ...]) -> tuple:
-    # Graded lexicographic with x1 > x2 > ...: compare total degree first,
-    # then the exponent vector itself (left to right).
-    return (sum(exponents), exponents)
+def _nonzero(terms: dict[int, int]) -> dict[int, int]:
+    return {key: coeff for key, coeff in terms.items() if coeff}
+
+
+# _FACTORS[k-1][e] renders x_k^e ("x3^2"; "x3" at e = 1); every row has the
+# same length, and the table grows only when a polynomial needs more.
+_FACTORS: list[list[str]] = []
+
+
+def _factor_table(width: int, top: int) -> list[list[str]]:
+    have = len(_FACTORS[0]) - 1 if _FACTORS else 1
+    if width > len(_FACTORS) or top > have:
+        width, top = max(width, len(_FACTORS)), max(top, have)
+        _FACTORS[:] = [
+            ["", "x%d" % k] + ["x%d^%d" % (k, e) for e in range(2, top + 1)]
+            for k in range(1, width + 1)
+        ]
+    return _FACTORS
 
 
 class IntPolynomial:
@@ -82,53 +112,53 @@ class IntPolynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, ...], int] | None = None):
-        cleaned: dict[tuple[int, ...], int] = {}
+        cleaned: dict[int, int] = {}
         if terms:
             for exps, coeff in terms.items():
-                if coeff == 0:
-                    continue
-                key = _trim(tuple(exps))
-                if any(e < 0 for e in key):
-                    raise ValueError("negative exponent in %r" % (exps,))
-                _accumulate(cleaned, key, coeff)
-        self._terms = cleaned
+                if coeff:
+                    key = _key(exps)
+                    cleaned[key] = cleaned.get(key, 0) + coeff
+        self._terms = _nonzero(cleaned)
 
     @property
     def terms(self) -> dict[tuple[int, ...], int]:
-        return dict(self._terms)
+        return {tuple(_exponents(key)): coeff for key, coeff in self._terms.items()}
 
     @property
     def nvars(self) -> int:
         """Index of the highest variable actually appearing."""
-        return max((len(e) for e in self._terms), default=0)
+        return (max(self._terms, default=0).bit_length() + 7) >> 3
 
     def is_zero(self) -> bool:
         return not self._terms
 
     def degree(self) -> int:
         """Total degree (-1 for the zero polynomial)."""
-        return max((sum(e) for e in self._terms), default=-1)
+        return max((sum(_exponents(key)) for key in self._terms), default=-1)
 
     def coefficient(self, exponents: Iterable[int]) -> int:
-        return self._terms.get(_trim(tuple(exponents)), 0)
+        try:
+            return self._terms.get(_key(exponents), 0)
+        except ValueError:  # an exponent no term can have
+            return 0
 
     def leading_term(self) -> tuple[tuple[int, ...], int]:
         """Graded-lex maximal monomial and its coefficient."""
         if not self._terms:
             raise ValueError("the zero polynomial has no leading term")
-        exps = max(self._terms, key=_grlex_key)
-        return exps, self._terms[exps]
+        _, exps, coeff = max(_graded(self._terms))
+        return tuple(exps), coeff
 
     def trailing_term(self) -> tuple[tuple[int, ...], int]:
         """Graded-lex minimal monomial and its coefficient."""
         if not self._terms:
             raise ValueError("the zero polynomial has no trailing term")
-        exps = min(self._terms, key=_grlex_key)
-        return exps, self._terms[exps]
+        _, exps, coeff = min(_graded(self._terms))
+        return tuple(exps), coeff
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         """Terms in decreasing graded-lex order."""
-        return sorted(self._terms.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True)
+        return [(tuple(exps), coeff) for _, exps, coeff in sorted(_graded(self._terms), reverse=True)]
 
     def __iter__(self) -> Iterator[tuple[tuple[int, ...], int]]:
         return iter(self.sorted_terms())
@@ -138,14 +168,19 @@ class IntPolynomial:
     def __add__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         other = _coerce(other)
         result = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            _accumulate(result, exps, coeff)
+        get = result.get
+        for key, coeff in other._terms.items():
+            new = get(key, 0) + coeff
+            if new:
+                result[key] = new
+            else:
+                del result[key]
         return _raw(result)
 
     __radd__ = __add__
 
     def __neg__(self) -> "IntPolynomial":
-        return _raw({e: -c for e, c in self._terms.items()})
+        return _raw({key: -coeff for key, coeff in self._terms.items()})
 
     def __sub__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         return self + (-_coerce(other))
@@ -155,13 +190,14 @@ class IntPolynomial:
 
     def __mul__(self, other: "IntPolynomial | int") -> "IntPolynomial":
         other = _coerce(other)
-        result: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                # The sum of two trimmed exponent tuples is already trimmed.
-                prod = tuple(a + b for a, b in zip_longest(e1, e2, fillvalue=0))
-                _accumulate(result, prod, c1 * c2)
-        return _raw(result)
+        _refuse_carry(self._terms, other._terms)
+        result: dict[int, int] = {}
+        get = result.get
+        for k1, c1 in self._terms.items():
+            for k2, c2 in other._terms.items():
+                key = k1 + k2
+                result[key] = get(key, 0) + c1 * c2
+        return _raw(_nonzero(result))
 
     __rmul__ = __mul__
 
@@ -174,14 +210,15 @@ class IntPolynomial:
         while e:
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
+            if e:  # no square beyond the last bit, which could leave the range
+                base = base * base
         return result
 
     def scale(self, c: int) -> "IntPolynomial":
         if c == 0:
             return ZERO
-        return _raw({e: c * v for e, v in self._terms.items()})
+        return _raw({key: c * coeff for key, coeff in self._terms.items()})
 
     # -- comparisons -------------------------------------------------------
 
@@ -198,31 +235,29 @@ class IntPolynomial:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
+        ordered = sorted(_graded(self._terms), reverse=True)
+        table = _factor_table(self.nvars, max(b"".join([exps for _, exps, _ in ordered]), default=0))
         pieces: list[str] = []
-        for exps, coeff in self.sorted_terms():
-            factors = [
-                ("x%d" % (i + 1)) + ("" if e == 1 else "^%d" % e)
-                for i, e in enumerate(exps)
-                if e != 0
-            ]
-            magnitude = abs(coeff)
-            if not factors:
-                body = str(magnitude)
-            elif magnitude == 1:
-                body = "*".join(factors)
+        for _, exps, coeff in ordered:
+            body = "*".join([row[e] for row, e in zip(table, exps) if e])
+            if coeff < 0:
+                pieces.append(" - ")
+                coeff = -coeff
             else:
-                body = "*".join([str(magnitude)] + factors)
-            if not pieces:
-                pieces.append(body if coeff > 0 else "-" + body)
+                pieces.append(" + ")
+            if coeff == 1:
+                pieces.append(body or "1")
             else:
-                pieces.append((" + " if coeff > 0 else " - ") + body)
-        return "".join(pieces)
+                pieces.append("%d*%s" % (coeff, body) if body else str(coeff))
+        # The first sign is written without its spaces, and "+" not at all.
+        text = "".join(pieces)
+        return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self) -> str:
         return "IntPolynomial(%s)" % str(self)
 
 
-def _raw(terms: dict[tuple[int, ...], int]) -> IntPolynomial:
+def _raw(terms: dict[int, int]) -> IntPolynomial:
     poly = IntPolynomial.__new__(IntPolynomial)
     poly._terms = terms
     return poly
@@ -234,6 +269,23 @@ def _coerce(value: "IntPolynomial | int") -> IntPolynomial:
     if isinstance(value, int):
         return constant(value)
     raise TypeError("cannot coerce %r to IntPolynomial" % (value,))
+
+
+def _refuse_carry(f: dict[int, int], g: dict[int, int]) -> None:
+    # Raise ValueError if some product of a term of f and a term of g has an
+    # exponent above MAX_EXPONENT.  Nothing can when the largest exponents
+    # of f and g sum to at most MAX_EXPONENT.  Otherwise each product is
+    # tested: a byte that overflows carries into the next one and so lowers
+    # the byte sum by 255, so equal byte sums mean no carry.
+    top_f = max(b"".join(map(_exponents, f)), default=0)
+    if top_f + max(b"".join(map(_exponents, g)), default=0) <= MAX_EXPONENT:
+        return
+    degrees = {k2: sum(_exponents(k2)) for k2 in g}
+    for k1 in f:
+        d1 = sum(_exponents(k1))
+        for k2, d2 in degrees.items():
+            if sum(_exponents(k1 + k2)) != d1 + d2:
+                raise ValueError("product has an exponent above %d" % MAX_EXPONENT)
 
 
 ZERO = IntPolynomial()
@@ -248,7 +300,7 @@ def variable(i: int) -> IntPolynomial:
     """The variable x_i (1-based)."""
     if i < 1:
         raise ValueError("variable index must be >= 1")
-    return IntPolynomial({(0,) * (i - 1) + (1,): 1})
+    return _raw({1 << 8 * (i - 1): 1})
 
 
 def monomial(exponents: Iterable[int], coeff: int = 1) -> IntPolynomial:
@@ -264,11 +316,12 @@ def swap_variables(f: IntPolynomial, i: int) -> IntPolynomial:
     if i < 1:
         raise ValueError("generator index must be >= 1")
     # A bijection on monomials: nothing merges, cancels or needs validating.
-    result: dict[tuple[int, ...], int] = {}
-    for exps, coeff in f._terms.items():
-        head, a, b, tail = _read_pair(exps, i)
-        result[_write_pair(head, b, a, tail)] = coeff
-    return _raw(result)
+    # Moving one unit of degree from x_i to x_{i+1} adds `unit` to a key.
+    shift = 8 * (i - 1)
+    unit = 255 << shift
+    return _raw(
+        {key + (((key >> shift) & 255) - ((key >> shift + 8) & 255)) * unit: coeff for key, coeff in f._terms.items()}
+    )
 
 
 def divided_difference(f: IntPolynomial, i: int) -> IntPolynomial:
@@ -287,30 +340,48 @@ def divided_difference(f: IntPolynomial, i: int) -> IntPolynomial:
     """
     if i < 1:
         raise ValueError("generator index must be >= 1")
-    result: dict[tuple[int, ...], int] = {}
-    for exps, coeff in f._terms.items():
-        head, p, q, tail = _read_pair(exps, i)
-        signed = coeff if p > q else -coeff
-        for a in range(min(p, q), max(p, q)):
-            _accumulate(result, _write_pair(head, a, p + q - 1 - a, tail), signed)
-    quotient = _raw(result)
+    shift = 8 * (i - 1)
+    one, unit = 1 << shift, 255 << shift
+    result: dict[int, int] = {}
+    get = result.get
+    for key, coeff in f._terms.items():
+        # The first quotient term is x_i^(max(p,q)-1) x_{i+1}^min(p,q), the
+        # key (or, with p < q, its swap) less x_i; each next term moves one
+        # unit of degree from x_i to x_{i+1}, which adds `unit` to the key.
+        d = ((key >> shift) & 255) - ((key >> shift + 8) & 255)  # p - q
+        if d > 0:
+            key -= one
+        elif d:
+            key, coeff, d = key + d * unit - one, -coeff, -d
+        else:
+            continue
+        for term in range(key, key + d * unit, unit):
+            result[term] = get(term, 0) + coeff
+    quotient = _raw(_nonzero(result))
     if CHECK_DIVIDED_DIFFERENCE:
         _check_quotient(f, i, quotient)
     return quotient
 
 
 def _check_quotient(f: IntPolynomial, i: int, quotient: IntPolynomial) -> None:
-    # f - s_i.f - (x_i - x_{i+1}).quotient, accumulated in one dict, must be empty.
-    remainder: dict[tuple[int, ...], int] = {}
-    for exps, coeff in f._terms.items():
-        head, p, q, tail = _read_pair(exps, i)
-        _accumulate(remainder, exps, coeff)
-        _accumulate(remainder, _write_pair(head, q, p, tail), -coeff)
-    for exps, coeff in quotient._terms.items():
-        head, a, b, tail = _read_pair(exps, i)
-        _accumulate(remainder, _write_pair(head, a + 1, b, tail), -coeff)
-        _accumulate(remainder, _write_pair(head, a, b + 1, tail), coeff)
-    if remainder:
+    # f - s_i.f - (x_i - x_{i+1}).quotient, accumulated in one dict, must
+    # cancel everywhere; terms of f that s_i fixes cancel themselves and are
+    # skipped.  Adding x_i to a key of a wrong quotient may carry, but the
+    # test stays exact: q -> (X^x_i - X^x_{i+1}).q on formal sums of keys is
+    # injective, and the true quotient never carries.
+    shift = 8 * (i - 1)
+    one, up, unit = 1 << shift, 1 << shift + 8, 255 << shift
+    remainder = {key + one: -coeff for key, coeff in quotient._terms.items()}
+    get = remainder.get
+    for key, coeff in quotient._terms.items():
+        remainder[key + up] = get(key + up, 0) + coeff
+    for key, coeff in f._terms.items():
+        d = ((key >> shift) & 255) - ((key >> shift + 8) & 255)
+        if d:
+            swapped = key + d * unit
+            remainder[key] = get(key, 0) + coeff
+            remainder[swapped] = get(swapped, 0) - coeff
+    if any(remainder.values()):
         raise AssertionError("divided difference left a remainder for i=%d on %s" % (i, f))
 
 

@@ -27,7 +27,7 @@ from .permutations import (
     rothe_diagram,
 )
 from .polynomials import IntPolynomial, ZERO, monomial
-from .weak_order import shat_mu
+from .weak_order import refuse_rank, shat_mu
 
 __all__ = [
     "schubert",
@@ -142,6 +142,7 @@ def expand_in_schubert_basis(f: IntPolynomial, n: int) -> SchubertExpansion:
     """
     if n < 1:
         raise ValueError("rank must be at least 1")
+    refuse_rank(n)
     _check_artin_bound(f, n)
     coefficients: dict[Permutation, int] = {}
     residual = f

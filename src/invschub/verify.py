@@ -45,7 +45,7 @@ from .mu_involutions import (
 from .permutations import EnumerationBoundError, Permutation, is_dominant
 from .polynomials import IntPolynomial, ZERO
 from .schubert import SchubertExpansion, expand_in_schubert_basis
-from .weak_order import shat_mu
+from .weak_order import refuse_rank, shat_mu
 
 __all__ = [
     "IdentityReport",
@@ -135,6 +135,7 @@ def verify_involution_identity(tau: Involution) -> IdentityReport:
     >>> str(report.lhs), str(report.rhs)
     ('1', '1')
     """
+    refuse_rank(tau.n)
     if not is_dominant(tau.perm):
         raise ValueError(
             "involution %s in S_%d is not dominant" % (tau.cycles_string(), tau.n)
@@ -169,6 +170,7 @@ def verify_mu_identity(mu: Composition) -> IdentityReport:
     >>> str(verify_mu_identity(parse_composition("1,1,1")).lhs)
     'x1^2*x2'
     """
+    refuse_rank(mu.n)
     reversed_mu = Composition(tuple(reversed(mu.parts)))
     lhs = _atom_sum(atoms_mu_top(reversed_mu))
     rhs = mu_closed_orbit_polynomial(mu)
@@ -197,6 +199,7 @@ def verify_brion_general(
         raise EnumerationBoundError(
             "atom-sum check at rank %d exceeds the bound %d" % (tau.n, max_n)
         )
+    refuse_rank(tau.n)
     lhs = _atom_sum(atoms(tau))
     rhs = inv_schubert(tau)
     subject = "involution %s in S_%d" % (tau.cycles_string(), tau.n)
@@ -215,6 +218,7 @@ def verify_all(n: int, max_n: int = BRUTE_FORCE_BOUND) -> list[IdentityReport]:
         raise EnumerationBoundError(
             "verification sweep at rank %d exceeds the bound %d" % (n, max_n)
         )
+    refuse_rank(n)
     taus = list(involutions(n))
     reports = [verify_brion_general(tau, max_n=max_n) for tau in taus]
     reports += [verify_involution_identity(tau) for tau in taus if is_dominant(tau.perm)]

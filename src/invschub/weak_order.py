@@ -29,8 +29,8 @@ from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterator, Sequence
 
-from .permutations import inversions
-from .polynomials import IntPolynomial, ONE, divided_difference, monomial, variable
+from .permutations import EnumerationBoundError, inversions
+from .polynomials import MAX_EXPONENT, IntPolynomial, ONE, divided_difference, monomial, variable
 
 __all__ = [
     "WeakOrderGraph",
@@ -43,6 +43,8 @@ __all__ = [
     "climb",
     "build_graph",
     "anchor",
+    "MAX_RANK",
+    "refuse_rank",
     "shat_mu",
     "clear_cache",
 ]
@@ -327,6 +329,21 @@ def clear_cache() -> None:
     _CACHE.clear()
 
 
+# The anchor of rank n holds x1^(n-1), and no monomial holds an exponent
+# above MAX_EXPONENT.
+MAX_RANK = MAX_EXPONENT + 1
+
+
+def refuse_rank(n: int) -> None:
+    """Raise EnumerationBoundError when rank n is above MAX_RANK, before
+    any polynomial work at that rank starts."""
+    if n > MAX_RANK:
+        raise EnumerationBoundError(
+            "rank %d exceeds the limit %d: its anchor needs x1^%d, and exponents stop at %d"
+            % (n, MAX_RANK, n - 1, MAX_EXPONENT)
+        )
+
+
 def anchor(nu: Word) -> IntPolynomial:
     """Shat^mu at w0: the closed-orbit product of the REVERSED composition.
     Block [lo, hi) of nu lands on positions n-hi+1 .. n-lo, each carrying
@@ -367,7 +384,8 @@ def shat_mu(word: Word, nu: Word) -> IntPolynomial:
     """Shat^mu of the mu-involution ``word`` cut at ``nu``: climb the
     ``_greedy_moves`` up to the first cached node or w0 (worth
     ``anchor(nu)``), then apply d_i back down, caching every node of the
-    chain under (nu, word)."""
+    chain under (nu, word).  Ranks above MAX_RANK are refused."""
+    refuse_rank(nu[-1])
     top = tuple(range(nu[-1], 0, -1))
     moves = _greedy_moves(word, nu)
     below: list[tuple[Word, int]] = []

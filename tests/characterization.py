@@ -26,11 +26,16 @@ read position by position, stand apart from the slicing behind
 ``weak_le`` walks up the weak order by the engine's own action, so it is
 the oracle for empty relative-atom sets: the walk down that builds them
 must come up empty exactly when the walk up misses.
+
+The tuple kernel (s_i, d_i with its zero-remainder check, and the product)
+works on the public exponent tuples of ``IntPolynomial.terms`` and builds
+its results through the public constructor, so it stands apart from the
+packed monomial keys inside ``invschub.polynomials``.
 """
 
 from __future__ import annotations
 
-from itertools import accumulate, permutations
+from itertools import accumulate, permutations, zip_longest
 from typing import Sequence
 
 from invschub.involutions import Involution
@@ -252,3 +257,84 @@ def schubert_by_definition(w: Permutation) -> IntPolynomial:
     for i in reversed(reduced_word(w.inverse() * longest(w.n))):
         poly = divided_difference(poly, i)
     return poly
+
+
+# ---------------------------------------------------------------------------
+# The tuple kernel: monomials as trimmed exponent tuples
+# ---------------------------------------------------------------------------
+
+
+def _accumulate(terms: dict[Word, int], key: Word, coeff: int) -> None:
+    # Add coeff to the term at key; a term that cancels is dropped.
+    new = terms.get(key, 0) + coeff
+    if new:
+        terms[key] = new
+    else:
+        terms.pop(key, None)
+
+
+def _read_pair(exponents: Word, i: int) -> tuple:
+    # (head, e_i, e_{i+1}, tail) of a trimmed monomial padded through x_{i+1}.
+    padded = exponents + (0,) * (i + 1 - len(exponents))
+    return padded[: i - 1], padded[i - 1], padded[i], padded[i + 1 :]
+
+
+def _trim(exponents: Word) -> Word:
+    end = len(exponents)
+    while end > 0 and exponents[end - 1] == 0:
+        end -= 1
+    return exponents[:end]
+
+
+def _write_pair(head: Word, a: int, b: int, tail: Word) -> Word:
+    # head * x_i^a x_{i+1}^b * tail, trimmed; a non-empty tail ends non-zero.
+    return head + (a, b) + tail if tail else _trim(head + (a, b))
+
+
+def tuple_swap_variables(f: IntPolynomial, i: int) -> IntPolynomial:
+    """s_i . f on exponent tuples."""
+    result: dict[Word, int] = {}
+    for exps, coeff in f.terms.items():
+        head, a, b, tail = _read_pair(exps, i)
+        result[_write_pair(head, b, a, tail)] = coeff
+    return IntPolynomial(result)
+
+
+def tuple_product(f: IntPolynomial, g: IntPolynomial) -> IntPolynomial:
+    """f * g on exponent tuples, summed position by position."""
+    result: dict[Word, int] = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            prod = tuple(a + b for a, b in zip_longest(e1, e2, fillvalue=0))
+            _accumulate(result, prod, c1 * c2)
+    return IntPolynomial(result)
+
+
+def tuple_divided_difference(f: IntPolynomial, i: int) -> IntPolynomial:
+    """d_i(f) from the telescoping identity on exponent tuples, checked by
+    ``tuple_check_quotient``."""
+    result: dict[Word, int] = {}
+    for exps, coeff in f.terms.items():
+        head, p, q, tail = _read_pair(exps, i)
+        signed = coeff if p > q else -coeff
+        for a in range(min(p, q), max(p, q)):
+            _accumulate(result, _write_pair(head, a, p + q - 1 - a, tail), signed)
+    quotient = IntPolynomial(result)
+    tuple_check_quotient(f, i, quotient)
+    return quotient
+
+
+def tuple_check_quotient(f: IntPolynomial, i: int, quotient: IntPolynomial) -> None:
+    """f - s_i.f - (x_i - x_{i+1}).quotient, accumulated in one dict of
+    exponent tuples, must be empty."""
+    remainder: dict[Word, int] = {}
+    for exps, coeff in f.terms.items():
+        head, p, q, tail = _read_pair(exps, i)
+        _accumulate(remainder, exps, coeff)
+        _accumulate(remainder, _write_pair(head, q, p, tail), -coeff)
+    for exps, coeff in quotient.terms.items():
+        head, a, b, tail = _read_pair(exps, i)
+        _accumulate(remainder, _write_pair(head, a + 1, b, tail), -coeff)
+        _accumulate(remainder, _write_pair(head, a, b + 1, tail), coeff)
+    if remainder:
+        raise AssertionError("divided difference left a remainder for i=%d on %s" % (i, f))

@@ -17,6 +17,7 @@ import pytest
 from invschub import cli
 from invschub.mu_involutions import parse_composition, parse_mu_involution
 from invschub.verify import IdentityReport, verify_mu_identity
+from invschub import weak_order
 from invschub.weak_order import clear_cache
 
 
@@ -488,6 +489,8 @@ BAD_INVOCATIONS = [
     ["expand", "-f", "x2000000", "-n", "3"],
     ["expand", "-f", "0", "-n", "-5", "--format", "json"],
     ["expand", "-f", "0", "-n", "0"],
+    ["expand", "-f", "x1^256", "-n", "3"],
+    ["expand", "-f", "x1^300", "-n", "400"],
 ]
 
 
@@ -510,6 +513,47 @@ def test_exit_code_two_on_enumeration_bound(capsys) -> None:
     rc, out, err = run_cli(capsys, ["atoms", "-t", "(1,8)", "-n", "8", "--bruteforce"])
     assert rc == 2
     assert err == "error: brute force over S_8 exceeds the bound 7\n"
+
+
+LETTERS_257 = ",".join(str(k) for k in range(1, 258))
+
+# Each argv with the rank it asks for, above the 256 that monomials can hold.
+UNREPRESENTABLE_RANKS = [
+    (["schubert", "-w", "[%s]" % LETTERS_257], 257),
+    (["expand", "-f", "1", "-n", "300"], 300),
+    (["inv-schubert", "-t", "id", "-n", "257"], 257),
+    (["mu-schubert", "-m", "257", "-p", LETTERS_257], 257),
+    (["verify", "--dominant-involution", "id", "-n", "257"], 257),
+    (["verify", "--mu", "200,57"], 257),
+    (["verify", "--all-n", "300", "--max-n", "300"], 300),
+]
+
+
+def test_ranks_above_256_are_refused_before_any_work(capsys) -> None:
+    clear_cache()
+    for argv, n in UNREPRESENTABLE_RANKS:
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 2, argv
+        assert out == "", argv
+        assert err.splitlines()[-1] == (
+            "error: rank %d exceeds the limit 256: its anchor needs x1^%d, and exponents stop at 255" % (n, n - 1)
+        ), argv
+    assert weak_order._CACHE == {}
+    # Rank 256 is not refused: its staircase anchor tops out at x1^255.
+    rc, out, err = run_cli(capsys, ["schubert", "-w", "[%s]" % ",".join(str(k) for k in range(256, 0, -1))])
+    assert rc == 0 and err == ""
+    assert out.startswith("x1^255*x2^254*x3^253*") and out.endswith("*x254^2*x255\n")
+
+
+def test_an_exponent_above_255_is_one_line_without_a_traceback() -> None:
+    proc = subprocess.run(
+        [sys.executable, "-m", "invschub", "expand", "-f", "x1^300", "-n", "400"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: exponent 300 of x1 is outside 0..255\n"
 
 
 def test_max_n_override_warns_and_succeeds(capsys) -> None:

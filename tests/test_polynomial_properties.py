@@ -1,0 +1,58 @@
+"""Property tests of the polynomial kernel against the tuple oracle, on
+random polynomials whose exponents span the whole range 0..255."""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from characterization import tuple_divided_difference, tuple_product, tuple_swap_variables
+from invschub.polynomials import (
+    MAX_EXPONENT,
+    IntPolynomial,
+    divided_difference,
+    parse_polynomial,
+    swap_variables,
+)
+
+# Small exponents mixed in, so that some products stay in range.
+exponents = st.one_of(st.integers(0, 3), st.integers(0, MAX_EXPONENT))
+exponent_vectors = st.lists(exponents, max_size=6).map(tuple)
+polynomials = st.dictionaries(
+    exponent_vectors, st.integers(-10**6, 10**6).filter(bool), max_size=8
+).map(IntPolynomial)
+generators = st.integers(1, 6)
+
+
+@settings(deadline=None)
+@given(polynomials)
+def test_printed_polynomials_parse_back(f):
+    assert parse_polynomial(str(f)) == f
+
+
+@settings(deadline=None)
+@given(polynomials, generators)
+def test_divided_difference_and_swap_agree_with_the_oracle(f, i):
+    assert divided_difference(f, i) == tuple_divided_difference(f, i)
+    assert swap_variables(f, i) == tuple_swap_variables(f, i)
+
+
+@settings(deadline=None)
+@given(polynomials, polynomials)
+def test_product_agrees_with_the_oracle_or_refuses_a_carry(f, g):
+    # A product of two terms with an exponent above 255 is refused, even
+    # where its coefficient would cancel.
+    if any(a + b > MAX_EXPONENT for e1 in f.terms for e2 in g.terms for a, b in zip(e1, e2)):
+        with pytest.raises(ValueError, match="above 255"):
+            f * g
+    else:
+        assert f * g == tuple_product(f, g)
+
+
+@settings(deadline=None)
+@given(polynomials.filter(lambda f: not f.is_zero()))
+def test_trailing_term_is_the_graded_lex_minimum(f):
+    terms = f.terms
+    exps = min(terms, key=lambda e: (sum(e), e))
+    assert f.trailing_term() == (exps, terms[exps])

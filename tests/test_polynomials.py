@@ -7,7 +7,15 @@ import random
 
 import pytest
 
+from characterization import (
+    tuple_check_quotient,
+    tuple_divided_difference,
+    tuple_product,
+    tuple_swap_variables,
+)
 from invschub import polynomials
+from invschub.involutions import inv_schubert, involutions
+from invschub.permutations import all_permutations
 from invschub.polynomials import (
     IntPolynomial,
     ONE,
@@ -19,6 +27,7 @@ from invschub.polynomials import (
     swap_variables,
     variable,
 )
+from invschub.schubert import schubert
 
 
 def rand_poly(rng: random.Random, nvars: int = 4, terms: int = 5, maxdeg: int = 3) -> IntPolynomial:
@@ -206,3 +215,69 @@ def test_zero_remainder_check_rejects_a_wrong_quotient(monkeypatch):
     monkeypatch.setattr(polynomials, "_check_quotient", lambda *args: checked.append(args))
     result = divided_difference(f, 2)
     assert checked == [(f, 2, result)]
+
+
+def _assert_kernel_matches_oracle(f: IntPolynomial, i: int, g: IntPolynomial) -> None:
+    quotient = divided_difference(f, i)
+    assert quotient == tuple_divided_difference(f, i)
+    tuple_check_quotient(f, i, quotient)
+    assert swap_variables(f, i) == tuple_swap_variables(f, i)
+    assert f * g == tuple_product(f, g)
+
+
+def test_packed_kernel_equals_tuple_oracle_on_random_polynomials():
+    rng = random.Random(2002)
+    for _ in range(40):
+        f = rand_poly(rng, nvars=6)
+        g = rand_poly(rng, nvars=6, terms=3)
+        for i in range(1, 6):
+            _assert_kernel_matches_oracle(f, i, g)
+
+
+def test_packed_kernel_equals_tuple_oracle_on_chain_nodes():
+    # Once every S_w of S_n and every Shat_tau of I_n is computed, these are
+    # all the chain nodes that schubert and inv_schubert cache.
+    for n in range(1, 7):
+        nodes = [schubert(w) for w in all_permutations(n)]
+        nodes += [inv_schubert(tau) for tau in involutions(n)]
+        for f in nodes:
+            for i in range(1, n + 1):
+                _assert_kernel_matches_oracle(f, i, variable(i) - variable(i + 1))
+
+
+def test_exponents_above_255_are_refused_where_they_enter():
+    for build in (
+        lambda: monomial((256,)),
+        lambda: IntPolynomial({(0, 300): 1}),
+        lambda: parse_polynomial("x1^256"),
+        lambda: parse_polynomial("x1^200*x1^100"),
+        lambda: monomial((1, -1)),
+    ):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert "\n" not in str(caught.value)
+    assert "x2" in str(pytest.raises(ValueError, IntPolynomial, {(0, 300): 1}).value)
+    top = monomial((255, 0, 255))
+    assert top.terms == {(255, 0, 255): 1}
+    assert str(top) == "x1^255*x3^255"
+    assert parse_polynomial(str(top)) == top
+
+
+def test_products_refuse_a_carry_into_the_next_variable():
+    x1, x2 = variable(1), variable(2)
+    with pytest.raises(ValueError, match="above 255"):
+        x1 ** 200 * x1 ** 100
+    with pytest.raises(ValueError, match="above 255"):
+        x1 ** 256
+    with pytest.raises(ValueError, match="above 255"):
+        (x1 + x2) ** 200 * (x1 ** 56 + x2 ** 100)
+    assert x1 ** 200 * x2 ** 200 == monomial((200, 200))
+    assert x1 ** 255 == monomial((255,))
+    assert (x1 ** 100 + x2) * x1 ** 155 == monomial((255,)) + monomial((155, 1))
+
+
+def test_coefficient_of_an_unrepresentable_monomial_is_zero():
+    f = variable(1) + 3
+    assert f.coefficient((0,)) == 3
+    assert f.coefficient((300,)) == 0
+    assert f.coefficient((1, -1)) == 0
