@@ -50,6 +50,7 @@ from .permutations import (
 from .polynomials import IntPolynomial, parse_polynomial
 from .schubert import expand_in_schubert_basis, schubert
 from .verify import (
+    VERIFY_BOUND,
     IdentityReport,
     verify_all,
     verify_involution_identity,
@@ -156,7 +157,7 @@ def _passed(report: IdentityReport) -> bool:
 
 def _cmd_verify(args: argparse.Namespace) -> Output:
     if args.all_n is not None:
-        reports = verify_all(args.all_n, max_n=_bound(args, BRUTE_FORCE_BOUND))
+        reports = verify_all(args.all_n, max_n=_bound(args, VERIFY_BOUND))
 
         def text() -> str:
             lines = ["%s %s" % ("ok" if _passed(r) else "FAIL", r.subject) for r in reports]

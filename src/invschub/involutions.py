@@ -17,10 +17,12 @@ and words act rightmost generator first, so
 m(s_{i_1} ... s_{i_l}) . tau = m(s_{i_1}) . ( ... (m(s_{i_l}) . tau)).
 
 Atoms of tau are the minimal-length w with m(w) . id = tau; their common
-length is the involution length lhat(tau) = #Dhat(tau).  Atoms and relative
-atoms come from the engine's walk down the weak order (``atom_words``), not
-from a scan of S_n; the tests check them against the definitional brute
-force and the closed characterization on the inverse of each candidate.
+length is the involution length lhat(tau) = #Dhat(tau).  Atoms are one
+atom from the engine's chain down to the identity, closed under the moves
+cab <-> bca (``involution_atom_words``); relative atoms come from the
+engine's walk down the weak order (``atom_words``).  Neither scans S_n; the
+tests check both against the definitional brute force and the closed
+characterization on the inverse of each candidate.
 """
 
 from __future__ import annotations
@@ -48,7 +50,15 @@ from .permutations import (
 )
 from .polynomials import IntPolynomial
 from .weak_order import (
-    WeakOrderGraph, act, act_word, anchor, atom_words, build_graph, climb, shat_mu
+    WeakOrderGraph,
+    act,
+    act_word,
+    anchor,
+    atom_words,
+    build_graph,
+    climb,
+    involution_atom_words,
+    shat_mu,
 )
 
 __all__ = [
@@ -263,12 +273,13 @@ def weak_order_graph(n: int, max_n: int = POSET_RANK_BOUND) -> WeakOrderGraph:
 
 
 def atoms(tau: Involution) -> frozenset[Permutation]:
-    """The atom set A(tau), by the weak-order recursion of the engine.
+    """The atom set A(tau): one atom from the engine's chain down to the
+    identity, closed under the moves cab <-> bca, a < b < c.
 
     >>> sorted(w.compact() for w in atoms(parse_involution("(1,5)(2,3)", 5)))
     ['32451', '32514', '35124', '51324']
     """
-    return relative_atoms(identity_involution(tau.n), tau)
+    return frozenset(map(Permutation, involution_atom_words(tau.oneline)))
 
 
 def atoms_bruteforce(

@@ -9,9 +9,9 @@ mu_k, has every block standardizing to an involution.  Blocks are written
 pipe-separated, e.g. "586|21|743" for mu = (3,2,3).
 
 This module stands on the weak-order engine alone: the monoid action, the
-rank lhat_mu, the weak-order graph, the atom walk and the polynomial
-descent are :mod:`invschub.weak_order`, which works on the one-line tuple
-and the prefix sums ``Composition.nu``.  Involutions are the case mu = (n),
+rank lhat_mu, the weak-order graph, the atoms of each block's w0 and the
+polynomial descent are :mod:`invschub.weak_order`, which works on the
+one-line tuple and the prefix sums ``Composition.nu``.  Involutions are the case mu = (n),
 so :mod:`invschub.involutions` builds on this module and shares its
 resource bounds, its diagram product and its definitional brute force.
 """
@@ -25,15 +25,23 @@ from typing import Iterable, Iterator, Sequence
 from .permutations import (
     EnumerationBoundError,
     Permutation,
-    all_permutations,
     identity,
+    inversions,
     longest,
     reduced_word,
     rothe_diagram,
 )
 from .polynomials import IntPolynomial, ONE, variable
 from .weak_order import (
-    WeakOrderGraph, act, act_word, atom_words, build_graph, climb, count, lhat_mu, shat_mu
+    WeakOrderGraph,
+    act,
+    act_word,
+    build_graph,
+    climb,
+    count,
+    involution_atom_words,
+    lhat_mu,
+    shat_mu,
 )
 
 __all__ = [
@@ -352,7 +360,7 @@ def atoms_mu_top(mu: Composition) -> frozenset[Permutation]:
     block_options = []
     for lo, hi in zip(nu, nu[1:]):
         m = hi - lo
-        block_atoms = atom_words(tuple(range(m, 0, -1)), tuple(range(1, m + 1)), (0, m))
+        block_atoms = involution_atom_words(tuple(range(m, 0, -1)))
         block_options.append([tuple(x + n - hi for x in w) for w in block_atoms])
     return frozenset(
         Permutation(x for block in combo for x in block)
@@ -373,7 +381,8 @@ def atoms_mu_bruteforce(
 
     ``candidates`` restricts the search space (the filter stays exhaustive
     over whatever is supplied); without it, all of S_n is scanned, subject
-    to the bound.
+    to the bound, as raw tuples: only those of length ``gap`` become a
+    ``Permutation`` and go through the action.
     """
     if target.mu != base.mu:
         raise ValueError("composition mismatch")
@@ -382,15 +391,17 @@ def atoms_mu_bruteforce(
             raise EnumerationBoundError(
                 "brute force over S_%d exceeds the bound %d" % (target.n, max_n)
             )
-        candidates = all_permutations(target.n)
+        words = itertools.permutations(range(1, target.n + 1))
+    else:
+        words = (w.oneline for w in candidates)
     nu = target.mu.nu
     gap = lhat_mu(target.oneline, nu) - lhat_mu(base.oneline, nu)
     if gap < 0:
         return frozenset()
     return frozenset(
         w
-        for w in candidates
-        if w.length() == gap and act_word(reduced_word(w), base.oneline, nu) == target.oneline
+        for w in map(Permutation, (word for word in words if inversions(word) == gap))
+        if act_word(reduced_word(w), base.oneline, nu) == target.oneline
     )
 
 

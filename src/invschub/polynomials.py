@@ -36,6 +36,8 @@ x1*x2
 from __future__ import annotations
 
 import re
+from heapq import heapify, heappop, heappush
+from operator import gt
 from typing import Iterable, Iterator, Mapping
 
 __all__ = [
@@ -50,6 +52,8 @@ __all__ = [
     "parse_polynomial",
     "CHECK_DIVIDED_DIFFERENCE",
     "MAX_EXPONENT",
+    "Residual",
+    "equals_sum",
 ]
 
 # When True, every divided difference asserts that its quotient q leaves no
@@ -383,6 +387,93 @@ def _check_quotient(f: IntPolynomial, i: int, quotient: IntPolynomial) -> None:
             remainder[swapped] = get(swapped, 0) - coeff
     if any(remainder.values()):
         raise AssertionError("divided difference left a remainder for i=%d on %s" % (i, f))
+
+
+class Residual:
+    """A polynomial being peeled from the bottom: f less integer multiples
+    of other polynomials, subtracted in place term by term, with its
+    graded-lex minimal term at hand.  A heap of (degree, exponent bytes,
+    key) holds every key that has entered; a key that has cancelled since
+    is dropped when it reaches the top.
+
+    Loading f decodes each of its keys once, and in the same pass refuses,
+    with ValueError, a monomial outside the Artin bound a_i <= n - i, the
+    span of the Schubert polynomials of S_n.
+
+    >>> r = Residual(variable(1) * variable(1) + variable(2), 3)
+    >>> r.trailing_term()
+    ((0, 1), 1)
+    >>> r.subtract(variable(2) - variable(1), 1)
+    >>> r.trailing_term()
+    ((1,), 1)
+    """
+
+    __slots__ = ("_terms", "_heap")
+
+    def __init__(self, f: IntPolynomial, n: int):
+        bound = range(n - 1, -1, -1)
+        heap = []
+        for key in f._terms:
+            exps = key.to_bytes((key.bit_length() + 7) >> 3, "little")
+            if len(exps) > n or any(map(gt, exps, bound)):
+                _refuse_artin(exps, n)
+            heap.append((sum(exps), exps, key))
+        heapify(heap)
+        self._terms = dict(f._terms)
+        self._heap = heap
+
+    def trailing_term(self) -> tuple[tuple[int, ...], int] | None:
+        """The graded-lex minimal monomial and its coefficient; None once
+        everything has cancelled."""
+        terms, heap = self._terms, self._heap
+        while heap and heap[0][2] not in terms:
+            heappop(heap)
+        if not heap:
+            return None
+        _, exps, key = heap[0]
+        return tuple(exps), terms[key]
+
+    def subtract(self, g: IntPolynomial, c: int) -> None:
+        """Subtract c * g in place, for c != 0."""
+        terms, heap = self._terms, self._heap
+        get = terms.get
+        for key, coeff in g._terms.items():
+            old = get(key)
+            if old is None:
+                terms[key] = -c * coeff
+                exps = key.to_bytes((key.bit_length() + 7) >> 3, "little")
+                heappush(heap, (sum(exps), exps, key))
+            elif old == c * coeff:
+                del terms[key]
+            else:
+                terms[key] = old - c * coeff
+
+
+def _refuse_artin(exps: bytes, n: int) -> None:
+    if len(exps) > n:
+        raise ValueError(
+            "monomial with x%d^%d uses more than %d variables" % (len(exps), exps[-1], n)
+        )
+    i, e = next((i, e) for i, e in enumerate(exps, start=1) if e > n - i)
+    raise ValueError(
+        "monomial with x%d^%d violates the Artin bound a_%d <= %d for n=%d"
+        % (i, e, i, n - i, n)
+    )
+
+
+def equals_sum(f: IntPolynomial, parts: Iterable[tuple[int, IntPolynomial]]) -> bool:
+    """True iff f is the sum of c * g over ``parts``: f less every c * g,
+    accumulated term by term in one dict, must cancel everywhere.
+
+    >>> equals_sum(variable(1) + variable(1), [(2, variable(1))])
+    True
+    """
+    remainder = dict(f._terms)
+    get = remainder.get
+    for c, g in parts:
+        for key, coeff in g._terms.items():
+            remainder[key] = get(key, 0) - c * coeff
+    return not any(remainder.values())
 
 
 _TERM_RE = re.compile(

@@ -15,7 +15,8 @@ it by moving diagram cells to strictly smaller row indices, which increases
 the monomial), so repeatedly reading off the trailing monomial of the
 residual, converting it to a permutation through the inverse Lehmer code and
 subtracting recovers the coefficients; each step only disturbs monomials
-strictly above the one it clears, hence the loop terminates.
+strictly above the one it clears, hence the loop terminates.  The residual
+is one ``Residual`` of the polynomial kernel, peeled in place.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .permutations import (
     permutation_from_code,
     rothe_diagram,
 )
-from .polynomials import IntPolynomial, ZERO, monomial
+from .polynomials import IntPolynomial, Residual, ZERO, equals_sum, monomial
 from .weak_order import refuse_rank, shat_mu
 
 __all__ = [
@@ -115,26 +116,13 @@ class SchubertExpansion:
         return "SchubertExpansion(%s)" % str(self)
 
 
-def _check_artin_bound(f: IntPolynomial, n: int) -> None:
-    # Monomials are trimmed, so the last exponent of each is non-zero.
-    for exps in f.terms:
-        if len(exps) > n:
-            raise ValueError(
-                "monomial with x%d^%d uses more than %d variables" % (len(exps), exps[-1], n)
-            )
-        for i, e in enumerate(exps, start=1):
-            if e > n - i:
-                raise ValueError(
-                    "monomial with x%d^%d violates the Artin bound a_%d <= %d for n=%d"
-                    % (i, e, i, n - i, n)
-                )
-
-
 def expand_in_schubert_basis(f: IntPolynomial, n: int) -> SchubertExpansion:
     """Write f as an integer combination of S_w, w in S_n.
 
-    Every monomial of f must satisfy the Artin bound a_i <= n - i.  The
-    reconstruction identity is asserted before returning.
+    Every monomial of f must satisfy the Artin bound a_i <= n - i, checked
+    as f is loaded into the residual.  The reconstruction identity is
+    asserted before returning: f less c * S_w for every coefficient c of
+    the expansion, accumulated term by term, must cancel.
 
     >>> exp = expand_in_schubert_basis(monomial((2,)) + monomial((1, 1)), 3)
     >>> sorted((str(w), c) for w, c in exp.coefficients.items())
@@ -143,17 +131,15 @@ def expand_in_schubert_basis(f: IntPolynomial, n: int) -> SchubertExpansion:
     if n < 1:
         raise ValueError("rank must be at least 1")
     refuse_rank(n)
-    _check_artin_bound(f, n)
+    residual = Residual(f, n)
     coefficients: dict[Permutation, int] = {}
-    residual = f
-    while not residual.is_zero():
-        exps, coeff = residual.trailing_term()
-        padded = exps + (0,) * (n - len(exps))
-        w = permutation_from_code(padded)
+    while (term := residual.trailing_term()) is not None:
+        exps, coeff = term
+        w = permutation_from_code(exps + (0,) * (n - len(exps)))
         coefficients[w] = coefficients.get(w, 0) + coeff
-        residual = residual - schubert(w).scale(coeff)
+        residual.subtract(schubert(w), coeff)
     expansion = SchubertExpansion(coefficients)
-    if expansion.reconstruct() != f:
+    if not equals_sum(f, [(c, schubert(w)) for w, c in expansion.coefficients.items()]):
         raise AssertionError("Schubert expansion failed to reconstruct input")
     return expansion
 

@@ -38,6 +38,7 @@ __all__ = [
     "act_word",
     "lower",
     "atom_words",
+    "involution_atom_words",
     "lhat_mu",
     "count",
     "climb",
@@ -133,6 +134,52 @@ def atom_words(target: Word, base: Word, nu: Word) -> frozenset[Word]:
         return memo[word]
 
     return walk(target, lhat_mu(target, nu))
+
+
+def involution_atom_words(target: Word) -> frozenset[Word]:
+    """A(target) for an involution word, base = id: ``atom_words(target,
+    id, (0, n))`` in time linear in the answer.  One atom comes from the
+    greedy ``lower`` chain down to the identity, with s_i applied from the
+    bottom up; each s_i must lengthen the word, or AssertionError is
+    raised.  The rest are its closure under the moves cab <-> bca,
+    a < b < c, on three consecutive letters (Hamaker-Marberg-Pawlowski,
+    "Involution words II", arXiv:1601.02269).  The moves do not generate
+    relative atoms or the atoms of several blocks; ``atom_words`` does.
+
+    >>> sorted(involution_atom_words((3, 2, 1)))
+    [(2, 3, 1), (3, 1, 2)]
+    """
+    n, word, chain = len(target), target, []
+    while True:  # down to the one word with no descent, the identity
+        for i in range(1, n):
+            below = lower(i, word, (0, n))
+            if below is not None:
+                chain.append(i)
+                word = below
+                break
+        else:
+            break
+    seed = list(range(1, n + 1))
+    for i in reversed(chain):
+        p, q = seed.index(i), seed.index(i + 1)
+        if p > q:
+            raise AssertionError("s_%d w is shorter than w = %r" % (i, tuple(seed)))
+        seed[p], seed[q] = i + 1, i
+    found = {tuple(seed)}
+    queue = list(found)
+    for w in queue:  # grows behind the loop
+        for j in range(len(w) - 2):
+            x, y, z = w[j : j + 3]
+            if y < z < x:  # cab -> bca
+                image = w[:j] + (z, x, y) + w[j + 3 :]
+            elif z < x < y:  # bca -> cab
+                image = w[:j] + (y, z, x) + w[j + 3 :]
+            else:
+                continue
+            if image not in found:
+                found.add(image)
+                queue.append(image)
+    return frozenset(found)
 
 
 def lhat_mu(word: Word, nu: Word) -> int:

@@ -8,7 +8,10 @@ and the cycles of tau are read once per call; the scan runs over v itself
 inverted.
 
 Triangular elimination against the whole basis of S_n stands apart from
-the trailing-term peel of ``expand_in_schubert_basis``.
+the trailing-term peel of ``expand_in_schubert_basis``.  The same peel with
+a fresh residual per step, the trailing term read off the whole residual
+each time and the Artin bound checked in a pass of its own, is the oracle
+for the one accumulator that ``expand_in_schubert_basis`` peels in place.
 
 The definition S_w = d_{w^-1 w0} x^delta, along one reduced word, stands
 apart from the weak-order engine behind ``schubert``: it imports nothing
@@ -47,6 +50,7 @@ from invschub.permutations import (
     code,
     identity,
     longest,
+    permutation_from_code,
     reduced_word,
 )
 from invschub.polynomials import IntPolynomial, divided_difference, monomial
@@ -248,6 +252,38 @@ def expand_by_elimination(f: IntPolynomial, n: int) -> SchubertExpansion:
     if not residual.is_zero():
         raise AssertionError("elimination left a nonzero residual %s" % residual)
     return SchubertExpansion(coefficients)
+
+
+def _check_artin_bound(f: IntPolynomial, n: int) -> None:
+    # Monomials are trimmed, so the last exponent of each is non-zero.
+    for exps in f.terms:
+        if len(exps) > n:
+            raise ValueError(
+                "monomial with x%d^%d uses more than %d variables" % (len(exps), exps[-1], n)
+            )
+        for i, e in enumerate(exps, start=1):
+            if e > n - i:
+                raise ValueError(
+                    "monomial with x%d^%d violates the Artin bound a_%d <= %d for n=%d"
+                    % (i, e, i, n - i, n)
+                )
+
+
+def expand_by_peeling(f: IntPolynomial, n: int) -> SchubertExpansion:
+    """f in the Schubert basis of S_n by peeling a fresh residual each step:
+    residual - c * S_w, with w read off the residual's trailing monomial."""
+    _check_artin_bound(f, n)
+    coefficients: dict[Permutation, int] = {}
+    residual = f
+    while not residual.is_zero():
+        exps, coeff = residual.trailing_term()
+        w = permutation_from_code(exps + (0,) * (n - len(exps)))
+        coefficients[w] = coefficients.get(w, 0) + coeff
+        residual = residual - schubert(w).scale(coeff)
+    expansion = SchubertExpansion(coefficients)
+    if expansion.reconstruct() != f:
+        raise AssertionError("Schubert expansion failed to reconstruct input")
+    return expansion
 
 
 def schubert_by_definition(w: Permutation) -> IntPolynomial:

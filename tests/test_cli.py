@@ -514,6 +514,12 @@ def test_exit_code_two_on_enumeration_bound(capsys) -> None:
     assert rc == 2
     assert err == "error: brute force over S_8 exceeds the bound 7\n"
 
+    # verify has its own bound, above the brute-force one.
+    rc, out, err = run_cli(capsys, ["verify", "--all-n", "9", "--format", "text"])
+    assert rc == 2
+    assert out == ""
+    assert err == "error: verification sweep at rank 9 exceeds the bound 8\n"
+
 
 LETTERS_257 = ",".join(str(k) for k in range(1, 258))
 

@@ -240,7 +240,7 @@ def test_atoms_identity_and_simple():
 
 
 def test_atoms_recursion_equals_bruteforce():
-    # The weak-order recursion and the definitional search agree on every
+    # The move closure and the definitional search agree on every
     # involution up to rank 5; any divergence is reported, not patched.
     for n in range(1, 6):
         for tau in involutions(n):
@@ -250,8 +250,8 @@ def test_atoms_recursion_equals_bruteforce():
 
 
 def test_atoms_recursion_equals_characterization():
-    # The closed characterization scans S_n independently of the recursion:
-    # all of I_6, and every dominant involution of I_7.
+    # The closed characterization scans S_n independently of the move
+    # closure: all of I_6, and every dominant involution of I_7.
     cases = list(involutions(6)) + [t for t in involutions(7) if is_dominant(t.perm)]
     for tau in cases:
         fast = {w.oneline for w in atoms(tau)}
@@ -260,8 +260,10 @@ def test_atoms_recursion_equals_characterization():
 
 def test_longest_involution_atom_counts():
     # |A(w0)| = (n-1)!!, an independent count, beyond the reach of any scan.
-    counts = [len(atoms(longest_involution(n))) for n in range(1, 10)]
-    assert counts == [1, 1, 2, 3, 8, 15, 48, 105, 384]
+    # Rank by rank, so that a closure that overshoots stops at the first.
+    counts = [1, 1, 2, 3, 8, 15, 48, 105, 384, 945, 3840, 10395]
+    for n, expected in enumerate(counts, start=1):
+        assert len(atoms(longest_involution(n))) == expected, n
 
 
 def test_atoms_definition_properties():

@@ -5,7 +5,9 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from characterization import expand_by_elimination, schubert_by_definition
+from characterization import expand_by_elimination, expand_by_peeling, schubert_by_definition
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from invschub.permutations import (
     Permutation,
@@ -16,7 +18,17 @@ from invschub.permutations import (
     longest,
     parse_permutation,
 )
-from invschub.polynomials import ONE, ZERO, divided_difference, monomial, parse_polynomial, variable
+from invschub.polynomials import (
+    MAX_EXPONENT,
+    ONE,
+    ZERO,
+    IntPolynomial,
+    Residual,
+    divided_difference,
+    monomial,
+    parse_polynomial,
+    variable,
+)
 from invschub.schubert import (
     SchubertExpansion,
     expand_in_schubert_basis,
@@ -124,6 +136,73 @@ def test_expand_peel_equals_solve():
         b = expand_by_elimination(f, 4)
         assert a == b
         assert a.reconstruct() == f
+
+
+def test_expand_equals_the_copying_peel_on_pairs_of_s4():
+    basis = list(all_permutations(4))
+    for u in basis:
+        for v in basis:
+            f = schubert(u) + schubert(v)
+            assert expand_in_schubert_basis(f, 4) == expand_by_peeling(f, 4), (u, v)
+
+
+@st.composite
+def artin_bounded(draw):
+    """(f, n) with every monomial of f inside the Artin bound a_i <= n - i."""
+    n = draw(st.integers(1, 5))
+    vectors = st.tuples(*[st.integers(0, n - i) for i in range(1, n + 1)])
+    terms = draw(st.dictionaries(vectors, st.integers(-5, 5).filter(bool), max_size=8))
+    return IntPolynomial(terms), n
+
+
+@settings(deadline=None)
+@given(artin_bounded())
+def test_expand_equals_the_copying_peel_on_artin_bounded_polynomials(case):
+    f, n = case
+    expansion = expand_in_schubert_basis(f, n)
+    assert expansion == expand_by_peeling(f, n)
+    assert expansion.reconstruct() == f
+
+
+def _expansion_or_message(expand, f, n):
+    try:
+        return expand(f, n)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(deadline=None)
+@given(
+    st.dictionaries(
+        st.lists(st.one_of(st.integers(0, 3), st.integers(0, MAX_EXPONENT)), max_size=6).map(tuple),
+        st.integers(-5, 5).filter(bool),
+        max_size=6,
+    ).map(IntPolynomial),
+    st.integers(1, 5),
+)
+def test_expand_refuses_with_the_copying_peels_message(f, n):
+    # The Artin bound is checked while f is loaded, and names the same
+    # first offending monomial as a check in a pass of its own.
+    assert _expansion_or_message(expand_in_schubert_basis, f, n) == _expansion_or_message(
+        expand_by_peeling, f, n
+    )
+
+
+def test_reconstruction_check_catches_a_corrupted_peel_step(monkeypatch):
+    # The first subtraction takes twice the coefficient the peel records.
+    # The residual still empties, since the next step peels the surplus
+    # back, but the recorded coefficients no longer sum to f.
+    real, calls = Residual.subtract, []
+
+    def corrupted(self, g, c):
+        calls.append(c)
+        real(self, g, 2 * c if len(calls) == 1 else c)
+
+    monkeypatch.setattr(Residual, "subtract", corrupted)
+    f = schubert(Permutation([1, 3, 2])) + schubert(Permutation([3, 1, 2]))
+    with pytest.raises(AssertionError, match="failed to reconstruct"):
+        expand_in_schubert_basis(f, 3)
+    assert calls == [1, -1, 1]
 
 
 def test_expand_product_monk_like():

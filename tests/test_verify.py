@@ -69,11 +69,11 @@ def test_brion_general_fixture():
 
 
 def test_brion_general_bound():
-    tau = parse_involution("(1,8)", 8)
-    message = "^atom-sum check at rank 8 exceeds the bound 7$"
+    tau = parse_involution("(1,9)", 9)
+    message = "^atom-sum check at rank 9 exceeds the bound 8$"
     with pytest.raises(EnumerationBoundError, match=message):
         verify_brion_general(tau)
-    assert verify_brion_general(tau, max_n=8).equal
+    assert verify_brion_general(tau, max_n=9).equal
 
 
 def test_report_json_shape():

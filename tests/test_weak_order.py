@@ -37,6 +37,8 @@ from invschub.weak_order import (
     atom_words,
     build_graph,
     clear_cache,
+    climb,
+    involution_atom_words,
     lhat_mu,
     lower,
 )
@@ -120,14 +122,27 @@ def test_atom_words_at_the_top_equal_atoms_mu_top():
         assert found == {w.oneline for w in atoms_mu_top(mu)}, mu
 
 
+def test_move_closure_equals_atom_words_through_rank_7():
+    # All 351 involutions of I_1..I_7: the closure of one seed atom under
+    # cab <-> bca against the walk down the weak order.
+    for n in range(1, 8):
+        identity_word = tuple(range(1, n + 1))
+        for tau in climb((0, n))[0]:
+            assert involution_atom_words(tau) == atom_words(tau, identity_word, (0, n)), tau
+
+
 def test_every_atom_step_is_length_checked(monkeypatch):
-    # A predecessor whose atoms already descend at s_1 must be refused.
+    # A predecessor whose atoms already descend at s_1 must be refused, by
+    # the walk and by the seed chain of the move closure alike: the chain
+    # (3,2,1) -> (2,1,3) -> id applies s_1 twice.
     real = weak_order.lower
     monkeypatch.setattr(
         weak_order, "lower", lambda i, word, nu: (2, 1, 3) if word == (3, 2, 1) else real(i, word, nu)
     )
     with pytest.raises(AssertionError):
         atom_words((3, 2, 1), (1, 2, 3), (0, 3))
+    with pytest.raises(AssertionError, match=r"s_1 w is shorter than w = \(2, 1, 3\)"):
+        involution_atom_words((3, 2, 1))
 
 
 def _graphs():
