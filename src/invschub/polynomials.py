@@ -54,6 +54,7 @@ __all__ = [
     "MAX_EXPONENT",
     "Residual",
     "equals_sum",
+    "sum_of",
 ]
 
 # When True, every divided difference asserts that its quotient q leaves no
@@ -474,6 +475,21 @@ def equals_sum(f: IntPolynomial, parts: Iterable[tuple[int, IntPolynomial]]) -> 
         for key, coeff in g._terms.items():
             remainder[key] = get(key, 0) - c * coeff
     return not any(remainder.values())
+
+
+def sum_of(polys: Iterable[IntPolynomial]) -> IntPolynomial:
+    """The sum of ``polys``, accumulated term by term in one dict, with no
+    copy of the partial sums.
+
+    >>> print(sum_of([variable(1), variable(2), -variable(1)]))
+    x2
+    """
+    total: dict[int, int] = {}
+    get = total.get
+    for g in polys:
+        for key, coeff in g._terms.items():
+            total[key] = get(key, 0) + coeff
+    return _raw(_nonzero(total))
 
 
 _TERM_RE = re.compile(

@@ -42,7 +42,7 @@ from .mu_involutions import (
     mu_closed_orbit_polynomial,
 )
 from .permutations import EnumerationBoundError, Permutation, is_dominant
-from .polynomials import IntPolynomial, ZERO
+from .polynomials import IntPolynomial, sum_of
 from .schubert import SchubertExpansion, expand_in_schubert_basis
 from .weak_order import refuse_rank, shat_mu
 
@@ -78,11 +78,18 @@ class IdentityReport:
     expansion: SchubertExpansion
     multiplicity_free: bool
 
+    def _sides(self) -> tuple[str, str]:
+        # lhs and rhs rendered; equal polynomials print alike, and in every
+        # identity that holds they are equal, so one is rendered once.
+        lhs = str(self.lhs)
+        return lhs, lhs if self.rhs == self.lhs else str(self.rhs)
+
     def to_json_dict(self) -> dict:
+        lhs, rhs = self._sides()
         return {
             "subject": self.subject,
-            "lhs": str(self.lhs),
-            "rhs": str(self.rhs),
+            "lhs": lhs,
+            "rhs": rhs,
             "equal": self.equal,
             "expansion": [
                 {"perm": str(w), "coeff": coeff}
@@ -95,10 +102,11 @@ class IdentityReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
     def to_text(self) -> str:
+        lhs, rhs = self._sides()
         lines = [
             "subject: %s" % self.subject,
-            "lhs: %s" % self.lhs,
-            "rhs: %s" % self.rhs,
+            "lhs: %s" % lhs,
+            "rhs: %s" % rhs,
             "equal: %s" % self.equal,
             "expansion: %s" % self.expansion,
             "multiplicity_free: %s" % self.multiplicity_free,
@@ -120,10 +128,8 @@ def _report(subject: str, lhs: IntPolynomial, rhs: IntPolynomial, n: int) -> Ide
 
 def _atom_sum(atom_set: frozenset[Permutation]) -> IntPolynomial:
     """Sum of S_{w^-1} over the atoms w, in one-line order."""
-    total = ZERO
-    for w in sorted(atom_set, key=lambda w: w.oneline):
-        total = total + shat_mu(w.oneline, tuple(range(w.n + 1)))
-    return total
+    ordered = sorted(atom_set, key=lambda w: w.oneline)
+    return sum_of(shat_mu(w.oneline, tuple(range(w.n + 1))) for w in ordered)
 
 
 def verify_involution_identity(tau: Involution) -> IdentityReport:

@@ -3,6 +3,7 @@ serialization determinism, and exhaustive sweeps."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -144,6 +145,16 @@ def test_atom_sum_structure():
         assert report.lhs.degree() == involution_length(tau)
         assert len(report.expansion.support()) == len(atoms(tau))
         assert {w.inverse() for w in atoms(tau)} == set(report.expansion.support())
+
+
+def test_report_renders_unequal_sides_apart():
+    # An identity that holds renders its one polynomial for both sides; one
+    # that fails must still show each side as it is.
+    report = verify_brion_general(parse_involution("(1,3)", 3))
+    assert report.to_json_dict()["rhs"] == report.to_json_dict()["lhs"] == "x1^2 + x1*x2"
+    failed = dataclasses.replace(report, rhs=parse_polynomial("x1^2"), equal=False)
+    assert (failed.to_json_dict()["lhs"], failed.to_json_dict()["rhs"]) == ("x1^2 + x1*x2", "x1^2")
+    assert "lhs: x1^2 + x1*x2\nrhs: x1^2\n" in failed.to_text()
 
 
 def test_report_is_frozen():
