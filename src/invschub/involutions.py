@@ -27,8 +27,7 @@ characterization on the inverse of each candidate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .mu_involutions import (
     BRUTE_FORCE_BOUND,
@@ -221,8 +220,7 @@ def monoid_apply_word(w: Permutation, tau: Involution) -> Involution:
     return Involution(Permutation(act_word(reduced_word(w), tau.oneline, (0, tau.n))))
 
 
-@dataclass(frozen=True)
-class InvolutionDiagram:
+class InvolutionDiagram(NamedTuple):
     """Dhat(tau) with its diagonal part, strict part, code and length."""
 
     d_all: frozenset[tuple[int, int]]

@@ -19,8 +19,7 @@ resource bounds, its diagram product and its definitional brute force.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .permutations import (
     EnumerationBoundError,
@@ -405,8 +404,7 @@ def atoms_mu_bruteforce(
     )
 
 
-@dataclass(frozen=True)
-class DegenerateDiagram:
+class DegenerateDiagram(NamedTuple):
     """The three disjoint cell families of Dhat^mu for the top element."""
 
     d0: frozenset[tuple[int, int]]

@@ -16,9 +16,8 @@ Permutation([5, 2, 1, 3, 4])
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import permutations as _itertools_permutations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "Permutation",
@@ -144,8 +143,7 @@ def inversions(seq: Sequence[int]) -> int:
     return sum(1 for k, a in enumerate(seq) for b in seq[k + 1 :] if a > b)
 
 
-@dataclass(frozen=True)
-class RotheDiagram:
+class RotheDiagram(NamedTuple):
     """Cells {(i,j) : j < w(i) and i < w^{-1}(j)} and the code of w."""
 
     cells: frozenset[tuple[int, int]]

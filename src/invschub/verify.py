@@ -26,7 +26,7 @@ decides what to do (the command line maps it to exit code 3).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .involutions import (
     Involution,
@@ -63,8 +63,7 @@ __all__ = [
 VERIFY_BOUND = 8
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of one identity check.
 
     ``equal`` is True iff lhs - rhs is the zero polynomial;

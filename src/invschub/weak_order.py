@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .permutations import EnumerationBoundError, inversions
 from .polynomials import MAX_EXPONENT, IntPolynomial, ONE, divided_difference, monomial, variable
@@ -209,8 +208,7 @@ def lhat_mu(word: Word, nu: Word) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WeakOrderGraph:
+class WeakOrderGraph(NamedTuple):
     """A rank-labeled directed multigraph with generator-labeled edges.
 
     Vertices are identified by index into ``vertices``; each vertex carries

@@ -27,7 +27,6 @@ rank.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 
@@ -514,7 +513,7 @@ def test_criterion_10_cli_determinism_and_failure_exit_code(capsys, monkeypatch)
 
     # exit code 3: any report that is not (equal and multiplicity-free)
     genuine = verify_mu_identity(parse_composition("2"))
-    doctored = dataclasses.replace(genuine, equal=False)
+    doctored = genuine._replace(equal=False)
     monkeypatch.setattr(cli, "verify_mu_identity", lambda mu: doctored)
     rc = cli.main(["verify", "--mu", "2"])
     out = capsys.readouterr().out

@@ -7,7 +7,6 @@ promises deterministic, re-parseable output, so any drift is a bug.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import subprocess
 import sys
@@ -363,7 +362,7 @@ def test_verify_requires_rank_for_dominant(capsys) -> None:
 
 def test_verify_failure_exits_three(capsys, monkeypatch) -> None:
     genuine = verify_mu_identity(parse_composition("2"))
-    doctored = dataclasses.replace(genuine, equal=False)
+    doctored = genuine._replace(equal=False)
     monkeypatch.setattr(cli, "verify_mu_identity", lambda mu: doctored)
     rc, out, err = run_cli(capsys, ["verify", "--mu", "2"])
     assert rc == 3

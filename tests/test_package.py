@@ -1,15 +1,25 @@
 """Packaging metadata agrees with the package, the package root shadows
-none of its submodules, and the submodules import in the theory's order."""
+none of its submodules, the submodules import in the theory's order, the
+command line starts without the heavy standard modules, and the record
+types keep their fields, reprs and immutability."""
 
 from __future__ import annotations
 
 import ast
+import os
 import pkgutil
 import re
+import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import invschub
+from invschub.involutions import involution_diagram, parse_involution, weak_order_graph
+from invschub.mu_involutions import degenerate_diagram, parse_composition
+from invschub.permutations import Permutation, rothe_diagram
+from invschub.verify import verify_brion_general
 
 SUBMODULES = sorted(info.name for info in pkgutil.iter_modules(invschub.__path__))
 
@@ -78,3 +88,75 @@ def test_modules_import_in_the_order_of_the_theory():
             if later:
                 faults.append("%s imports %s" % (path.name, ", ".join(sorted(later))))
     assert faults == []
+
+
+def _modules_after(statement: str) -> set[str]:
+    """The names in sys.modules of a fresh interpreter that ran statement."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = 'import sys\n%s\nprint("\\n".join(sys.modules))' % statement
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+        timeout=60,
+    )
+    return set(done.stdout.split())
+
+
+def test_cli_start_up_loads_no_dataclasses_or_inspect():
+    # Every query is one process, so what `import invschub.cli` loads is paid
+    # on each; dataclasses alone pulls in inspect, ast, dis and tokenize.
+    # The difference against a bare interpreter holds whatever site preloads.
+    added = _modules_after("import invschub.cli") - _modules_after("pass")
+    assert "invschub.cli" in added
+    assert {"dataclasses", "inspect"} & added == set()
+
+
+# Each record type: an instance, its fields in order, and its repr, which is
+# the text the records printed when they were frozen dataclasses.
+RECORDS = [
+    (
+        lambda: rothe_diagram(Permutation([2, 1, 3])),
+        ("cells", "code"),
+        "RotheDiagram(cells=frozenset({(1, 1)}), code=(1, 0, 0))",
+    ),
+    (
+        lambda: involution_diagram(parse_involution("(1,2)", 2)),
+        ("d_all", "d1", "d2", "inv_code", "inv_length"),
+        "InvolutionDiagram(d_all=frozenset({(1, 1)}), d1=frozenset({(1, 1)}), d2=frozenset(),"
+        " inv_code=(1, 0), inv_length=1)",
+    ),
+    (
+        lambda: degenerate_diagram(parse_composition("1,1")),
+        ("d0", "d1", "d2"),
+        "DegenerateDiagram(d0=frozenset({(1, 2)}), d1=frozenset(), d2=frozenset())",
+    ),
+    (
+        lambda: weak_order_graph(2),
+        ("name", "vertices", "edges"),
+        "WeakOrderGraph(name='involutions_2', vertices=(((1, 2), 'id', 0), ((2, 1), '(1,2)', 1)),"
+        " edges=((0, 1, 1),))",
+    ),
+    (
+        lambda: verify_brion_general(parse_involution("id", 2)),
+        ("subject", "lhs", "rhs", "equal", "expansion", "multiplicity_free"),
+        "IdentityReport(subject='involution id in S_2', lhs=IntPolynomial(1), rhs=IntPolynomial(1),"
+        " equal=True, expansion=SchubertExpansion(S[1,2]), multiplicity_free=True)",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, fields, text", RECORDS, ids=[r[2].split("(")[0] for r in RECORDS])
+def test_record_contract(make, fields, text):
+    record = make()
+    assert type(record)._fields == fields
+    assert repr(record) == text
+    assert tuple(record) == tuple(getattr(record, name) for name in fields)
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    edited = record._replace(**{fields[-1]: None})
+    assert type(edited) is type(record)
+    assert edited[:-1] == record[:-1] and getattr(edited, fields[-1]) is None
