@@ -108,7 +108,7 @@ def _modules_after(statement: str) -> set[str]:
 def test_cli_start_up_loads_no_dataclasses_or_inspect():
     # Every query is one process, so what `import invschub.cli` loads is paid
     # on each; dataclasses alone pulls in inspect, ast, dis and tokenize.
-    # The difference against a bare interpreter holds whatever site preloads.
+    # Taking the difference against a bare interpreter discounts what site preloads.
     added = _modules_after("import invschub.cli") - _modules_after("pass")
     assert "invschub.cli" in added
     assert {"dataclasses", "inspect"} & added == set()
