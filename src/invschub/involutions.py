@@ -3,11 +3,12 @@ Involutions in S_n: diagrams and lengths, the idempotent monoid action
 m(s_i), the weak order poset, atoms and relative atoms, and involution
 Schubert polynomials.
 
-Involutions are the mu = (n) case of the mu-theory, and this module builds
-on :mod:`invschub.mu_involutions`: the resource bounds, the diagram product
-and the definitional brute force are its.  The action, the poset and the
-polynomials are the weak-order engine in :mod:`invschub.weak_order` at
-nu = (0, n), where the monoid generator reduces to the three-case rule
+Involutions are the mu = (n) case of the mu-theory: ``Involution`` is the
+``MuInvolution`` whose composition is (n), equal to it and hashing alike,
+and it adds only the cycle view (``cyc``, ``fix``, ``kappa``) and its own
+notation.  So the action, the polynomial and the definitional brute force
+here are calls into :mod:`invschub.mu_involutions`, where the four-case rule
+of the weak-order engine reduces at nu = (0, n) to the three-case rule
 
     m(s_i) . tau = tau            if tau(i+1) < tau(i)
                  = s_i tau        if tau(i) = i and tau(i+1) = i+1
@@ -37,6 +38,9 @@ from .mu_involutions import (
     _diagram_product,
     _refuse_poset_rank,
     atoms_mu_bruteforce,
+    mu_inv_schubert,
+    mu_monoid_apply,
+    mu_monoid_apply_word,
 )
 from .permutations import (
     Permutation,
@@ -44,20 +48,16 @@ from .permutations import (
     is_dominant,
     longest,
     parse_permutation,
-    reduced_word,
     rothe_diagram,
 )
 from .polynomials import IntPolynomial
 from .weak_order import (
     WeakOrderGraph,
-    act,
-    act_word,
     anchor,
     atom_words,
     build_graph,
     climb,
     involution_atom_words,
-    shat_mu,
 )
 
 __all__ = [
@@ -84,8 +84,9 @@ __all__ = [
 ]
 
 
-class Involution:
-    """A permutation equal to its own inverse.
+class Involution(MuInvolution):
+    """A permutation equal to its own inverse: the mu-involution whose
+    composition is (n).
 
     ``cyc`` lists the 1- and 2-cycles as pairs (i, j) with i <= j = tau(i);
     ``fix`` lists the fixed points; ``kappa`` counts the 2-cycles.
@@ -97,20 +98,13 @@ class Involution:
     '(1,5)(2,3)'
     """
 
-    __slots__ = ("perm",)
+    __slots__ = ()
 
     def __init__(self, perm: Permutation):
         if not perm.is_involution():
             raise ValueError("%s is not an involution" % perm)
         self.perm = perm
-
-    @property
-    def n(self) -> int:
-        return self.perm.n
-
-    @property
-    def oneline(self) -> tuple[int, ...]:
-        return self.perm.oneline
+        self.mu = Composition((perm.n,))
 
     def __call__(self, i: int) -> int:
         return self.perm(i)
@@ -135,12 +129,6 @@ class Involution:
     def cycles_string(self) -> str:
         """Cycle notation listing 2-cycles only, e.g. "(1,5)(2,3)"; "id" if none."""
         return _cycles_string(self.oneline)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Involution) and self.perm == other.perm
-
-    def __hash__(self) -> int:
-        return hash(("Involution", self.perm.oneline))
 
     def __repr__(self) -> str:
         return "Involution(%s)" % self.perm
@@ -198,7 +186,7 @@ def parse_involution(text: str, n: int) -> Involution:
 
 
 def monoid_apply(i: int, tau: Involution) -> Involution:
-    """m(s_i) . tau by the three-case rule.
+    """m(s_i) . tau by the three-case rule: ``mu_monoid_apply`` at mu = (n).
 
     >>> monoid_apply(1, identity_involution(2)).cycles_string()
     '(1,2)'
@@ -207,17 +195,13 @@ def monoid_apply(i: int, tau: Involution) -> Involution:
     >>> monoid_apply(2, parse_involution("(1,2)", 3)).cycles_string()
     '(1,3)'
     """
-    if not 1 <= i <= tau.n - 1:
-        raise IndexError("generator index %d out of range 1..%d" % (i, tau.n - 1))
-    image = act(i, tau.oneline, (0, tau.n))
-    return tau if image == tau.oneline else Involution(Permutation(image))
+    return mu_monoid_apply(i, tau)
 
 
 def monoid_apply_word(w: Permutation, tau: Involution) -> Involution:
-    """m(w) . tau along a reduced word of w, rightmost generator first."""
-    if w.n != tau.n:
-        raise ValueError("rank mismatch: %d vs %d" % (w.n, tau.n))
-    return Involution(Permutation(act_word(reduced_word(w), tau.oneline, (0, tau.n))))
+    """m(w) . tau along a reduced word of w, rightmost generator first:
+    ``mu_monoid_apply_word`` at mu = (n)."""
+    return mu_monoid_apply_word(w, tau)
 
 
 class InvolutionDiagram(NamedTuple):
@@ -251,8 +235,10 @@ def involution_length(tau: Involution) -> int:
 
 def involutions(n: int) -> Iterator[Involution]:
     """All involutions of [n] as ``climb`` finds them, in lexicographic one-line order."""
-    for word in sorted(climb((0, n))[0]):
-        yield Involution(Permutation(word))
+    words = sorted(climb((0, n))[0])  # refuses n < 1 before Composition would
+    mu = Composition((n,))
+    for word in words:
+        yield Involution._from_engine(word, mu)
 
 
 def weak_order_graph(n: int, max_n: int = POSET_RANK_BOUND) -> WeakOrderGraph:
@@ -301,8 +287,7 @@ def relative_atoms_bruteforce(
     tau: Involution, tau_prime: Involution, max_n: int = BRUTE_FORCE_BOUND
 ) -> frozenset[Permutation]:
     """A_*(tau, tau') by the definition: ``atoms_mu_bruteforce`` at mu = (n)."""
-    mu = Composition((tau.n,))
-    return atoms_mu_bruteforce(MuInvolution(tau_prime.perm, mu), MuInvolution(tau.perm, mu), max_n)
+    return atoms_mu_bruteforce(tau_prime, tau, max_n)
 
 
 # ---------------------------------------------------------------------------
@@ -326,15 +311,15 @@ def inv_schubert(tau: Involution) -> IntPolynomial:
     """Shat_tau: divided differences along any chain up to w0.
 
     Chain-independence is a property of the action and is asserted by the
-    test suite; this implementation uses the greedy smallest-label chain
-    of the mu = (n) engine, whose every move must raise lhat by one.
+    test suite; this is ``mu_inv_schubert`` at mu = (n), whose greedy
+    smallest-label chain must raise lhat by one at every move.
 
     >>> print(inv_schubert(longest_involution(3)))
     x1^2 + x1*x2
     >>> print(inv_schubert(identity_involution(3)))
     1
     """
-    return shat_mu(tau.oneline, (0, tau.n))
+    return mu_inv_schubert(tau)
 
 
 def inv_schubert_dominant(tau: Involution) -> IntPolynomial:

@@ -11,9 +11,12 @@ pipe-separated, e.g. "586|21|743" for mu = (3,2,3).
 This module stands on the weak-order engine alone: the monoid action, the
 rank lhat_mu, the weak-order graph, the atoms of each block's w0 and the
 polynomial descent are :mod:`invschub.weak_order`, which works on the
-one-line tuple and the prefix sums ``Composition.nu``.  Involutions are the case mu = (n),
-so :mod:`invschub.involutions` builds on this module and shares its
-resource bounds, its diagram product and its definitional brute force.
+one-line tuple and the prefix sums ``Composition.nu``.  Words are checked
+where they enter, by the public constructor and the parsers; a word the
+engine produced becomes an element through the private, unchecked
+``MuInvolution._from_engine``.  Involutions are the case mu = (n):
+``Involution`` in :mod:`invschub.involutions` is the subclass at that
+composition, so every function here takes one and the action returns one.
 """
 
 from __future__ import annotations
@@ -194,6 +197,15 @@ class MuInvolution:
         self.perm = perm
         self.mu = mu
 
+    @classmethod
+    def _from_engine(cls, word: tuple[int, ...], mu: Composition) -> "MuInvolution":
+        """The element with one-line ``word``, built without the block
+        check: only for words the engine produced in I_mu."""
+        pi = object.__new__(cls)
+        pi.perm = Permutation(word)
+        pi.mu = mu
+        return pi
+
     @property
     def n(self) -> int:
         return self.perm.n
@@ -285,15 +297,14 @@ def mu_monoid_apply(i: int, pi: MuInvolution) -> MuInvolution:
     if not 1 <= i <= pi.n - 1:
         raise IndexError("generator index %d out of range 1..%d" % (i, pi.n - 1))
     image = act(i, pi.oneline, pi.mu.nu)
-    return pi if image == pi.oneline else MuInvolution(Permutation(image), pi.mu)
+    return pi if image == pi.oneline else pi._from_engine(image, pi.mu)
 
 
 def mu_monoid_apply_word(w: Permutation, pi: MuInvolution) -> MuInvolution:
     """m(w) . pi along a reduced word of w, rightmost generator first."""
     if w.n != pi.n:
         raise ValueError("rank mismatch: %d vs %d" % (w.n, pi.n))
-    image = act_word(reduced_word(w), pi.oneline, pi.mu.nu)
-    return MuInvolution(Permutation(image), pi.mu)
+    return pi._from_engine(act_word(reduced_word(w), pi.oneline, pi.mu.nu), pi.mu)
 
 
 def mu_length(pi: MuInvolution) -> int:
@@ -313,7 +324,7 @@ def count_mu_involutions(mu: Composition) -> int:
 def mu_involutions(mu: Composition) -> Iterator[MuInvolution]:
     """All mu-involutions as ``climb`` finds them, in lexicographic one-line order."""
     for word in sorted(climb(mu.nu)[0]):
-        yield MuInvolution(Permutation(word), mu)
+        yield MuInvolution._from_engine(word, mu)
 
 
 def _refuse_poset_rank(n: int, max_n: int) -> None:

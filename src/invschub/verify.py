@@ -131,6 +131,19 @@ def _atom_sum(atom_set: frozenset[Permutation]) -> IntPolynomial:
     return sum_of(shat_mu(w.oneline, tuple(range(w.n + 1))) for w in ordered)
 
 
+def _involution_report(tau: Involution, dominant: bool) -> IdentityReport:
+    """Sum of S_{w^-1} over atoms(tau) against the diagram product when
+    ``dominant``, else against the chain polynomial.  The rank is refused
+    before the O(n^3) dominance scan and before any atom is built."""
+    refuse_rank(tau.n)
+    subject = "involution %s in S_%d" % (tau.cycles_string(), tau.n)
+    if dominant and not is_dominant(tau.perm):
+        raise ValueError("%s is not dominant" % subject)
+    lhs = _atom_sum(atoms(tau))
+    rhs = inv_schubert_dominant(tau) if dominant else inv_schubert(tau)
+    return _report("dominant-" + subject if dominant else subject, lhs, rhs, tau.n)
+
+
 def verify_involution_identity(tau: Involution) -> IdentityReport:
     """Check the factorization identity for a dominant involution.
 
@@ -147,15 +160,7 @@ def verify_involution_identity(tau: Involution) -> IdentityReport:
     >>> str(report.lhs), str(report.rhs)
     ('1', '1')
     """
-    refuse_rank(tau.n)
-    if not is_dominant(tau.perm):
-        raise ValueError(
-            "involution %s in S_%d is not dominant" % (tau.cycles_string(), tau.n)
-        )
-    lhs = _atom_sum(atoms(tau))
-    rhs = inv_schubert_dominant(tau)
-    subject = "dominant-involution %s in S_%d" % (tau.cycles_string(), tau.n)
-    return _report(subject, lhs, rhs, tau.n)
+    return _involution_report(tau, dominant=True)
 
 
 def verify_mu_identity(mu: Composition) -> IdentityReport:
@@ -209,11 +214,7 @@ def verify_brion_general(tau: Involution, max_n: int = VERIFY_BOUND) -> Identity
         raise EnumerationBoundError(
             "atom-sum check at rank %d exceeds the bound %d" % (tau.n, max_n)
         )
-    refuse_rank(tau.n)
-    lhs = _atom_sum(atoms(tau))
-    rhs = inv_schubert(tau)
-    subject = "involution %s in S_%d" % (tau.cycles_string(), tau.n)
-    return _report(subject, lhs, rhs, tau.n)
+    return _involution_report(tau, dominant=False)
 
 
 def verify_all(n: int, max_n: int = VERIFY_BOUND) -> list[IdentityReport]:

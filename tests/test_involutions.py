@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 
 import pytest
 from characterization import (
@@ -34,6 +35,15 @@ from invschub.involutions import (
     relative_atoms_bruteforce,
     weak_order_graph,
 )
+from invschub.mu_involutions import (
+    Composition,
+    MuInvolution,
+    count_mu_involutions,
+    mu_involutions,
+    mu_monoid_apply,
+    mu_monoid_apply_word,
+    parse_composition,
+)
 from invschub.permutations import (
     EnumerationBoundError,
     Permutation,
@@ -43,12 +53,39 @@ from invschub.permutations import (
     longest,
     parse_permutation,
 )
-from invschub.polynomials import ONE, divided_difference, parse_polynomial
+from invschub.polynomials import ONE, divided_difference, parse_polynomial, variable
 from invschub.schubert import schubert
 from invschub.verify import verify_all
 
 # Number of involutions in S_n for n = 1..7.
 INVOLUTION_COUNTS = [1, 2, 4, 10, 26, 76, 232]
+
+
+def test_involution_is_the_one_block_mu_involution(monkeypatch):
+    tau = parse_involution("(1,5)(2,3)", 5)
+    one_block = Composition((5,))
+    assert isinstance(tau, MuInvolution) and tau.mu == one_block
+    as_mu = MuInvolution(tau.perm, one_block)
+    assert tau == as_mu and as_mu == tau and hash(tau) == hash(as_mu)
+    assert type(mu_monoid_apply(3, tau)) is Involution
+    assert type(mu_monoid_apply_word(Permutation([2, 1, 3, 4, 5]), tau)) is Involution
+    assert repr(tau) == "Involution([5,3,2,4,1])" and str(tau) == "(1,5)(2,3)"
+    top, mu = longest_involution(5), parse_composition("2,1,2")
+
+    # Engine output is checked once, where it enters: no word the engine
+    # produced goes through a public constructor again.
+    def refuse(*args):
+        raise AssertionError("an engine word was validated again")
+
+    monkeypatch.setattr(MuInvolution, "__init__", refuse)
+    monkeypatch.setattr(Involution, "__init__", refuse)
+    found = list(involutions(5))
+    assert len(found) == 26 and all(type(t) is Involution for t in found)
+    found = list(mu_involutions(mu))
+    assert len(found) == count_mu_involutions(mu)
+    assert all(type(pi) is MuInvolution and pi.mu == mu for pi in found)
+    assert monoid_apply(3, tau) == top and monoid_apply(4, tau) is tau
+    assert mu_monoid_apply_word(longest(5), tau) == top
 
 
 def test_involution_type_validation():
@@ -346,15 +383,33 @@ def test_inv_schubert_chain_consistency():
                     )
 
 
+def _dhat_product(tau: Involution):
+    """prod of x_i over the diagonal cells of Dhat(tau), and of (x_i + x_j)
+    over its strict cells, read off ``involution_diagram`` alone."""
+    diagram = involution_diagram(tau)
+    poly = ONE
+    for (i, _) in sorted(diagram.d1):
+        poly = poly * variable(i)
+    for (i, j) in sorted(diagram.d2):
+        poly = poly * (variable(i) + variable(j))
+    return poly
+
+
 def test_inv_schubert_dominant_product():
-    # On dominant involutions the diagram product equals the chain result.
-    for n in range(1, 6):
+    # The Dhat product equals the chain result exactly when tau is dominant,
+    # both ways, and I_n has C(n, floor(n/2)) dominant involutions.
+    for n in range(1, 8):
+        factored = 0
         for tau in involutions(n):
-            if is_dominant(tau.perm):
+            dominant = is_dominant(tau.perm)
+            assert (_dhat_product(tau) == inv_schubert(tau)) == dominant, tau
+            if dominant:
+                factored += 1
                 assert inv_schubert_dominant(tau) == inv_schubert(tau)
             else:
                 with pytest.raises(ValueError):
                     inv_schubert_dominant(tau)
+        assert factored == math.comb(n, n // 2), n
 
 
 def test_inv_schubert_dominant_example():

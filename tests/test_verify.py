@@ -8,6 +8,7 @@ import json
 import pytest
 
 from invschub.involutions import (
+    identity_involution,
     involution_length,
     atoms,
     involutions,
@@ -44,8 +45,13 @@ def test_involution_identity_fixture():
 
 
 def test_involution_identity_requires_dominant():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^involution \(2,3\) in S_3 is not dominant$"):
         verify_involution_identity(parse_involution("(2,3)", 3))
+    # A rank the kernel cannot hold is refused before the dominance scan.
+    with pytest.raises(EnumerationBoundError):
+        verify_involution_identity(identity_involution(300))
+    with pytest.raises(EnumerationBoundError):
+        verify_involution_identity(parse_involution("(2,3)", 300))
 
 
 def test_mu_identity_fixtures():
