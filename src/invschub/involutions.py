@@ -7,8 +7,9 @@ Involutions are the mu = (n) case of the mu-theory: ``Involution`` is the
 ``MuInvolution`` whose composition is (n), equal to it and hashing alike,
 and it adds only the cycle view (``cyc``, ``fix``, ``kappa``) and its own
 notation.  So the action, the polynomial and the definitional brute force
-here are calls into :mod:`invschub.mu_involutions`, where the four-case rule
-of the weak-order engine reduces at nu = (0, n) to the three-case rule
+here are calls into :mod:`invschub.mu_involutions`, and the poset is the
+engine's ``build_graph`` at nu = (0, n), refused and checked as the mu
+poset is.  The engine's four-case rule reduces there to the three-case rule
 
     m(s_i) . tau = tau            if tau(i+1) < tau(i)
                  = s_i tau        if tau(i) = i and tau(i+1) = i+1
@@ -36,7 +37,6 @@ from .mu_involutions import (
     Composition,
     MuInvolution,
     _diagram_product,
-    _refuse_poset_rank,
     atoms_mu_bruteforce,
     mu_inv_schubert,
     mu_monoid_apply,
@@ -242,13 +242,13 @@ def involutions(n: int) -> Iterator[Involution]:
 
 
 def weak_order_graph(n: int, max_n: int = POSET_RANK_BOUND) -> WeakOrderGraph:
-    """The labeled weak-order digraph on all involutions of [n].
+    """The labeled weak-order digraph on all involutions of [n]: the
+    mu = (n) poset of ``mu_weak_order_graph``, labeled by cycles.
 
     >>> weak_order_graph(2).rank_profile()
     (1, 1)
     """
-    _refuse_poset_rank(n, max_n)
-    return build_graph("involutions_%d" % n, (0, n), _cycles_string)
+    return build_graph("involutions_%d" % n, (0, n), _cycles_string, max_n)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ pipe-separated, e.g. "586|21|743" for mu = (3,2,3).
 This module stands on the weak-order engine alone: the monoid action, the
 rank lhat_mu, the weak-order graph, the atoms of each block's w0 and the
 polynomial descent are :mod:`invschub.weak_order`, which works on the
-one-line tuple and the prefix sums ``Composition.nu``.  Words are checked
+one-line tuple and the prefix sums ``Composition.nu``; its ``build_graph``
+refuses and checks the posets of both families, and its two poset bounds
+are re-exported here.  Words are checked
 where they enter, by the public constructor and the parsers; a word the
 engine produced becomes an element through the private, unchecked
 ``MuInvolution._from_engine``.  Involutions are the case mu = (n):
@@ -22,6 +24,7 @@ composition, so every function here takes one and the action returns one.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .permutations import (
@@ -35,6 +38,8 @@ from .permutations import (
 )
 from .polynomials import IntPolynomial, ONE, variable
 from .weak_order import (
+    DEFAULT_VERTEX_BUDGET,
+    POSET_RANK_BOUND,
     WeakOrderGraph,
     act,
     act_word,
@@ -71,10 +76,8 @@ __all__ = [
     "BRUTE_FORCE_BOUND",
 ]
 
-# Default resource bounds; CLI callers may override them explicitly.
-POSET_RANK_BOUND = 8
+# The brute-force rank bound; a caller may pass another as max_n.
 BRUTE_FORCE_BOUND = 7
-DEFAULT_VERTEX_BUDGET = 50000
 
 
 class Composition:
@@ -93,11 +96,8 @@ class Composition:
         parts = tuple(int(p) for p in parts)
         if not parts or any(p < 1 for p in parts):
             raise ValueError("composition parts must be positive integers, got %r" % (parts,))
-        nu = [0]
-        for p in parts:
-            nu.append(nu[-1] + p)
         self._parts = parts
-        self._nu = tuple(nu)
+        self._nu = tuple(itertools.accumulate(parts, initial=0))
 
     @property
     def parts(self) -> tuple[int, ...]:
@@ -122,10 +122,7 @@ class Composition:
     def block_of(self, pos: int) -> int:
         if not 1 <= pos <= self.n:
             raise IndexError("position %d out of range 1..%d" % (pos, self.n))
-        for a in range(1, self.k + 1):
-            if pos <= self._nu[a]:
-                return a
-        raise AssertionError("unreachable")
+        return bisect_left(self._nu, pos)  # the first a with pos <= nu_a
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Composition) and self._parts == other._parts
@@ -327,35 +324,19 @@ def mu_involutions(mu: Composition) -> Iterator[MuInvolution]:
         yield MuInvolution._from_engine(word, mu)
 
 
-def _refuse_poset_rank(n: int, max_n: int) -> None:
-    # The poset has |I_n| (or |I_mu|) vertices, which grows factorially.
-    if n > max_n:
-        raise EnumerationBoundError(
-            "poset construction for n=%d exceeds the bound %d" % (n, max_n)
-        )
-
-
 def mu_weak_order_graph(mu: Composition, max_n: int = POSET_RANK_BOUND) -> WeakOrderGraph:
-    """The labeled weak-order digraph on I_mu: the words ``climb`` reaches
-    from the identity, counted against |I_mu| and ranked by level, with w0
-    as its unique maximum.
+    """The labeled weak-order digraph on I_mu, as ``build_graph`` refuses,
+    climbs and checks it.
 
     >>> mu_weak_order_graph(parse_composition("3,1")).vertex_count
     16
     """
-    _refuse_poset_rank(mu.n, max_n)
-    if count(mu.nu) > DEFAULT_VERTEX_BUDGET:
-        raise EnumerationBoundError(
-            "|I_mu| = %d exceeds the vertex budget %d" % (count(mu.nu), DEFAULT_VERTEX_BUDGET)
-        )
-    graph = build_graph(
+    return build_graph(
         "mu_involutions_%s" % "_".join(str(p) for p in mu.parts),
         mu.nu,
         lambda word: _blocks_string(word, mu.nu),
+        max_n,
     )
-    if graph.maximal_vertices() != (graph.index_of(longest(mu.n).oneline),):
-        raise AssertionError("w0 is not the unique maximum of the mu-weak order")
-    return graph
 
 
 def atoms_mu_top(mu: Composition) -> frozenset[Permutation]:

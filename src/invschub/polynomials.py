@@ -526,7 +526,7 @@ def parse_polynomial(text: str, n: int | None = None) -> IntPolynomial:
     # [sign, term, sign, term, ...]: only the first term may come unsigned.
     parts = re.split(r"([+-])", normalized)
     parts = parts[1:] if not parts[0].strip() else ["+"] + parts
-    total = ZERO
+    terms: dict[int, int] = {}  # one accumulator: no copy of the partial sums
     for op, body in zip(parts[0::2], parts[1::2]):
         body = body.strip()
         if not body:
@@ -551,10 +551,10 @@ def parse_polynomial(text: str, n: int | None = None) -> IntPolynomial:
             exps[idx] = exps.get(idx, 0) + power
         if not exps and coeff_text is None:
             raise ValueError("cannot parse polynomial term %r" % body)
-        width = max(exps) if exps else 0
-        key = tuple(exps.get(k, 0) for k in range(1, width + 1))
-        total = total + IntPolynomial({key: (1 if op == "+" else -1) * coeff})
-    return total
+        if coeff:  # a zero term is dropped unpacked, as the constructor drops it
+            key = _key(exps.get(k, 0) for k in range(1, max(exps, default=0) + 1))
+            terms[key] = terms.get(key, 0) + (coeff if op == "+" else -coeff)
+    return _raw(_nonzero(terms))
 
 
 if __name__ == "__main__":

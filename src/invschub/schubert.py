@@ -27,7 +27,7 @@ from .permutations import (
     permutation_from_code,
     rothe_diagram,
 )
-from .polynomials import IntPolynomial, Residual, ZERO, equals_sum, monomial
+from .polynomials import IntPolynomial, Residual, equals_sum, monomial, sum_of
 from .weak_order import refuse_rank, shat_mu
 
 __all__ = [
@@ -89,10 +89,7 @@ class SchubertExpansion:
         return sorted(self._coefficients.items(), key=lambda kv: kv[0].oneline)
 
     def reconstruct(self) -> IntPolynomial:
-        total = ZERO
-        for w, coeff in self._coefficients.items():
-            total = total + schubert(w).scale(coeff)
-        return total
+        return sum_of(schubert(w).scale(coeff) for w, coeff in self._coefficients.items())
 
     def __eq__(self, other: object) -> bool:
         return (

@@ -44,6 +44,8 @@ __all__ = [
     "build_graph",
     "anchor",
     "MAX_RANK",
+    "POSET_RANK_BOUND",
+    "DEFAULT_VERTEX_BUDGET",
     "refuse_rank",
     "shat_mu",
     "clear_cache",
@@ -302,6 +304,8 @@ def _json_list(items: str) -> str:
 def count(nu: Word) -> int:
     """|I_mu| for the blocks cut at ``nu``: the multinomial coefficient of
     the block sizes times the number of involutions of each block."""
+    if nu[-1] < 1:
+        raise ValueError("rank must be at least 1")
     total = math.factorial(nu[-1])
     for lo, hi in zip(nu, nu[1:]):
         involutions, fewer = 1, 1  # |I_m| and |I_(m-1)|, from m = 1
@@ -321,9 +325,7 @@ def climb(nu: Word) -> tuple[list[Word], list[int], list[tuple[int, int, int]]]:
     >>> climb((0, 2))
     ([(1, 2), (2, 1)], [0, 1], [(0, 1, 1)])
     """
-    n = nu[-1]
-    if n < 1:
-        raise ValueError("rank must be at least 1")
+    n, expected = nu[-1], count(nu)
     words = [tuple(range(1, n + 1))]
     index, level, moves = {words[0]: 0}, [0], []
     for u, word in enumerate(words):  # a queue: words grows behind u
@@ -341,24 +343,43 @@ def climb(nu: Word) -> tuple[list[Word], list[int], list[tuple[int, int, int]]]:
                     "m(s_%d) moves %r from level %d to level %d" % (j, word, level[u], level[v])
                 )
             moves.append((u, j, v))
-    if len(words) != count(nu):
+    if len(words) != expected:
         raise AssertionError(
-            "reached %d words from the identity, expected |I_mu| = %d" % (len(words), count(nu))
+            "reached %d words from the identity, expected |I_mu| = %d" % (len(words), expected)
         )
     return words, level, moves
 
 
-def build_graph(name: str, nu: Word, label: Callable[[Word], str]) -> WeakOrderGraph:
+POSET_RANK_BOUND = 8
+DEFAULT_VERTEX_BUDGET = 50000
+
+
+def build_graph(
+    name: str, nu: Word, label: Callable[[Word], str], max_n: int = POSET_RANK_BOUND
+) -> WeakOrderGraph:
     """The weak-order graph on I_mu as ``climb(nu)`` finds it: the words
     reached from the identity, ranked by level and sorted by (rank, word),
-    with an edge (u, j, v) whenever m(s_j) moves u to v."""
+    with an edge (u, j, v) whenever m(s_j) moves u to v.  A rank above
+    ``max_n``, or a ``count(nu)`` above DEFAULT_VERTEX_BUDGET (which has no
+    override), is refused before the climb; w0 must be the unique maximum."""
+    n = nu[-1]
+    if n > max_n:
+        raise EnumerationBoundError("poset construction for n=%d exceeds the bound %d" % (n, max_n))
+    size = count(nu)
+    if size > DEFAULT_VERTEX_BUDGET:
+        raise EnumerationBoundError(
+            "|I_mu| = %d exceeds the vertex budget %d" % (size, DEFAULT_VERTEX_BUDGET)
+        )
     words, level, moves = climb(nu)
     order = sorted(range(len(words)), key=lambda idx: (level[idx], words[idx]))
     position = sorted(range(len(order)), key=order.__getitem__)  # order's inverse
     edges = tuple(sorted((position[u], j, position[v]) for u, j, v in moves))
     del moves  # freed before the labels are made, to keep the peak RSS down
     vertices = tuple((words[old], label(words[old]), level[old]) for old in order)
-    return WeakOrderGraph(name, vertices, edges)
+    graph = WeakOrderGraph(name, vertices, edges)
+    if graph.maximal_vertices() != (graph.index_of(tuple(range(n, 0, -1))),):
+        raise AssertionError("w0 is not the unique maximum of the mu-weak order")
+    return graph
 
 
 # ---------------------------------------------------------------------------

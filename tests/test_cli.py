@@ -568,6 +568,21 @@ def test_max_n_override_warns_and_succeeds(capsys) -> None:
     assert out.startswith("involutions_9: 2620 vertices, 10480 edges\n")
 
 
+def test_max_n_override_keeps_the_vertex_budget(capsys, monkeypatch) -> None:
+    # The override lifts the rank bound only; |I_12| is refused from the count.
+    def no_climb(nu):
+        raise AssertionError("climbed %r" % (nu,))
+
+    monkeypatch.setattr(weak_order, "climb", no_climb)
+    rc, out, err = run_cli(capsys, ["poset", "-n", "12", "--max-n", "12"])
+    assert rc == 2
+    assert out == ""
+    assert err == (
+        "warning: enumeration bound overridden to 12\n"
+        "error: |I_mu| = 140152 exceeds the vertex budget 50000\n"
+    )
+
+
 MAX_N_IGNORED = [
     ["verify", "--mu", "3,1", "--max-n", "5"],
     ["verify", "--dominant-involution", "(1,3)", "-n", "3", "--max-n", "5"],

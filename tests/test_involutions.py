@@ -42,6 +42,7 @@ from invschub.mu_involutions import (
     mu_involutions,
     mu_monoid_apply,
     mu_monoid_apply_word,
+    mu_weak_order_graph,
     parse_composition,
 )
 from invschub.permutations import (
@@ -55,6 +56,7 @@ from invschub.permutations import (
 )
 from invschub.polynomials import ONE, divided_difference, parse_polynomial, variable
 from invschub.schubert import schubert
+from invschub import weak_order
 from invschub.verify import verify_all
 
 # Number of involutions in S_n for n = 1..7.
@@ -218,7 +220,7 @@ def test_weak_order_graph_i5():
         assert 1 <= gen <= 4
 
 
-def test_weak_order_graph_bound():
+def test_weak_order_graph_bound(monkeypatch):
     with pytest.raises(EnumerationBoundError):
         weak_order_graph(9)
     for n in (0, -2):
@@ -229,6 +231,37 @@ def test_weak_order_graph_bound():
         with pytest.raises(ValueError, match="rank must be at least 1"):
             verify_all(n)
     weak_order_graph(9, max_n=9)  # override works
+
+    # The override lifts the rank bound only: |I_12| = 140,152 is over the
+    # vertex budget, and is refused from the count, before any climb.
+    def no_climb(nu):
+        raise AssertionError("climbed %r" % (nu,))
+
+    monkeypatch.setattr(weak_order, "climb", no_climb)
+    with pytest.raises(EnumerationBoundError, match=r"^\|I_mu\| = 140152 exceeds the vertex budget 50000$"):
+        weak_order_graph(12, max_n=12)
+
+
+def test_weak_order_graph_is_the_mu_n_poset():
+    for n in range(1, 7):
+        graph, mu_graph = weak_order_graph(n), mu_weak_order_graph(Composition((n,)))
+        assert [(word, rank) for word, _, rank in graph.vertices] == [
+            (word, rank) for word, _, rank in mu_graph.vertices
+        ], n
+        assert graph.edges == mu_graph.edges, n
+
+
+def test_weak_order_graph_checks_that_w0_is_the_unique_maximum(monkeypatch):
+    # m(s_2) fixes (2,1,3); (3,2,1) is still reached through (1,3,2), so
+    # the climb finds all of I_3 at the right levels, and (2,1,3) is maximal.
+    real = weak_order.act
+    monkeypatch.setattr(
+        weak_order,
+        "act",
+        lambda i, word, nu: word if (i, word) == (2, (2, 1, 3)) else real(i, word, nu),
+    )
+    with pytest.raises(AssertionError, match="w0 is not the unique maximum"):
+        weak_order_graph(3)
 
 
 def test_weak_order_graph_serializations():

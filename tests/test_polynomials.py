@@ -129,6 +129,20 @@ def test_parse_roundtrip():
         parse_polynomial("x2000000", 3)
 
 
+def test_parse_merges_repeated_cancelling_and_zero_power_terms():
+    assert parse_polynomial("x1 - x1") == ZERO
+    assert str(parse_polynomial("x1 - x1")) == "0"
+    assert parse_polynomial("x1^0 + 1") == constant(2)
+    assert parse_polynomial("x1 + x1 + 3*x1") == monomial((1,), 5)
+    assert parse_polynomial("x1*x2 + x2*x1 - 2*x1*x2 + x3") == variable(3)
+    assert parse_polynomial("x2^0*x1 - x1 + x1^0") == ONE
+    assert parse_polynomial("x1^2*x1 - x1^3") == ZERO
+    assert parse_polynomial(" + ".join(["x1"] * 3000)) == monomial((1,), 3000)
+    # A term's exponent is checked as it is read, even if a later term cancels it.
+    with pytest.raises(ValueError, match="exponent 300 of x1 is outside 0..255"):
+        parse_polynomial("x1^300 - x1^300")
+
+
 def test_swap_variables():
     f = monomial((2, 1)) + monomial((0, 0, 3))
     assert swap_variables(f, 1) == monomial((1, 2)) + monomial((0, 0, 3))
