@@ -42,7 +42,6 @@ from invschub.mu_involutions import (
     mu_involutions,
     mu_monoid_apply,
     mu_monoid_apply_word,
-    mu_weak_order_graph,
     parse_composition,
 )
 from invschub.permutations import (
@@ -240,15 +239,6 @@ def test_weak_order_graph_bound(monkeypatch):
     monkeypatch.setattr(weak_order, "climb", no_climb)
     with pytest.raises(EnumerationBoundError, match=r"^\|I_mu\| = 140152 exceeds the vertex budget 50000$"):
         weak_order_graph(12, max_n=12)
-
-
-def test_weak_order_graph_is_the_mu_n_poset():
-    for n in range(1, 7):
-        graph, mu_graph = weak_order_graph(n), mu_weak_order_graph(Composition((n,)))
-        assert [(word, rank) for word, _, rank in graph.vertices] == [
-            (word, rank) for word, _, rank in mu_graph.vertices
-        ], n
-        assert graph.edges == mu_graph.edges, n
 
 
 def test_weak_order_graph_checks_that_w0_is_the_unique_maximum(monkeypatch):
