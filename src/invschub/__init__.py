@@ -33,7 +33,6 @@ from .involutions import (
 )
 from .mu_involutions import (
     BRUTE_FORCE_BOUND,
-    POSET_RANK_BOUND,
     Composition,
     DegenerateDiagram,
     MuInvolution,

@@ -34,7 +34,6 @@ from .involutions import (
 )
 from .mu_involutions import (
     BRUTE_FORCE_BOUND,
-    POSET_RANK_BOUND,
     degenerate_diagram,
     mu_inv_schubert,
     mu_weak_order_graph,
@@ -143,11 +142,10 @@ def _cmd_relative_atoms(args: argparse.Namespace) -> Output:
 
 
 def _cmd_poset(args: argparse.Namespace) -> Output:
-    bound = _bound(args, POSET_RANK_BOUND)
     if args.n is not None:
-        graph = weak_order_graph(args.n, max_n=bound)
+        graph = weak_order_graph(args.n)
     else:
-        graph = mu_weak_order_graph(parse_composition(args.mu), max_n=bound)
+        graph = mu_weak_order_graph(parse_composition(args.mu))
     return {"text": graph.to_text, "json": graph.to_json, "dot": graph.to_dot}, 0
 
 
@@ -294,7 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("-n", type=int, default=None, help="rank: the poset of involutions in S_n")
     group.add_argument("-m", "--mu", default=None, help="composition: the poset of mu-involutions")
-    _add_max_n(p)
     _add_format(p, choices=("text", "json", "dot"))
     p.set_defaults(func=_cmd_poset)
 

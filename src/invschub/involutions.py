@@ -33,7 +33,6 @@ from typing import Iterator, NamedTuple
 
 from .mu_involutions import (
     BRUTE_FORCE_BOUND,
-    POSET_RANK_BOUND,
     Composition,
     MuInvolution,
     _diagram_product,
@@ -79,7 +78,6 @@ __all__ = [
     "inv_schubert",
     "inv_schubert_dominant",
     "closed_orbit_polynomial",
-    "POSET_RANK_BOUND",
     "BRUTE_FORCE_BOUND",
 ]
 
@@ -241,14 +239,14 @@ def involutions(n: int) -> Iterator[Involution]:
         yield Involution._from_engine(word, mu)
 
 
-def weak_order_graph(n: int, max_n: int = POSET_RANK_BOUND) -> WeakOrderGraph:
+def weak_order_graph(n: int) -> WeakOrderGraph:
     """The labeled weak-order digraph on all involutions of [n]: the
     mu = (n) poset of ``mu_weak_order_graph``, labeled by cycles.
 
     >>> weak_order_graph(2).rank_profile()
     (1, 1)
     """
-    return build_graph("involutions_%d" % n, (0, n), _cycles_string, max_n)
+    return build_graph("involutions_%d" % n, (0, n), _cycles_string)
 
 
 # ---------------------------------------------------------------------------

@@ -12,10 +12,10 @@ This module stands on the weak-order engine alone: the monoid action, the
 rank lhat_mu, the weak-order graph, the atoms of each block's w0 and the
 polynomial descent are :mod:`invschub.weak_order`, which works on the
 one-line tuple and the prefix sums ``Composition.nu``; its ``build_graph``
-refuses and checks the posets of both families, and its two poset bounds
-are re-exported here.  Words are checked
-where they enter, by the public constructor and the parsers; a word the
-engine produced becomes an element through the private, unchecked
+refuses a poset of either family by its size alone, against the
+vertex budget re-exported here, and checks it.  Words are checked where
+they enter, by the public constructor and the parsers; a word the engine
+produced becomes an element through the private, unchecked
 ``MuInvolution._from_engine``.  Involutions are the case mu = (n):
 ``Involution`` in :mod:`invschub.involutions` is the subclass at that
 composition, so every function here takes one and the action returns one.
@@ -39,7 +39,6 @@ from .permutations import (
 from .polynomials import IntPolynomial, ONE, variable
 from .weak_order import (
     DEFAULT_VERTEX_BUDGET,
-    POSET_RANK_BOUND,
     WeakOrderGraph,
     act,
     act_word,
@@ -72,7 +71,6 @@ __all__ = [
     "mu_closed_orbit_polynomial",
     "mu_inv_schubert",
     "DEFAULT_VERTEX_BUDGET",
-    "POSET_RANK_BOUND",
     "BRUTE_FORCE_BOUND",
 ]
 
@@ -324,7 +322,7 @@ def mu_involutions(mu: Composition) -> Iterator[MuInvolution]:
         yield MuInvolution._from_engine(word, mu)
 
 
-def mu_weak_order_graph(mu: Composition, max_n: int = POSET_RANK_BOUND) -> WeakOrderGraph:
+def mu_weak_order_graph(mu: Composition) -> WeakOrderGraph:
     """The labeled weak-order digraph on I_mu, as ``build_graph`` refuses,
     climbs and checks it.
 
@@ -335,7 +333,6 @@ def mu_weak_order_graph(mu: Composition, max_n: int = POSET_RANK_BOUND) -> WeakO
         "mu_involutions_%s" % "_".join(str(p) for p in mu.parts),
         mu.nu,
         lambda word: _blocks_string(word, mu.nu),
-        max_n,
     )
 
 

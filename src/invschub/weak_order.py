@@ -44,7 +44,6 @@ __all__ = [
     "build_graph",
     "anchor",
     "MAX_RANK",
-    "POSET_RANK_BOUND",
     "DEFAULT_VERTEX_BUDGET",
     "refuse_rank",
     "shat_mu",
@@ -350,25 +349,27 @@ def climb(nu: Word) -> tuple[list[Word], list[int], list[tuple[int, int, int]]]:
     return words, level, moves
 
 
-POSET_RANK_BOUND = 8
 DEFAULT_VERTEX_BUDGET = 50000
 
 
-def build_graph(
-    name: str, nu: Word, label: Callable[[Word], str], max_n: int = POSET_RANK_BOUND
-) -> WeakOrderGraph:
+def build_graph(name: str, nu: Word, label: Callable[[Word], str]) -> WeakOrderGraph:
     """The weak-order graph on I_mu as ``climb(nu)`` finds it: the words
     reached from the identity, ranked by level and sorted by (rank, word),
-    with an edge (u, j, v) whenever m(s_j) moves u to v.  A rank above
-    ``max_n``, or a ``count(nu)`` above DEFAULT_VERTEX_BUDGET (which has no
-    override), is refused before the climb; w0 must be the unique maximum."""
+    with an edge (u, j, v) whenever m(s_j) moves u to v.  Its size is its
+    one limit: above DEFAULT_VERTEX_BUDGET, which has no override, it is
+    refused before the climb.  w0 must be the unique maximum."""
     n = nu[-1]
-    if n > max_n:
-        raise EnumerationBoundError("poset construction for n=%d exceeds the bound %d" % (n, max_n))
+    family = "I_%d" % n if len(nu) == 2 else "I_mu"
+    # |I_mu| >= 2^(n-1), as |I_m| >= 2 |I_(m-1)| and k blocks have a multinomial of
+    # at least 2^(k-1); so a rank past the budget's bit length skips count's factorials.
+    if n > DEFAULT_VERTEX_BUDGET.bit_length():
+        raise EnumerationBoundError(
+            "|%s| >= 2^%d exceeds the vertex budget %d" % (family, n - 1, DEFAULT_VERTEX_BUDGET)
+        )
     size = count(nu)
     if size > DEFAULT_VERTEX_BUDGET:
         raise EnumerationBoundError(
-            "|I_mu| = %d exceeds the vertex budget %d" % (size, DEFAULT_VERTEX_BUDGET)
+            "|%s| = %d exceeds the vertex budget %d" % (family, size, DEFAULT_VERTEX_BUDGET)
         )
     words, level, moves = climb(nu)
     order = sorted(range(len(words)), key=lambda idx: (level[idx], words[idx]))

@@ -478,7 +478,8 @@ BAD_INVOCATIONS = [
     ["poset", "-n", "3", "-m", "2,1"],
     ["poset", "-n", "0"],
     ["poset", "-n", "-2"],
-    ["poset", "-n", "3", "--max-n", "0"],
+    ["poset", "-n", "9", "--max-n", "9"],
+    ["verify", "--all-n", "3", "--max-n", "0"],
     ["atoms", "-t", "(1,2)", "-n", "2", "--bruteforce", "--max-n", "-1"],
     ["verify"],
     ["verify", "--all-n", "0"],
@@ -504,10 +505,10 @@ def test_exit_code_one_on_bad_input(capsys) -> None:
 
 
 def test_exit_code_two_on_enumeration_bound(capsys) -> None:
-    rc, out, err = run_cli(capsys, ["poset", "-n", "9"])
+    rc, out, err = run_cli(capsys, ["poset", "-n", "12"])
     assert rc == 2
     assert out == ""
-    assert err == "error: poset construction for n=9 exceeds the bound 8\n"
+    assert err == "error: |I_12| = 140152 exceeds the vertex budget 50000\n"
 
     rc, out, err = run_cli(capsys, ["atoms", "-t", "(1,8)", "-n", "8", "--bruteforce"])
     assert rc == 2
@@ -562,25 +563,37 @@ def test_an_exponent_above_255_is_one_line_without_a_traceback() -> None:
 
 
 def test_max_n_override_warns_and_succeeds(capsys) -> None:
-    rc, out, err = run_cli(capsys, ["poset", "-n", "9", "--max-n", "9"])
+    rc, out, err = run_cli(capsys, ["atoms", "-t", "(1,8)", "-n", "8", "--bruteforce", "--max-n", "8"])
     assert rc == 0
-    assert err == "warning: enumeration bound overridden to 9\n"
+    assert err == "warning: enumeration bound overridden to 8\n"
+    assert len(out.splitlines()) == 7
+
+
+def test_poset_is_limited_by_its_vertex_count_alone(capsys, monkeypatch) -> None:
+    # Rank 9 builds with no override; |I_12| is refused from the count.
+    rc, out, err = run_cli(capsys, ["poset", "-n", "9"])
+    assert rc == 0
+    assert err == ""
     assert out.startswith("involutions_9: 2620 vertices, 10480 edges\n")
 
-
-def test_max_n_override_keeps_the_vertex_budget(capsys, monkeypatch) -> None:
-    # The override lifts the rank bound only; |I_12| is refused from the count.
     def no_climb(nu):
         raise AssertionError("climbed %r" % (nu,))
 
     monkeypatch.setattr(weak_order, "climb", no_climb)
-    rc, out, err = run_cli(capsys, ["poset", "-n", "12", "--max-n", "12"])
+    rc, out, err = run_cli(capsys, ["poset", "-n", "12"])
     assert rc == 2
     assert out == ""
-    assert err == (
-        "warning: enumeration bound overridden to 12\n"
-        "error: |I_mu| = 140152 exceeds the vertex budget 50000\n"
-    )
+    assert err == "error: |I_12| = 140152 exceeds the vertex budget 50000\n"
+
+    # From rank 17 on, |I_n| >= 2^(n-1) > 50,000 refuses without the count.
+    def no_count(nu):
+        raise AssertionError("counted %r" % (nu,))
+
+    monkeypatch.setattr(weak_order, "count", no_count)
+    rc, out, err = run_cli(capsys, ["poset", "-n", "1000000000"])
+    assert rc == 2
+    assert out == ""
+    assert err == "error: |I_1000000000| >= 2^999999999 exceeds the vertex budget 50000\n"
 
 
 MAX_N_IGNORED = [
@@ -619,9 +632,12 @@ def test_help_exits_zero(capsys) -> None:
         "diagram",
     ):
         assert name in out
-    rc, out, _ = run_cli(capsys, ["poset", "--help"])
+    rc, out, _ = run_cli(capsys, ["verify", "--help"])
     assert rc == 0
     assert "--max-n" in out
+    rc, out, _ = run_cli(capsys, ["poset", "--help"])
+    assert rc == 0
+    assert "--max-n" not in out
 
 
 # ---------------------------------------------------------------------------
@@ -668,7 +684,7 @@ def test_module_entry_point() -> None:
     assert proc.stdout == "x1^2*x2\n"
 
     proc = subprocess.run(
-        [sys.executable, "-m", "invschub", "poset", "-n", "9"],
+        [sys.executable, "-m", "invschub", "poset", "-n", "12"],
         capture_output=True,
         text=True,
     )

@@ -220,8 +220,6 @@ def test_weak_order_graph_i5():
 
 
 def test_weak_order_graph_bound(monkeypatch):
-    with pytest.raises(EnumerationBoundError):
-        weak_order_graph(9)
     for n in (0, -2):
         with pytest.raises(ValueError, match="rank must be at least 1"):
             weak_order_graph(n)
@@ -229,16 +227,17 @@ def test_weak_order_graph_bound(monkeypatch):
             list(involutions(n))
         with pytest.raises(ValueError, match="rank must be at least 1"):
             verify_all(n)
-    weak_order_graph(9, max_n=9)  # override works
+    # The exact size is the poset's one limit: |I_9| = 2,620 builds, and
+    # |I_12| = 140,152 is over the vertex budget and is refused from the
+    # count, before any climb.
+    assert weak_order_graph(9).vertex_count == 2620
 
-    # The override lifts the rank bound only: |I_12| = 140,152 is over the
-    # vertex budget, and is refused from the count, before any climb.
     def no_climb(nu):
         raise AssertionError("climbed %r" % (nu,))
 
     monkeypatch.setattr(weak_order, "climb", no_climb)
-    with pytest.raises(EnumerationBoundError, match=r"^\|I_mu\| = 140152 exceeds the vertex budget 50000$"):
-        weak_order_graph(12, max_n=12)
+    with pytest.raises(EnumerationBoundError, match=r"^\|I_12\| = 140152 exceeds the vertex budget 50000$"):
+        weak_order_graph(12)
 
 
 def test_weak_order_graph_checks_that_w0_is_the_unique_maximum(monkeypatch):

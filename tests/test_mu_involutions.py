@@ -52,6 +52,7 @@ from invschub.permutations import (
 )
 from invschub.polynomials import ONE, divided_difference, parse_polynomial
 from invschub.schubert import schubert
+from invschub import weak_order
 from invschub.weak_order import count
 
 
@@ -274,14 +275,58 @@ def test_mu_weak_order_graph_3_1():
     )
 
 
-def test_mu_weak_order_graph_guards():
-    with pytest.raises(EnumerationBoundError):
-        mu_weak_order_graph(parse_composition("5,4"))
-    mu_weak_order_graph(parse_composition("2,1"), max_n=3)
-    with pytest.raises(EnumerationBoundError):
-        # |I_(1^9)| = 9! = 362,880 is over the vertex budget, and is refused
-        # from the count alone, before any enumeration.
-        mu_weak_order_graph(parse_composition("1,1,1,1,1,1,1,1,1"), max_n=9)
+def test_mu_weak_order_graph_guards(monkeypatch):
+    assert mu_weak_order_graph(parse_composition("2,1")).vertex_count == 6
+    for parts, name, size in (
+        ("5,5", "mu", 170352),
+        ("3,3,3", "mu", 107520),
+        ("1,1,1,1,1,1,1,1,1", "mu", 362880),
+        ("16", "16", 46206736),
+    ):
+        with pytest.raises(EnumerationBoundError, match=r"^\|I_%s\| = %d exceeds the vertex budget 50000$" % (name, size)):
+            mu_weak_order_graph(parse_composition(parts))
+
+    # The size is the one limit: with the climb disabled, every composition
+    # of n <= 12 is refused from its count exactly when |I_mu| > 50,000,
+    # before any enumeration, and |I_mu| >= 2^(n-1) holds up to n = 16; from
+    # 17 on that bound alone is over the budget.  All of rank 8 is admitted,
+    # 22 compositions of 9, 3 of 10, only (11) at 11, and none of 12 or more.
+    def no_climb(nu):
+        raise AssertionError("climbed %r" % (nu,))
+
+    monkeypatch.setattr(weak_order, "climb", no_climb)
+    admitted = {}
+    for n in range(1, 17):
+        for mu in all_compositions(n):
+            size = count(mu.nu)
+            assert size >= 2 ** (n - 1), mu
+            if size <= 50000:
+                admitted[n] = admitted.get(n, 0) + 1
+            if n > 12:
+                continue
+            if size > 50000:
+                name = str(n) if mu.k == 1 else "mu"
+                with pytest.raises(EnumerationBoundError, match=r"^\|I_%s\| = %d exceeds" % (name, size)):
+                    mu_weak_order_graph(mu)
+            else:
+                with pytest.raises(AssertionError, match="^climbed"):
+                    mu_weak_order_graph(mu)
+    assert admitted == {n: 2 ** (n - 1) for n in range(1, 9)} | {9: 22, 10: 3, 11: 1}
+
+    # From rank 17 on, 2^(n-1) > 50,000 refuses the rank without the count.
+    def no_count(nu):
+        raise AssertionError("counted %r" % (nu,))
+
+    monkeypatch.setattr(weak_order, "count", no_count)
+    for parts, name, n in (
+        ("17", "17", 17),
+        ("9,8", "mu", 17),
+        ("1," * 19 + "1", "mu", 20),
+        ("1000000000", "1000000000", 10**9),
+    ):
+        message = r"^\|I_%s\| >= 2\^%d exceeds the vertex budget 50000$" % (name, n - 1)
+        with pytest.raises(EnumerationBoundError, match=message):
+            mu_weak_order_graph(parse_composition(parts))
 
 
 def test_mu_poset_json_deterministic():
