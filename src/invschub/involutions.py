@@ -309,8 +309,10 @@ def inv_schubert(tau: Involution) -> IntPolynomial:
     """Shat_tau: divided differences along any chain up to w0.
 
     Chain-independence is a property of the action and is asserted by the
-    test suite; this is ``mu_inv_schubert`` at mu = (n), whose greedy
-    smallest-label chain must raise lhat by one at every move.
+    test suite; this is ``mu_inv_schubert`` at mu = (n): the greedy chain
+    takes the smallest i with i left of i+1 in the word at every step,
+    and each move must raise lhat by exactly one, as computed from the
+    letters i and i+1 alone.
 
     >>> print(inv_schubert(longest_involution(3)))
     x1^2 + x1*x2

@@ -197,7 +197,7 @@ class MuInvolution:
         """The element with one-line ``word``, built without the block
         check: only for words the engine produced in I_mu."""
         pi = object.__new__(cls)
-        pi.perm = Permutation(word)
+        pi.perm = Permutation._from_engine(word)
         pi.mu = mu
         return pi
 
@@ -478,8 +478,11 @@ def mu_inv_schubert(pi: MuInvolution) -> IntPolynomial:
     of minimal length driving the identity up to pi.  Both properties are
     checked exhaustively in the tests; for palindromic compositions the
     two candidate anchors agree.  The greedy smallest-label chain is used
-    here, and every non-stay move must raise lhat_mu by exactly one or
-    the chain is rejected.
+    here: m(s_i) stays exactly when i lies right of i+1, so each step takes
+    the smallest i left of i+1, and each move must raise lhat_mu by
+    exactly one, as computed from the letters i and i+1 and their block,
+    or the chain is rejected.  ``pi`` was checked when it was built, so
+    its rank is not counted.
 
     >>> print(mu_inv_schubert(parse_mu_involution("432|1")))
     x1^3*x2^2 + x1^3*x2*x3

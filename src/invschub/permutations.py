@@ -62,6 +62,14 @@ class Permutation:
             )
         self._images = images
 
+    @classmethod
+    def _from_engine(cls, images: tuple[int, ...]) -> "Permutation":
+        """The permutation with one-line ``images``, built without the
+        sort check: only for tuples made from a valid permutation."""
+        w = object.__new__(cls)
+        w._images = images
+        return w
+
     @property
     def oneline(self) -> tuple[int, ...]:
         return self._images
@@ -97,13 +105,13 @@ class Permutation:
         """(u * v)(i) = u(v(i)).  Ranks must agree."""
         if self.n != other.n:
             raise ValueError("rank mismatch: %d vs %d" % (self.n, other.n))
-        return Permutation(self._images[j - 1] for j in other._images)
+        return Permutation._from_engine(tuple(self._images[j - 1] for j in other._images))
 
     def inverse(self) -> "Permutation":
         inv = [0] * self.n
         for i, v in enumerate(self._images, start=1):
             inv[v - 1] = i
-        return Permutation(inv)
+        return Permutation._from_engine(tuple(inv))
 
     def length(self) -> int:
         """Number of inversions, i.e. pairs i < j with w(i) > w(j)."""
@@ -115,14 +123,14 @@ class Permutation:
             raise IndexError("generator index %d out of range 1..%d" % (i, self.n - 1))
         imgs = list(self._images)
         imgs[i - 1], imgs[i] = imgs[i], imgs[i - 1]
-        return Permutation(imgs)
+        return Permutation._from_engine(tuple(imgs))
 
     def left_multiply_s(self, i: int) -> "Permutation":
         """s_i * w: swap the values i and i+1 wherever they occur."""
         if not 1 <= i <= self.n - 1:
             raise IndexError("generator index %d out of range 1..%d" % (i, self.n - 1))
         swap = {i: i + 1, i + 1: i}
-        return Permutation(swap.get(v, v) for v in self._images)
+        return Permutation._from_engine(tuple(swap.get(v, v) for v in self._images))
 
     def descents(self) -> tuple[int, ...]:
         """Indices i with w(i) > w(i+1)."""

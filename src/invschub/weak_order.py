@@ -8,12 +8,21 @@ A mu-involution is a pair (word, nu): its one-line tuple and the prefix
 sums ``Composition.nu`` that cut it into blocks; involutions of [n] are
 nu = (0, n), and every permutation is a mu-involution at nu = (0, 1, ..., n),
 where m(s_i) is left multiplication by s_i and ``shat_mu`` of w is the
-ordinary Schubert polynomial of w^-1.  m(s_i) stays when letter i appears
-after letter i+1; swaps the two letters when they lie in different blocks,
-or in one block that fixes both (as a permutation of its own alphabet); and
-otherwise conjugates inside the block: it swaps the block slots at the
-ranks of i and i+1, then relabels i <-> i+1.  Its inverse ``lower`` is the
-same rule with i and i+1 exchanged.
+ordinary Schubert polynomial of w^-1.  m(s_i) stays exactly when letter i
+appears after letter i+1; otherwise it swaps the two letters when they lie
+in different blocks, or in one block that fixes both (as a permutation of
+its own alphabet), and else conjugates inside the block: it swaps the
+block slots at the ranks of i and i+1, then relabels i <-> i+1.  Its
+inverse ``lower`` is the same rule with i and i+1 exchanged.
+
+So the raising chain of ``shat_mu`` reads each move off the positions of
+the letters, the smallest i left of i+1, and calls ``act`` once per move.
+Each move must raise lhat_mu by exactly one, and that change is computed
+from the letters i and i+1 and their block alone: a swap across two blocks
+adds one inversion to the blockwise sorted word, and a move inside a block
+is ranked over the at most four slots it touches.  ``shat_mu`` takes words
+of I_mu; they are checked where they enter, by ``Permutation``,
+``MuInvolution`` and the parsers, and the chain does not count their rank.
 
 >>> act(3, (3, 2, 4, 1), (0, 3, 4)), lhat_mu((4, 3, 2, 1), (0, 3, 4))
 ((4, 3, 2, 1), 5)
@@ -428,30 +437,98 @@ def anchor(nu: Word) -> IntPolynomial:
     return poly * monomial(exponents)
 
 
+def _rank_change(i: int, word: Word, image: Word, nu: Word) -> int:
+    """lhat_mu(image) - lhat_mu(word) for a word of I_mu and an image of
+    m(s_i) on it, from the letters i and i+1 and their block alone.
+
+    Across two blocks the image may differ from the word only by the two
+    letters trading places, which adds or removes the one inversion of
+    i and i+1 in the blockwise sorted word.  Inside one block it may
+    change only the slots of i and i+1 and the slots r, r+1 at their
+    ranks, and the image block must be an involution at them, which keeps
+    their letters and so the block's alphabet; a slot of i or i+1 outside
+    r, r+1 must keep i or i+1.  Each letter then keeps its place up to
+    r <-> r+1 and its value up to i <-> i+1, so no pair with another slot
+    changes order: the inversions and the slots s with
+    block[s] > alphabet[s] are counted over these slots alone.  Any other
+    image raises AssertionError.
+    """
+    p, q = word.index(i), word.index(i + 1)
+    c = bisect_right(nu, p)
+    lo, hi = nu[c - 1], nu[c]
+    if not lo <= q < hi:
+        if image == word:
+            return 0
+        swapped = list(word)
+        swapped[p], swapped[q] = i + 1, i
+        if image != tuple(swapped):
+            raise AssertionError("m(s_%d) sends %r to %r, not a swap of its letters" % (i, word, image))
+        return 1 if p < q else -1
+    r = lo + sorted(word[lo:hi]).index(i)
+    # The block is an involution, so the slots of i and i+1 hold, as
+    # alphabet letters, the letters at the ranks of i and i+1.
+    alphabet = {r: i, r + 1: i + 1, p: word[r], q: word[r + 1]}
+    home = {x: s for s, x in alphabet.items()}
+    slots = sorted(alphabet)
+    old, new = [word[s] for s in slots], [image[s] for s in slots]
+    rest = list(image)
+    for s in slots:
+        rest[s] = word[s]
+    if tuple(rest) != word:
+        raise AssertionError("m(s_%d) sends %r to %r, not a move inside the block" % (i, word, image))
+    change = 0
+    for k, s in enumerate(slots):
+        x, y = alphabet[s], new[k]
+        # Involution at s: the slot at the rank of y holds the letter of
+        # rank s.  Over all the slots, this also keeps their letters.
+        t = home.get(y)
+        if t is None or image[t] != x or (s - r not in (0, 1) and y - i not in (0, 1)):
+            raise AssertionError("m(s_%d) sends %r to %r, not a local move in I_mu" % (i, word, image))
+        change += (y > x) - (old[k] > x)
+        for m in range(k + 1, len(slots)):
+            change += (y > new[m]) - (old[k] > old[m])
+    return change // 2
+
+
 def _greedy_moves(word: Word, nu: Word) -> Iterator[tuple[int, Word]]:
-    # Smallest moving generator first; each move must raise lhat_mu by one.
-    rank = lhat_mu(word, nu)
+    # Smallest moving generator first: m(s_i) stays exactly when i lies
+    # right of i+1, so the positions of the letters name the next move,
+    # and each move must raise lhat_mu by exactly one (a stay raises it
+    # by none).
+    n = nu[-1]
+    where = [0] * (n + 1)
+    for s, x in enumerate(word):
+        where[x] = s
+    i = 1
     while True:
-        for i in range(1, nu[-1]):
-            image = act(i, word, nu)
-            if image != word:
-                break
-        else:
+        while i < n and where[i] > where[i + 1]:
+            i += 1
+        if i == n:
             return
-        rank += 1
-        if lhat_mu(image, nu) != rank:
-            raise AssertionError(
-                "m(s_%d) does not raise lhat_mu by one at %r" % (i, word)
-            )
+        image = act(i, word, nu)
+        if _rank_change(i, word, image, nu) != 1:
+            raise AssertionError("m(s_%d) does not raise lhat_mu by one at %r" % (i, word))
         yield i, image
+        p, q = where[i], where[i + 1]
+        c = bisect_right(nu, p)
+        if q < nu[c]:
+            # One block moved: its letters are read again, and an ascent
+            # may open below i.
+            for s in range(nu[c - 1], nu[c]):
+                where[image[s]] = s
+            i = 1
+        else:
+            where[i], where[i + 1] = q, p
+            i = max(i - 1, 1)
         word = image
 
 
 def shat_mu(word: Word, nu: Word) -> IntPolynomial:
-    """Shat^mu of the mu-involution ``word`` cut at ``nu``: climb the
-    ``_greedy_moves`` up to the first cached node or w0 (worth
-    ``anchor(nu)``), then apply d_i back down, caching every node of the
-    chain under (nu, word).  Ranks above MAX_RANK are refused."""
+    """Shat^mu of ``word`` cut at ``nu``, which must be a word of I_mu: it
+    is not checked here.  Climb the ``_greedy_moves`` up to the first
+    cached node or w0 (worth ``anchor(nu)``), then apply d_i back down,
+    caching every node of the chain under (nu, word).  Ranks above MAX_RANK
+    are refused."""
     refuse_rank(nu[-1])
     top = tuple(range(nu[-1], 0, -1))
     moves = _greedy_moves(word, nu)

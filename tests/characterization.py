@@ -26,6 +26,11 @@ from the one word ``reduced_word`` picks.  The blocks of a mu-involution,
 read position by position, stand apart from the slicing behind
 ``MuInvolution.strings``.
 
+The raising chain that scans the generators from 1 with ``act`` until one
+moves, and counts ``lhat_mu`` of every image again to see it rise by one,
+stands apart from the engine's walker, which reads each move off the
+positions of the letters and ranks it from the two moved letters.
+
 ``weak_le`` walks up the weak order by the engine's own action, so it is
 the oracle for empty relative-atom sets: the walk down that builds them
 must come up empty exactly when the walk up misses.
@@ -39,7 +44,7 @@ packed monomial keys inside ``invschub.polynomials``.
 from __future__ import annotations
 
 from itertools import accumulate, permutations, zip_longest
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from invschub.involutions import Involution
 from invschub.mu_involutions import Composition, MuInvolution
@@ -160,6 +165,26 @@ def mu_involution_words(parts: tuple[int, ...]) -> list[Word]:
         for w in permutations(range(1, nu[-1] + 1))
         if all(involutive(w[lo:hi]) for lo, hi in zip(nu, nu[1:]))
     ]
+
+
+def greedy_moves_by_scan(word: Word, nu: Word) -> Iterator[tuple[int, Word]]:
+    """The greedy raising chain from ``word`` to w0 of I_mu cut at ``nu``:
+    at each step the smallest i whose m(s_i) moves the word, found by
+    calling ``act`` for i = 1, 2, ..., with the image's ``lhat_mu``
+    counted from scratch and required to be one more than the word's."""
+    rank = lhat_mu(word, nu)
+    while True:
+        for i in range(1, nu[-1]):
+            image = act(i, word, nu)
+            if image != word:
+                break
+        else:
+            return
+        rank += 1
+        if lhat_mu(image, nu) != rank:
+            raise AssertionError("m(s_%d) does not raise lhat_mu by one at %r" % (i, word))
+        yield i, image
+        word = image
 
 
 def _inverse_words(n: int):

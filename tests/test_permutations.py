@@ -36,6 +36,18 @@ def test_constructor_validation():
         Permutation([0, 1])
 
 
+def test_engine_results_skip_the_check_and_the_constructor_keeps_it():
+    # Inverses, products and s_i multiples are built without the sort
+    # check; each is the permutation its one-line tuple would check to.
+    for bad in ([1, 1, 2], [0, 1]):
+        with pytest.raises(ValueError):
+            Permutation(bad)
+    for u in all_permutations(4):
+        for w in (u.inverse(), u * u.inverse(), u * longest(4), u.right_multiply_s(2), u.left_multiply_s(3)):
+            assert type(w.oneline) is tuple and sorted(w.oneline) == [1, 2, 3, 4]
+            assert w == Permutation(w.oneline) and hash(w) == hash(Permutation(w.oneline))
+
+
 def test_identity_longest_basics():
     assert identity(4).oneline == (1, 2, 3, 4)
     assert longest(4).oneline == (4, 3, 2, 1)

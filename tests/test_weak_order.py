@@ -8,9 +8,10 @@ count), and the graph builder's breadth-first ranks and direct JSON writer."""
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
-from characterization import mu_involution_words
+from characterization import greedy_moves_by_scan, mu_involution_words
 
 from invschub import weak_order
 from invschub.involutions import (
@@ -33,6 +34,8 @@ from invschub.permutations import all_permutations, identity
 from invschub.schubert import schubert
 from invschub.weak_order import (
     WeakOrderGraph,
+    _greedy_moves,
+    _rank_change,
     act,
     atom_words,
     build_graph,
@@ -74,15 +77,75 @@ def test_every_chain_move_is_rank_checked(monkeypatch):
     # A block that is not an involution is rejected by the rank itself.
     with pytest.raises(AssertionError):
         lhat_mu((3, 4, 2, 1), (0, 3, 4))
-    monkeypatch.setattr(weak_order, "lhat_mu", lambda word, nu: 0)
+    # An image that is not a word on the block's letters is refused.
+    with pytest.raises(AssertionError):
+        _rank_change(1, (1, 2, 3), (4, 1, 3), (0, 3))
+    real = weak_order.act
+    corruptions = (
+        # m(s_1) sends the identity two ranks up, as m(s_2) m(s_1) does.
+        lambda word, nu: real(2, real(1, word, nu), nu),
+        # m(s_1) fixes the identity, where 1 lies left of 2.
+        lambda word, nu: word,
+    )
+    elements = (
+        (identity(3), schubert),
+        (identity_involution(3), inv_schubert),
+        (identity_mu_involution(Composition((2, 1))), mu_inv_schubert),
+    )
+    for corrupt in corruptions:
+        monkeypatch.setattr(
+            weak_order,
+            "act",
+            lambda i, word, nu, corrupt=corrupt: corrupt(word, nu)
+            if (i, word) == (1, (1, 2, 3))
+            else real(i, word, nu),
+        )
+        for x, polynomial in elements:
+            clear_cache()
+            with pytest.raises(AssertionError):
+                polynomial(x)
     clear_cache()
-    with pytest.raises(AssertionError):
-        inv_schubert(identity_involution(3))
-    with pytest.raises(AssertionError):
-        mu_inv_schubert(identity_mu_involution(Composition((2, 1))))
-    with pytest.raises(AssertionError):
-        schubert(identity(3))
-    clear_cache()
+
+
+def test_walker_follows_the_scan_and_ranks_every_move_exactly():
+    # Every mu-involution with n <= 6: the walker's chain is the scanning
+    # oracle's, and on each of the 44,159 moves of I_mu the rank change
+    # read off the two letters is the difference of lhat_mu.  The image
+    # corrupted into another word of I_mu, or into a shuffled word, is
+    # refused or given its exact change.
+    rng = random.Random(19)
+    moves = refused = ranked = 0
+    for n in range(1, 7):
+        for mu in all_compositions(n):
+            nu = mu.nu
+            words, _, edges = climb(nu)
+            rank = {word: lhat_mu(word, nu) for word in words}
+            first = {word: next(greedy_moves_by_scan(word, nu), None) for word in words}
+            for word in words:
+                expected, step = [], first[word]
+                while step is not None:
+                    expected.append(step)
+                    step = first[step[1]]
+                assert list(_greedy_moves(word, nu)) == expected, (word, nu)
+            for u, i, v in edges:
+                word, image = words[u], words[v]
+                assert _rank_change(i, word, image, nu) == rank[image] - rank[word] == 1
+                assert _rank_change(i, image, word, nu) == -1
+                for bad in (rng.choice(words), tuple(rng.sample(image, n))):
+                    try:
+                        change = lhat_mu(bad, nu) - rank[word]
+                    except AssertionError:
+                        change = None
+                    try:
+                        found = _rank_change(i, word, bad, nu)
+                    except AssertionError:
+                        refused += 1
+                        continue
+                    assert found == change, (i, word, bad, nu)
+                    ranked += 1
+            moves += len(edges)
+    assert moves == 44159
+    assert refused and ranked
 
 
 def test_lower_finds_the_one_predecessor_of_every_descent():
