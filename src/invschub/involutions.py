@@ -20,10 +20,10 @@ m(s_{i_1} ... s_{i_l}) . tau = m(s_{i_1}) . ( ... (m(s_{i_l}) . tau)).
 
 Atoms of tau are the minimal-length w with m(w) . id = tau; their common
 length is the involution length lhat(tau) = #Dhat(tau).  Atoms are one
-atom from the engine's chain down to the identity, closed under the moves
-cab <-> bca (``involution_atom_words``); relative atoms come from the
-engine's walk down the weak order (``atom_words``).  Neither scans S_n; the
-tests check both against the definitional brute force and the closed
+atom read off the cycles of tau and checked for that length, closed under
+the moves cab <-> bca (``involution_atom_words``); relative atoms come from
+the engine's walk down the weak order (``atom_words``).  Neither scans S_n;
+the tests check both against the definitional brute force and the closed
 characterization on the inverse of each candidate.
 """
 
@@ -255,13 +255,13 @@ def weak_order_graph(n: int) -> WeakOrderGraph:
 
 
 def atoms(tau: Involution) -> frozenset[Permutation]:
-    """The atom set A(tau): one atom from the engine's chain down to the
-    identity, closed under the moves cab <-> bca, a < b < c.
+    """The atom set A(tau): one atom read off the cycles of tau, checked
+    for its length, closed under the moves cab <-> bca, a < b < c.
 
     >>> sorted(w.compact() for w in atoms(parse_involution("(1,5)(2,3)", 5)))
     ['32451', '32514', '35124', '51324']
     """
-    return frozenset(map(Permutation, involution_atom_words(tau.oneline)))
+    return frozenset(map(Permutation._from_engine, involution_atom_words(tau.oneline)))
 
 
 def atoms_bruteforce(
@@ -278,7 +278,8 @@ def relative_atoms(tau: Involution, tau_prime: Involution) -> frozenset[Permutat
     """
     if tau.n != tau_prime.n:
         raise ValueError("rank mismatch")
-    return frozenset(map(Permutation, atom_words(tau_prime.oneline, tau.oneline, (0, tau.n))))
+    words = atom_words(tau_prime.oneline, tau.oneline, (0, tau.n))
+    return frozenset(map(Permutation._from_engine, words))
 
 
 def relative_atoms_bruteforce(

@@ -351,7 +351,7 @@ def atoms_mu_top(mu: Composition) -> frozenset[Permutation]:
         block_atoms = involution_atom_words(tuple(range(m, 0, -1)))
         block_options.append([tuple(x + n - hi for x in w) for w in block_atoms])
     return frozenset(
-        Permutation(x for block in combo for x in block)
+        Permutation._from_engine(sum(combo, ()))
         for combo in itertools.product(*block_options)
     )
 

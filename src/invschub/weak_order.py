@@ -147,33 +147,30 @@ def atom_words(target: Word, base: Word, nu: Word) -> frozenset[Word]:
 
 def involution_atom_words(target: Word) -> frozenset[Word]:
     """A(target) for an involution word, base = id: ``atom_words(target,
-    id, (0, n))`` in time linear in the answer.  One atom comes from the
-    greedy ``lower`` chain down to the identity, with s_i applied from the
-    bottom up; each s_i must lengthen the word, or AssertionError is
-    raised.  The rest are its closure under the moves cab <-> bca,
-    a < b < c, on three consecutive letters (Hamaker-Marberg-Pawlowski,
-    "Involution words II", arXiv:1601.02269).  The moves do not generate
-    relative atoms or the atoms of several blocks; ``atom_words`` does.
+    id, (0, n))`` in time linear in the answer.  One atom is read off the
+    cycles (a, b), a <= b, in increasing order of a: ``b a`` for a
+    2-cycle, ``a`` for a fixed point.  Its length must be the involution
+    length (l(target) + kappa(target)) / 2, or AssertionError is raised;
+    a word that is not an involution of 1..n raises ValueError.  The rest
+    are its closure under the moves cab <-> bca, a < b < c, on three
+    consecutive letters (Hamaker-Marberg-Pawlowski, "Involution words
+    II", arXiv:1601.02269).  The moves do not generate relative atoms or
+    the atoms of several blocks; ``atom_words`` does.
 
     >>> sorted(involution_atom_words((3, 2, 1)))
     [(2, 3, 1), (3, 1, 2)]
     """
-    n, word, chain = len(target), target, []
-    while True:  # down to the one word with no descent, the identity
-        for i in range(1, n):
-            below = lower(i, word, (0, n))
-            if below is not None:
-                chain.append(i)
-                word = below
-                break
-        else:
-            break
-    seed = list(range(1, n + 1))
-    for i in reversed(chain):
-        p, q = seed.index(i), seed.index(i + 1)
-        if p > q:
-            raise AssertionError("s_%d w is shorter than w = %r" % (i, tuple(seed)))
-        seed[p], seed[q] = i + 1, i
+    n, seed, kappa = len(target), [], 0
+    for a, b in enumerate(target, start=1):
+        if not 1 <= b <= n or target[b - 1] != a:
+            raise ValueError("%r is not an involution of 1..%d" % (target, n))
+        if a < b:
+            seed += (b, a)
+            kappa += 1
+        elif a == b:
+            seed.append(a)
+    if 2 * inversions(seed) != inversions(target) + kappa:
+        raise AssertionError("seed %r of %r is not of length (l + kappa) / 2" % (tuple(seed), target))
     found = {tuple(seed)}
     queue = list(found)
     for w in queue:  # grows behind the loop

@@ -326,8 +326,13 @@ def test_longest_involution_atom_counts():
 
 
 def test_atoms_definition_properties():
-    # All of I_5, and two involutions of rank 8, beyond any scan of S_n.
-    cases = list(involutions(5)) + [parse_involution("(1,8)", 8), longest_involution(8)]
+    # All of I_5, two involutions of rank 8 and one of rank 30, beyond any
+    # scan of S_n.
+    cases = list(involutions(5)) + [
+        parse_involution("(1,8)", 8),
+        longest_involution(8),
+        parse_involution("(1,30)", 30),
+    ]
     for tau in cases:
         for w in atoms(tau):
             assert w.length() == involution_length(tau)

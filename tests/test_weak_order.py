@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 from characterization import greedy_moves_by_scan, mu_involution_words
@@ -195,17 +196,30 @@ def test_move_closure_equals_atom_words_through_rank_7():
 
 
 def test_every_atom_step_is_length_checked(monkeypatch):
-    # A predecessor whose atoms already descend at s_1 must be refused, by
-    # the walk and by the seed chain of the move closure alike: the chain
-    # (3,2,1) -> (2,1,3) -> id applies s_1 twice.
+    # A predecessor whose atoms already descend at s_1 must be refused by
+    # the walk: the chain (3,2,1) -> (2,1,3) -> id applies s_1 twice.
     real = weak_order.lower
     monkeypatch.setattr(
         weak_order, "lower", lambda i, word, nu: (2, 1, 3) if word == (3, 2, 1) else real(i, word, nu)
     )
     with pytest.raises(AssertionError):
         atom_words((3, 2, 1), (1, 2, 3), (0, 3))
-    with pytest.raises(AssertionError, match=r"s_1 w is shorter than w = \(2, 1, 3\)"):
+    # The cycle seed of the move closure must have the involution length:
+    # counted one inversion long, the seed (3,1,2) of (3,2,1) is refused.
+    real_inversions = weak_order.inversions
+    monkeypatch.setattr(
+        weak_order, "inversions", lambda seq: real_inversions(seq) + (list(seq) == [3, 1, 2])
+    )
+    with pytest.raises(AssertionError, match=r"seed \(3, 1, 2\) of \(3, 2, 1\)"):
         involution_atom_words((3, 2, 1))
+
+
+def test_involution_atom_words_refuses_a_word_that_is_not_an_involution():
+    # A 3-cycle, a repeated letter and a letter outside 1..n are refused
+    # at once, with no seed and no closure.
+    for word in [(2, 3, 1), (1, 1), (0, 2, 1)]:
+        with pytest.raises(ValueError, match=re.escape("%r is not an involution" % (word,))):
+            involution_atom_words(word)
 
 
 def _graphs():
