@@ -136,7 +136,7 @@ class Involution(MuInvolution):
 
 
 def _cycles_string(word: tuple[int, ...]) -> str:
-    pairs = "".join("(%d,%d)" % (i, j) for i, j in enumerate(word, start=1) if i < j)
+    pairs = "".join(["(%d,%d)" % (i, j) for i, j in enumerate(word, start=1) if i < j])
     return pairs or "id"
 
 

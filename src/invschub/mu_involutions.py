@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .permutations import (
     EnumerationBoundError,
     Permutation,
     identity,
     inversions,
+    letter_strings,
     longest,
     reduced_word,
     rothe_diagram,
@@ -186,8 +187,7 @@ class MuInvolution:
             if any(image[y] != x for x, y in image.items()):
                 raise ValueError(
                     "block %d (%s) of %s does not standardize to an involution"
-                    % (a, "".join(str(x) for x in block) if perm.n <= 9 else
-                       ",".join(str(x) for x in block), perm)
+                    % (a, ("" if perm.n <= 9 else ",").join(letter_strings(perm.oneline)[lo:hi]), perm)
                 )
         self.perm = perm
         self.mu = mu
@@ -229,31 +229,36 @@ class MuInvolution:
         return "MuInvolution(%s, mu=%s)" % (self.perm, self.mu)
 
     def __str__(self) -> str:
-        return _blocks_string(self.oneline, self.mu.nu)
+        return _blocks_label(self.mu.nu)(self.oneline)
 
 
-def _blocks_string(word: tuple[int, ...], nu: tuple[int, ...]) -> str:
-    sep = "" if len(word) <= 9 else ","
-    return "|".join(sep.join(str(x) for x in word[lo:hi]) for lo, hi in zip(nu, nu[1:]))
+def _blocks_label(nu: tuple[int, ...]) -> Callable[[tuple[int, ...]], str]:
+    """The text of a word cut at nu, "586|21|743", with commas between
+    letters once n > 9: the word's one text, sliced at the cuts."""
+    n, cuts = nu[-1], [slice(lo, hi) for lo, hi in zip(nu, nu[1:])]
+
+    def text(word: tuple[int, ...]) -> str:
+        letters = letter_strings(word)
+        return "|".join([letters[c] if n <= 9 else ",".join(letters[c]) for c in cuts])
+    return text
 
 
 def parse_mu_involution(text: str, mu: Composition | None = None) -> MuInvolution:
     """Parse "586|21|743"; block lengths determine the composition.
 
-    Blocks of single digits are split characterwise; blocks containing
-    commas are split on them (needed once letters exceed 9).  An explicit
+    Text with no comma and at most nine digits has one letter per digit;
+    any other text has commas between the letters of a block, as ``str``
+    writes it once letters exceed 9 ("1,10|9|2,8,3,...").  An explicit
     composition, when given, must match the block lengths.
     """
     chunks = [c.strip() for c in text.strip().split("|")]
     if any(not c for c in chunks):
         raise ValueError("empty block in %r" % text)
+    digits = "," not in text and sum(map(len, chunks)) <= 9
     blocks: list[list[int]] = []
     for chunk in chunks:
         try:
-            if "," in chunk:
-                blocks.append([int(x) for x in chunk.split(",")])
-            else:
-                blocks.append([int(ch) for ch in chunk])
+            blocks.append([int(x) for x in (chunk if digits else chunk.split(","))])
         except ValueError:
             raise ValueError("cannot parse block %r in %r" % (chunk, text)) from None
     inferred = Composition([len(b) for b in blocks])
@@ -329,11 +334,7 @@ def mu_weak_order_graph(mu: Composition) -> WeakOrderGraph:
     >>> mu_weak_order_graph(parse_composition("3,1")).vertex_count
     16
     """
-    return build_graph(
-        "mu_involutions_%s" % "_".join(str(p) for p in mu.parts),
-        mu.nu,
-        lambda word: _blocks_string(word, mu.nu),
-    )
+    return build_graph("mu_involutions_%s" % "_".join(map(str, mu.parts)), mu.nu, _blocks_label(mu.nu))
 
 
 def atoms_mu_top(mu: Composition) -> frozenset[Permutation]:

@@ -23,6 +23,7 @@ __all__ = [
     "Permutation",
     "RotheDiagram",
     "inversions",
+    "letter_strings",
     "identity",
     "longest",
     "reduced_word",
@@ -93,13 +94,13 @@ class Permutation:
         return "Permutation(%r)" % (list(self._images),)
 
     def __str__(self) -> str:
-        return "[" + ",".join(str(v) for v in self._images) + "]"
+        return "[%s]" % ",".join(letter_strings(self._images))
 
     def compact(self) -> str:
         """One-line notation as a digit string (only defined for n <= 9)."""
         if self.n > 9:
             raise ValueError("compact digit form is ambiguous for n > 9")
-        return "".join(str(v) for v in self._images)
+        return letter_strings(self._images)
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         """(u * v)(i) = u(v(i)).  Ranks must agree."""
@@ -149,6 +150,21 @@ class Permutation:
 def inversions(seq: Sequence[int]) -> int:
     """Number of pairs i < j with seq[i] > seq[j]."""
     return sum(1 for k, a in enumerate(seq) for b in seq[k + 1 :] if a > b)
+
+
+_DIGITS = bytes.maketrans(bytes(range(1, 10)), b"123456789")
+
+
+def letter_strings(word: Sequence[int]) -> str | list[str]:
+    """The letters of a word on 1..n as text, made once: one digit string
+    for n <= 9, else a list of decimal strings; either slices and joins.
+
+    >>> letter_strings((3, 1, 2)), letter_strings(range(10, 0, -1))[:2]
+    ('312', ['10', '9'])
+    """
+    if len(word) <= 9:
+        return bytes(word).translate(_DIGITS).decode()
+    return list(map(str, word))
 
 
 class RotheDiagram(NamedTuple):

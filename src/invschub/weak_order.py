@@ -33,11 +33,14 @@ x1^2
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import indexOf, itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .permutations import EnumerationBoundError, inversions
+from .permutations import EnumerationBoundError, inversions, letter_strings
 from .polynomials import MAX_EXPONENT, IntPolynomial, ONE, divided_difference, monomial, variable
 
 __all__ = [
@@ -80,7 +83,7 @@ def _move(a: int, b: int, word: Word, nu: Word) -> Word:
         # Same block: the slots at the ranks of a and b are adjacent,
         # since no letter of the block lies between them.
         least = a if a < b else b
-        slot = lo + sum(1 for x in word[lo:hi] if x < least)
+        slot = lo + sum(map(least.__gt__, word[lo:hi]))
         if (p, q) != (slot, slot + 1):
             # Conjugate: the slot swap, then the letter swap below.
             images[slot], images[slot + 1] = images[slot + 1], images[slot]
@@ -115,11 +118,16 @@ def atom_words(target: Word, base: Word, nu: Word) -> frozenset[Word]:
     A(sigma) is empty at any other sigma of rank at most the base's, and
     otherwise the union over i of the s_i w with w in A(lower(i, sigma));
     every such w must have i left of i+1, or AssertionError is raised.
-    The rank is carried down, one per step.
+    The rank is carried down, one per step.  A target or base that is not
+    a word of I_mu raises ValueError.
 
     >>> sorted(atom_words((3, 2, 1), (1, 2, 3), (0, 3)))
     [(2, 3, 1), (3, 1, 2)]
     """
+    for word in (target, base):  # words enter here: 1..n once each, in involution blocks
+        blocks = [dict(zip(sorted(word[lo:hi]), word[lo:hi])) for lo, hi in zip(nu, nu[1:])]
+        if sorted(word) != list(range(1, nu[-1] + 1)) or any(b[b[x]] != x for b in blocks for x in b):
+            raise ValueError("%r is not a word of I_mu cut at %r" % (word, nu))
     floor = lhat_mu(base, nu)
     memo = {base: frozenset([tuple(sorted(base))])}
 
@@ -221,7 +229,7 @@ class WeakOrderGraph(NamedTuple):
     Vertices are identified by index into ``vertices``; each vertex carries
     its one-line notation, a display label and its rank (its breadth-first
     level up from the identity, which equals lhat_mu).  Edges are
-    (from_index, generator, to_index) triples.  Vertex order is
+    (from_index, generator, to_index) triples, sorted.  Vertex order is
     deterministic: by (rank, one-line notation).
     """
 
@@ -234,76 +242,66 @@ class WeakOrderGraph(NamedTuple):
         return len(self.vertices)
 
     def rank_profile(self) -> tuple[int, ...]:
-        if not self.vertices:
-            return ()
-        top = max(rank for (_, _, rank) in self.vertices)
-        profile = [0] * (top + 1)
-        for (_, _, rank) in self.vertices:
-            profile[rank] += 1
-        return tuple(profile)
+        ranks = Counter(map(itemgetter(2), self.vertices))
+        return tuple(ranks[rank] for rank in range(max(ranks, default=-1) + 1))
 
     def index_of(self, oneline: tuple[int, ...]) -> int:
-        for idx, (ol, _, _) in enumerate(self.vertices):
-            if ol == oneline:
-                return idx
-        raise KeyError("vertex %r not in graph" % (oneline,))
+        try:
+            return indexOf(map(itemgetter(0), self.vertices), oneline)
+        except ValueError:
+            raise KeyError("vertex %r not in graph" % (oneline,)) from None
 
     def has_edge(self, from_oneline: tuple[int, ...], gen: int, to_oneline: tuple[int, ...]) -> bool:
-        u, v = self.index_of(from_oneline), self.index_of(to_oneline)
-        return (u, gen, v) in self.edges
+        edge = (self.index_of(from_oneline), gen, self.index_of(to_oneline))
+        k = bisect_left(self.edges, edge)  # edges are sorted
+        return k < len(self.edges) and self.edges[k] == edge
 
     def minimal_vertices(self) -> tuple[int, ...]:
-        targets = {v for (_, _, v) in self.edges}
+        targets = set(map(itemgetter(2), self.edges))
         return tuple(i for i in range(len(self.vertices)) if i not in targets)
 
     def maximal_vertices(self) -> tuple[int, ...]:
-        sources = {u for (u, _, _) in self.edges}
+        sources = set(map(itemgetter(0), self.edges))
         return tuple(i for i in range(len(self.vertices)) if i not in sources)
 
     def to_dot(self) -> str:
-        lines = ["digraph %s {" % self.name]
-        for idx, (_, label, _) in enumerate(self.vertices):
-            lines.append('  n%d [label="%s"];' % (idx, label))
-        for (u, gen, v) in self.edges:
-            lines.append('  n%d -> n%d [label="s_%d"];' % (u, v, gen))
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        return "digraph %s {\n%s%s}\n" % (
+            self.name,
+            _formatted('  n%d [label="%s"];\n', list(enumerate(map(itemgetter(1), self.vertices)))),
+            _formatted('  n%d -> n%d [label="s_%d"];\n', list(map(itemgetter(0, 2, 1), self.edges))),
+        )
 
     def to_json(self) -> str:
         """The graph as ``json.dumps(..., indent=2, sort_keys=True)`` would
         print {"edges": [{"from", "label", "to"}], "vertices": [{"cycles",
         "id", "oneline", "rank"}]}, written directly.  Only the labels need
         escaping; everything else is built from integers."""
-        edges = ",\n".join(
-            '    {\n      "from": %d,\n      "label": "s_%d",\n      "to": %d\n    }'
-            % (u, gen, v)
-            for (u, gen, v) in self.edges
+        edges = _formatted(
+            '    {\n      "from": %d,\n      "label": "s_%d",\n      "to": %d\n    }', self.edges, ",\n"
         )
         vertices = ",\n".join(
-            '    {\n      "cycles": %s,\n      "id": %d,\n      "oneline": "[%s]",'
-            '\n      "rank": %d\n    }'
-            % (encode_basestring_ascii(label), idx, ",".join(map(str, ol)), rank)
-            for idx, (ol, label, rank) in enumerate(self.vertices)
+            [
+                '    {\n      "cycles": %s,\n      "id": %d,\n      "oneline": "[%s]",\n      "rank": %d\n    }'
+                % (encode_basestring_ascii(label), idx, ",".join(letter_strings(ol)), rank)
+                for idx, (ol, label, rank) in enumerate(self.vertices)
+            ]
         )
-        return '{\n  "edges": %s,\n  "vertices": %s\n}\n' % (
-            _json_list(edges),
-            _json_list(vertices),
-        )
+        lists = tuple("[\n%s\n  ]" % items if items else "[]" for items in (edges, vertices))
+        return '{\n  "edges": %s,\n  "vertices": %s\n}\n' % lists
 
     def to_text(self) -> str:
-        lines = ["%s: %d vertices, %d edges" % (self.name, len(self.vertices), len(self.edges))]
-        for idx, (ol, label, rank) in enumerate(self.vertices):
-            lines.append(
-                "  n%d rank=%d %s %s"
-                % (idx, rank, "[" + ",".join(str(v) for v in ol) + "]", label)
-            )
-        for (u, gen, v) in self.edges:
-            lines.append("  n%d -s_%d-> n%d" % (u, gen, v))
-        return "\n".join(lines) + "\n"
+        vertices = [
+            "  n%d rank=%d [%s] %s\n" % (idx, rank, ",".join(letter_strings(ol)), label)
+            for idx, (ol, label, rank) in enumerate(self.vertices)
+        ]
+        edges = _formatted("  n%d -s_%d-> n%d\n", self.edges)
+        head = "%s: %d vertices, %d edges\n" % (self.name, len(self.vertices), len(self.edges))
+        return head + "".join(vertices) + edges
 
 
-def _json_list(items: str) -> str:
-    return "[\n%s\n  ]" % items if items else "[]"
+def _formatted(template: str, rows: Sequence[tuple], sep: str = "") -> str:
+    """sep.join(template % row for row in rows), made by one format call."""
+    return sep.join([template] * len(rows)) % tuple(chain.from_iterable(rows))
 
 
 def count(nu: Word) -> int:
@@ -323,9 +321,11 @@ def count(nu: Word) -> int:
 def climb(nu: Word) -> tuple[list[Word], list[int], list[tuple[int, int, int]]]:
     """Breadth-first search up from the identity word by ``act``: the words
     reached, each once and in order of level, their levels, and every move
-    (u, j, v), m(s_j) sending words[u] to words[v].  A move that does not
-    raise the level by one, or a reach other than ``count(nu)`` words,
-    raises AssertionError; so the words are all of I_mu, ranked by level.
+    (u, j, v), m(s_j) sending words[u] to words[v].  ``act`` is called
+    only where the letters' positions put j left of j+1 (m(s_j) stays
+    elsewhere).  A move that does not raise the level by one, or a reach
+    other than ``count(nu)`` words, raises AssertionError; so the words are
+    all of I_mu, ranked by level.
 
     >>> climb((0, 2))
     ([(1, 2), (2, 1)], [0, 1], [(0, 1, 1)])
@@ -334,9 +334,14 @@ def climb(nu: Word) -> tuple[list[Word], list[int], list[tuple[int, int, int]]]:
     words = [tuple(range(1, n + 1))]
     index, level, moves = {words[0]: 0}, [0], []
     for u, word in enumerate(words):  # a queue: words grows behind u
+        where = [0] * (n + 1)
+        for s, x in enumerate(word):
+            where[x] = s
         for j in range(1, n):
+            if where[j] > where[j + 1]:
+                continue  # m(s_j) stays exactly when j lies right of j+1
             image = act(j, word, nu)
-            if image == word:
+            if image == word:  # act fails to move: left to the count and w0 checks
                 continue
             v = index.get(image)
             if v is None:
@@ -378,12 +383,14 @@ def build_graph(name: str, nu: Word, label: Callable[[Word], str]) -> WeakOrderG
             "|%s| = %d exceeds the vertex budget %d" % (family, size, DEFAULT_VERTEX_BUDGET)
         )
     words, level, moves = climb(nu)
-    order = sorted(range(len(words)), key=lambda idx: (level[idx], words[idx]))
-    position = sorted(range(len(order)), key=order.__getitem__)  # order's inverse
-    edges = tuple(sorted((position[u], j, position[v]) for u, j, v in moves))
-    del moves  # freed before the labels are made, to keep the peak RSS down
-    vertices = tuple((words[old], label(words[old]), level[old]) for old in order)
-    graph = WeakOrderGraph(name, vertices, edges)
+    order = sorted(zip(level, words, range(len(words))))  # words are distinct
+    position = [0] * len(order)
+    for new, (_, _, old) in enumerate(order):
+        position[old] = new
+    edges = tuple(sorted([(position[u], j, position[v]) for u, j, v in moves]))
+    del moves, position  # freed before the labels are made, to keep the peak RSS down
+    ranks, ordered, _ = zip(*order)
+    graph = WeakOrderGraph(name, tuple(zip(ordered, map(label, ordered), ranks)), edges)
     if graph.maximal_vertices() != (graph.index_of(tuple(range(n, 0, -1))),):
         raise AssertionError("w0 is not the unique maximum of the mu-weak order")
     return graph

@@ -29,7 +29,10 @@ read position by position, stand apart from the slicing behind
 The raising chain that scans the generators from 1 with ``act`` until one
 moves, and counts ``lhat_mu`` of every image again to see it rise by one,
 stands apart from the engine's walker, which reads each move off the
-positions of the letters and ranks it from the two moved letters.
+positions of the letters and ranks it from the two moved letters.  The
+climb that calls ``act`` for every generator and drops the stays by their
+images stands apart from the engine's climb, which skips them by the
+positions of the letters.
 
 ``weak_le`` walks up the weak order by the engine's own action, so it is
 the oracle for empty relative-atom sets: the walk down that builds them
@@ -185,6 +188,27 @@ def greedy_moves_by_scan(word: Word, nu: Word) -> Iterator[tuple[int, Word]]:
             raise AssertionError("m(s_%d) does not raise lhat_mu by one at %r" % (i, word))
         yield i, image
         word = image
+
+
+def climb_by_scan(nu: Word) -> tuple[list[Word], list[int], list[tuple[int, int, int]]]:
+    """The breadth-first climb from the identity of I_mu cut at ``nu``,
+    calling ``act`` for every generator j and skipping each image equal to
+    its word: the words in order of discovery, their levels, and every
+    move (u, j, v) of m(s_j) from words[u] to words[v].  It checks nothing."""
+    n = nu[-1]
+    words = [tuple(range(1, n + 1))]
+    index, level, moves = {words[0]: 0}, [0], []
+    for u, word in enumerate(words):  # a queue: words grows behind u
+        for j in range(1, n):
+            image = act(j, word, nu)
+            if image == word:
+                continue
+            if image not in index:
+                index[image] = len(words)
+                words.append(image)
+                level.append(level[u] + 1)
+            moves.append((u, j, index[image]))
+    return words, level, moves
 
 
 def _inverse_words(n: int):

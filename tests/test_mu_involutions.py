@@ -7,6 +7,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import random
 
 import pytest
 from characterization import mu_strings, schubert_by_definition, sort_mu
@@ -113,6 +114,38 @@ def test_parse_and_render():
         parse_mu_involution("432|1", parse_composition("2,2"))
     with pytest.raises(ValueError):
         parse_mu_involution("12|45")  # not a word on 1..n
+
+
+def _random_mu_involution(rng: random.Random, n: int) -> MuInvolution:
+    # Random letters cut into random blocks, each block arranged as a random
+    # involution of its own alphabet (a random matching of its slots).
+    parts, left = [], n
+    while left:
+        parts.append(rng.randint(1, left))
+        left -= parts[-1]
+    letters, word = rng.sample(range(1, n + 1), n), []
+    for lo, hi in itertools.pairwise(itertools.accumulate(parts, initial=0)):
+        slots, image = list(range(hi - lo)), list(range(hi - lo))
+        rng.shuffle(slots)
+        while len(slots) > 1 and rng.random() < 0.7:
+            a, b = slots.pop(), slots.pop()
+            image[a], image[b] = b, a
+        alphabet = sorted(letters[lo:hi])
+        word += [alphabet[k] for k in image]
+    return MuInvolution(Permutation(word), Composition(tuple(parts)))
+
+
+def test_mu_involution_text_round_trips_past_rank_9():
+    # Past rank 9 the letters are comma-separated inside each block; the
+    # text goes through the parser and back unchanged.
+    rng = random.Random(21)
+    for n in (10, 11, 12):
+        for _ in range(200):
+            pi = _random_mu_involution(rng, n)
+            text = "|".join(",".join(map(str, block)) for block in pi.strings)
+            assert str(pi) == text
+            assert parse_mu_involution(text) == pi
+            assert str(parse_mu_involution(text, pi.mu)) == text
 
 
 def test_mu_strings():

@@ -12,7 +12,7 @@ import random
 import re
 
 import pytest
-from characterization import greedy_moves_by_scan, mu_involution_words
+from characterization import climb_by_scan, greedy_moves_by_scan, mu_involution_words
 
 from invschub import weak_order
 from invschub.involutions import (
@@ -222,6 +222,20 @@ def test_involution_atom_words_refuses_a_word_that_is_not_an_involution():
             involution_atom_words(word)
 
 
+def test_atom_words_refuses_a_word_outside_i_mu():
+    # A repeated letter, a 3-cycle block and a word of the wrong length, as
+    # target or as base, are refused where they enter, before any walk.
+    cases = [
+        ((1, 1), (1, 2), (0, 2), (1, 1)),
+        ((2, 3, 1), (1, 2, 3), (0, 3), (2, 3, 1)),
+        ((2, 1), (2, 2), (0, 2), (2, 2)),
+        ((3, 2, 1), (1, 2, 3), (0, 2), (3, 2, 1)),
+    ]
+    for target, base, nu, word in cases:
+        with pytest.raises(ValueError, match=re.escape("%r is not a word of I_mu" % (word,))):
+            atom_words(target, base, nu)
+
+
 def _graphs():
     """(graph, nu) for I_1..I_8 and I_mu of every composition with n <= 6."""
     for n in range(1, 9):
@@ -229,6 +243,35 @@ def _graphs():
     for n in range(1, 7):
         for mu in all_compositions(n):
             yield mu_weak_order_graph(mu), mu.nu
+
+
+@pytest.fixture(scope="module")
+def rank_10_graphs():
+    # Two-digit letters: I_10 labeled by cycles, and I_(10) labeled by its
+    # one block, with commas between the letters.  9,496 vertices each.
+    graphs = [weak_order_graph(10), mu_weak_order_graph(Composition((10,)))]
+    assert [graph.vertex_count for graph in graphs] == [9496, 9496]
+    assert graphs[1].vertices[1][1] == "1,2,3,4,5,6,7,8,10,9"
+    return graphs
+
+
+def test_climb_equals_the_climb_that_acts_by_every_generator():
+    # The climb skips the stays by the letters' positions; the oracle calls
+    # act for every generator and drops the images equal to their words.
+    nus = [mu.nu for n in range(1, 7) for mu in all_compositions(n)] + [(0, n) for n in range(1, 9)]
+    for nu in nus:
+        assert climb(nu) == climb_by_scan(nu), nu
+
+
+def test_graph_edges_are_sorted_and_has_edge_finds_exactly_them():
+    # has_edge bisects the edges, so they must be sorted.  Each edge is
+    # found, and each with its target replaced by another vertex is not.
+    for graph, _ in _graphs():
+        assert graph.edges == tuple(sorted(graph.edges)), graph.name
+        words = [word for word, _, _ in graph.vertices]
+        for u, j, v in graph.edges:
+            assert graph.has_edge(words[u], j, words[v])
+            assert not graph.has_edge(words[u], j, words[v - 1])
 
 
 def test_graph_ranks_equal_lhat_mu():
@@ -292,11 +335,40 @@ def _json_dict(graph):
     }
 
 
-def test_graph_json_equals_json_dumps_of_the_schema():
-    for graph, _ in _graphs():
+def test_graph_json_equals_json_dumps_of_the_schema(rank_10_graphs):
+    for graph in [graph for graph, _ in _graphs()] + rank_10_graphs:
         expected = json.dumps(_json_dict(graph), indent=2, sort_keys=True) + "\n"
         assert graph.to_json() == expected, graph.name
     assert '"edges": []' in weak_order_graph(1).to_json()
     # A label that needs escaping, in a graph with no edges.
     odd = WeakOrderGraph("odd", (((1,), 'a"b\\c\u00e9\n', 0),), ())
     assert odd.to_json() == json.dumps(_json_dict(odd), indent=2, sort_keys=True) + "\n"
+
+
+def _dot_lines(graph):
+    # The DOT writer's schema, one line per vertex and per edge.
+    return (
+        ["digraph %s {" % graph.name]
+        + ['  n%d [label="%s"];' % (idx, label) for idx, (_, label, _) in enumerate(graph.vertices)]
+        + ['  n%d -> n%d [label="s_%d"];' % (u, v, gen) for (u, gen, v) in graph.edges]
+        + ["}"]
+    )
+
+
+def _text_lines(graph):
+    # The text writer's schema, one line per vertex and per edge.
+    return (
+        ["%s: %d vertices, %d edges" % (graph.name, len(graph.vertices), len(graph.edges))]
+        + [
+            "  n%d rank=%d [%s] %s" % (idx, rank, ",".join(str(v) for v in ol), label)
+            for idx, (ol, label, rank) in enumerate(graph.vertices)
+        ]
+        + ["  n%d -s_%d-> n%d" % (u, gen, v) for (u, gen, v) in graph.edges]
+    )
+
+
+def test_graph_dot_and_text_equal_their_line_by_line_schemas(rank_10_graphs):
+    odd = WeakOrderGraph("odd", (((1,), "%s", 0),), ())
+    for graph in [graph for graph, _ in _graphs()] + rank_10_graphs + [odd]:
+        assert graph.to_dot() == "\n".join(_dot_lines(graph)) + "\n", graph.name
+        assert graph.to_text() == "\n".join(_text_lines(graph)) + "\n", graph.name
