@@ -51,6 +51,7 @@ from .schubert import expand_in_schubert_basis, schubert
 from .verify import (
     VERIFY_BOUND,
     IdentityReport,
+    reports_to_json,
     verify_all,
     verify_involution_identity,
     verify_mu_identity,
@@ -162,7 +163,7 @@ def _cmd_verify(args: argparse.Namespace) -> Output:
             return "\n".join(lines + ["checked %d identities" % len(reports)]) + "\n"
 
         status = 0 if all(map(_passed, reports)) else 3
-        return _text_json(text, lambda: [r.to_json_dict() for r in reports], status)
+        return {"text": text, "json": lambda: reports_to_json(reports)}, status
     if args.mu is not None:
         report = verify_mu_identity(parse_composition(args.mu))
     else:

@@ -35,7 +35,6 @@ from .mu_involutions import (
     BRUTE_FORCE_BOUND,
     Composition,
     MuInvolution,
-    _diagram_product,
     atoms_mu_bruteforce,
     mu_inv_schubert,
     mu_monoid_apply,
@@ -49,7 +48,7 @@ from .permutations import (
     parse_permutation,
     rothe_diagram,
 )
-from .polynomials import IntPolynomial
+from .polynomials import IntPolynomial, linear_product
 from .weak_order import (
     WeakOrderGraph,
     anchor,
@@ -333,8 +332,8 @@ def inv_schubert_dominant(tau: Involution) -> IntPolynomial:
     if not is_dominant(tau.perm):
         raise ValueError("%s is not a dominant involution" % tau)
     diagram = involution_diagram(tau)
-    poly = _diagram_product(diagram.d1, diagram.d2)
-    if poly.scale(2 ** tau.kappa) != _diagram_product((), diagram.d_all):
+    poly = linear_product([i for i, _ in diagram.d1], diagram.d2)
+    if poly.scale(2 ** tau.kappa) != linear_product([], diagram.d_all):
         raise AssertionError(
             "half-sum form disagrees with the diagram product for %s" % tau
         )

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .permutations import (
     EnumerationBoundError,
@@ -37,7 +37,7 @@ from .permutations import (
     reduced_word,
     rothe_diagram,
 )
-from .polynomials import IntPolynomial, ONE, variable
+from .polynomials import IntPolynomial, linear_product
 from .weak_order import (
     DEFAULT_VERTEX_BUDGET,
     WeakOrderGraph,
@@ -452,19 +452,7 @@ def mu_closed_orbit_polynomial(mu: Composition) -> IntPolynomial:
     x1^3*x2*x3 + x1^2*x2^2*x3
     """
     diagram = degenerate_diagram(mu)
-    return _diagram_product(diagram.d0 | diagram.d1, diagram.d2)
-
-
-def _diagram_product(
-    linear: Iterable[tuple[int, int]], strict: Iterable[tuple[int, int]]
-) -> IntPolynomial:
-    """prod_{(i,j) in linear} x_i * prod_{(i,j) in strict} (x_i + x_j)."""
-    poly = ONE
-    for (i, _) in sorted(linear):
-        poly = poly * variable(i)
-    for (i, j) in sorted(strict):
-        poly = poly * (variable(i) + variable(j))
-    return poly
+    return linear_product([i for i, _ in diagram.d0 | diagram.d1], diagram.d2)
 
 
 def mu_inv_schubert(pi: MuInvolution) -> IntPolynomial:

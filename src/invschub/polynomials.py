@@ -16,7 +16,8 @@ do.
 Exponents lie in 0..MAX_EXPONENT (255), checked where they enter: the
 constructor, ``monomial`` and ``parse_polynomial`` raise ValueError above
 it, and a product or power that would carry a byte into the next variable
-raises ValueError instead of wrapping.  s_i and d_i never leave the range.
+raises ValueError instead of wrapping; ``linear_product`` counts its
+factors before it multiplies.  s_i and d_i never leave the range.
 Every divided difference is checked: with CHECK_DIVIDED_DIFFERENCE,
 f - s_i.f - (x_i - x_{i+1}).d_i(f) is summed term by term and must cancel.
 
@@ -55,6 +56,7 @@ __all__ = [
     "Residual",
     "equals_sum",
     "sum_of",
+    "linear_product",
 ]
 
 # When True, every divided difference asserts that its quotient q leaves no
@@ -490,6 +492,44 @@ def sum_of(polys: Iterable[IntPolynomial]) -> IntPolynomial:
         for key, coeff in g._terms.items():
             total[key] = get(key, 0) + coeff
     return _raw(_nonzero(total))
+
+
+def linear_product(variables: Iterable[int], pairs: Iterable[tuple[int, int]]) -> IntPolynomial:
+    """The product of x_i over ``variables`` (i, repeats allowed) and of
+    x_i + x_j over ``pairs`` (i, j); a pair (i, i) gives 2*x_i.
+
+    One dict pass per pair adds x_i and x_j to every term.  Every
+    coefficient is positive, so the highest exponent of x_i is the number
+    of factors holding it; that count, made before any pair is multiplied
+    in, refuses a product above MAX_EXPONENT with the ValueError of
+    ``__mul__``.
+
+    >>> print(linear_product([1], [(1, 2), (2, 3)]))
+    x1^2*x2 + x1^2*x3 + x1*x2^2 + x1*x2*x3
+    >>> print(linear_product([], [(1, 1), (1, 2)]))
+    2*x1^2 + 2*x1*x2
+    """
+    pairs = list(pairs)
+    counts: dict[int, int] = {}
+    get = counts.get
+    for i in variables:
+        counts[i] = get(i, 0) + 1
+    terms = {sum([e << 8 * (i - 1) for i, e in counts.items()]): 1}
+    for i, j in pairs:
+        counts[i] = get(i, 0) + 1
+        if j != i:
+            counts[j] = get(j, 0) + 1
+    if max(counts.values(), default=0) > MAX_EXPONENT:
+        raise ValueError("product has an exponent above %d" % MAX_EXPONENT)
+    for i, j in pairs:
+        a, b = 1 << 8 * (i - 1), 1 << 8 * (j - 1)
+        product = {key + a: coeff for key, coeff in terms.items()}
+        get = product.get
+        for key, coeff in terms.items():
+            key += b
+            product[key] = get(key, 0) + coeff
+        terms = product
+    return _raw(terms)
 
 
 _TERM_RE = re.compile(

@@ -21,12 +21,16 @@ must agree with ``schubert`` on all of S_n for n <= 6.
 
 A failed identity never raises: ``equal`` is simply False and the caller
 decides what to do (the command line maps it to exit code 3).
+
+Reports are written as JSON directly, in the bytes that
+``json.dumps(..., indent=2, sort_keys=True)`` prints for their
+``to_json_dict``, one report or a whole sweep at a time (``reports_to_json``).
 """
 
 from __future__ import annotations
 
-import json
-from typing import NamedTuple
+from json.encoder import encode_basestring_ascii
+from typing import NamedTuple, Sequence
 
 from .involutions import (
     Involution,
@@ -53,6 +57,7 @@ __all__ = [
     "verify_mu_identity",
     "verify_brion_general",
     "verify_all",
+    "reports_to_json",
 ]
 
 # The largest rank the general atom-sum checks and ``verify_all`` take by
@@ -61,6 +66,15 @@ __all__ = [
 # ``verify_all(8)`` took 2.7-3.6 s on a 2-vCPU Intel Xeon (Python 3.11.7),
 # and rank 9 is refused before any work.
 VERIFY_BOUND = 8
+
+
+# One report and one expansion entry as json.dumps(indent=2, sort_keys=True)
+# lays them out at the top level.
+_REPORT_JSON = (
+    '{\n  "equal": %s,\n  "expansion": %s,\n  "lhs": %s,\n  "multiplicity_free": %s,\n'
+    '  "rhs": %s,\n  "subject": %s\n}'
+)
+_ENTRY_JSON = '    {\n      "coeff": %d,\n      "perm": "%s"\n    }'
 
 
 class IdentityReport(NamedTuple):
@@ -98,7 +112,24 @@ class IdentityReport(NamedTuple):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True) + "\n"
+        """``json.dumps(self.to_json_dict(), indent=2, sort_keys=True)`` and
+        a newline, written directly."""
+        return self._json() + "\n"
+
+    def _json(self) -> str:
+        # The polynomials and the subject are escaped; a permutation's text
+        # is digits, commas and brackets.
+        lhs, rhs = self._sides()
+        items = self.expansion.sorted_items()
+        expansion = ",\n".join([_ENTRY_JSON % (coeff, w) for w, coeff in items])
+        return _REPORT_JSON % (
+            "true" if self.equal else "false",
+            "[\n%s\n  ]" % expansion if items else "[]",
+            encode_basestring_ascii(lhs),
+            "true" if self.multiplicity_free else "false",
+            encode_basestring_ascii(rhs),
+            encode_basestring_ascii(self.subject),
+        )
 
     def to_text(self) -> str:
         lhs, rhs = self._sides()
@@ -111,6 +142,17 @@ class IdentityReport(NamedTuple):
             "multiplicity_free: %s" % self.multiplicity_free,
         ]
         return "\n".join(lines) + "\n"
+
+
+def reports_to_json(reports: Sequence[IdentityReport]) -> str:
+    """``json.dumps([r.to_json_dict() for r in reports], indent=2,
+    sort_keys=True)`` and a newline: each report's JSON one level deeper.
+    Only escaped strings hold a newline, as the two characters \\n, so the
+    indent is one replace."""
+    if not reports:
+        return "[]\n"
+    body = ",\n".join([report._json() for report in reports]).replace("\n", "\n  ")
+    return "[\n  %s\n]\n" % body
 
 
 def _report(subject: str, lhs: IntPolynomial, rhs: IntPolynomial, n: int) -> IdentityReport:

@@ -41,7 +41,7 @@ from operator import indexOf, itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .permutations import EnumerationBoundError, inversions, letter_strings
-from .polynomials import MAX_EXPONENT, IntPolynomial, ONE, divided_difference, monomial, variable
+from .polynomials import MAX_EXPONENT, IntPolynomial, divided_difference, linear_product
 
 __all__ = [
     "WeakOrderGraph",
@@ -430,15 +430,14 @@ def anchor(nu: Word) -> IntPolynomial:
     lo cross factors, plus x_i for 2i <= m and x_i + x_j for i < j <= m-i
     (m = hi - lo, i and j counted inside the landing block).  At
     nu = (0, 1, ..., n) it is the staircase x1^(n-1) x2^(n-2) ... x_(n-1)."""
-    n, poly = nu[-1], ONE
-    exponents = [0] * n
+    n = nu[-1]
+    variables, pairs = [], []
     for lo, hi in zip(nu, nu[1:]):
         base, m = n - hi, hi - lo
         for i in range(1, m + 1):
-            exponents[base + i - 1] = lo + (2 * i <= m)
-            for j in range(i + 1, m - i + 1):
-                poly = poly * (variable(base + i) + variable(base + j))
-    return poly * monomial(exponents)
+            variables += [base + i] * (lo + (2 * i <= m))
+            pairs += [(base + i, base + j) for j in range(i + 1, m - i + 1)]
+    return linear_product(variables, pairs)
 
 
 def _rank_change(i: int, word: Word, image: Word, nu: Word) -> int:

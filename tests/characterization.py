@@ -42,12 +42,17 @@ The tuple kernel (s_i, d_i with its zero-remainder check, and the product)
 works on the public exponent tuples of ``IntPolynomial.terms`` and builds
 its results through the public constructor, so it stands apart from the
 packed monomial keys inside ``invschub.polynomials``.
+
+A diagram product multiplied out one factor at a time by the generic
+``IntPolynomial.__mul__`` stands apart from ``linear_product``, which adds
+each factor's variables to every term in one pass and counts exponents
+instead of checking carries.
 """
 
 from __future__ import annotations
 
 from itertools import accumulate, permutations, zip_longest
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from invschub.involutions import Involution
 from invschub.mu_involutions import Composition, MuInvolution
@@ -61,7 +66,7 @@ from invschub.permutations import (
     permutation_from_code,
     reduced_word,
 )
-from invschub.polynomials import IntPolynomial, divided_difference, monomial
+from invschub.polynomials import ONE, IntPolynomial, divided_difference, monomial, variable
 from invschub.schubert import SchubertExpansion, schubert
 from invschub.weak_order import act, lhat_mu
 
@@ -423,3 +428,17 @@ def tuple_check_quotient(f: IntPolynomial, i: int, quotient: IntPolynomial) -> N
         _accumulate(remainder, _write_pair(head, a, b + 1, tail), coeff)
     if remainder:
         raise AssertionError("divided difference left a remainder for i=%d on %s" % (i, f))
+
+
+def diagram_product_by_mul(
+    linear: Iterable[tuple[int, int]], strict: Iterable[tuple[int, int]]
+) -> IntPolynomial:
+    """The product of x_i over the cells (i, j) of ``linear`` and of
+    x_i + x_j over those of ``strict``, one ``__mul__`` per factor; a
+    strict cell (i, i) gives 2*x_i."""
+    poly = ONE
+    for (i, _) in sorted(linear):
+        poly = poly * variable(i)
+    for (i, j) in sorted(strict):
+        poly = poly * (variable(i) + variable(j))
+    return poly

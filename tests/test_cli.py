@@ -15,7 +15,7 @@ import pytest
 
 from invschub import cli
 from invschub.mu_involutions import parse_composition, parse_mu_involution
-from invschub.verify import IdentityReport, verify_mu_identity
+from invschub.verify import IdentityReport, verify_all, verify_mu_identity
 from invschub import weak_order
 from invschub.weak_order import clear_cache
 
@@ -351,6 +351,13 @@ def test_verify_all_n4_json(capsys) -> None:
     assert len([s for s in subjects if s.startswith("involution ")]) == 10
     assert len([s for s in subjects if s.startswith("dominant-involution ")]) == 6
     assert len([s for s in subjects if s.startswith("mu ")]) == 8
+
+
+def test_verify_all_json_is_the_json_dumps_of_the_reports(capsys) -> None:
+    rc, out, _ = run_cli(capsys, ["verify", "--all-n", "5"])
+    assert rc == 0
+    expected = [r.to_json_dict() for r in verify_all(5)]
+    assert out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
 
 def test_verify_requires_rank_for_dominant(capsys) -> None:

@@ -11,6 +11,7 @@ import pytest
 from characterization import (
     all_reduced_words,
     atoms_by_characterization,
+    diagram_product_by_mul,
     relative_atoms_by_characterization,
     weak_le,
 )
@@ -53,7 +54,7 @@ from invschub.permutations import (
     longest,
     parse_permutation,
 )
-from invschub.polynomials import ONE, divided_difference, parse_polynomial, variable
+from invschub.polynomials import ONE, divided_difference, parse_polynomial
 from invschub.schubert import schubert
 from invschub import weak_order
 from invschub.verify import verify_all
@@ -414,12 +415,7 @@ def _dhat_product(tau: Involution):
     """prod of x_i over the diagonal cells of Dhat(tau), and of (x_i + x_j)
     over its strict cells, read off ``involution_diagram`` alone."""
     diagram = involution_diagram(tau)
-    poly = ONE
-    for (i, _) in sorted(diagram.d1):
-        poly = poly * variable(i)
-    for (i, j) in sorted(diagram.d2):
-        poly = poly * (variable(i) + variable(j))
-    return poly
+    return diagram_product_by_mul(diagram.d1, diagram.d2)
 
 
 def test_inv_schubert_dominant_product():

@@ -7,11 +7,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from characterization import tuple_divided_difference, tuple_product, tuple_swap_variables
+from characterization import (
+    diagram_product_by_mul,
+    tuple_divided_difference,
+    tuple_product,
+    tuple_swap_variables,
+)
 from invschub.polynomials import (
     MAX_EXPONENT,
     IntPolynomial,
     divided_difference,
+    linear_product,
+    monomial,
     parse_polynomial,
     swap_variables,
 )
@@ -56,3 +63,17 @@ def test_trailing_term_is_the_graded_lex_minimum(f):
     terms = f.terms
     exps = min(terms, key=lambda e: (sum(e), e))
     assert f.trailing_term() == (exps, terms[exps])
+
+
+@settings(deadline=None)
+@given(exponent_vectors, st.lists(st.tuples(generators, generators), max_size=10))
+def test_linear_product_agrees_with_the_product_by_mul_or_refuses_alike(exponents, pairs):
+    # A pair (i, i) gives 2*x_i; an exponent pushed above 255 is refused.
+    variables = [k for k, e in enumerate(exponents, 1) for _ in range(e)]
+    try:
+        expected = monomial(exponents) * diagram_product_by_mul((), pairs)
+    except ValueError:
+        with pytest.raises(ValueError, match="above 255"):
+            linear_product(variables, pairs)
+    else:
+        assert linear_product(variables, pairs) == expected

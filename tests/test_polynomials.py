@@ -1,5 +1,6 @@
 """Tests for exact integer polynomials: arithmetic, ordering, rendering,
-parsing, variable swaps, and divided differences."""
+parsing, variable swaps, divided differences, and products of linear
+forms."""
 
 from __future__ import annotations
 
@@ -8,26 +9,31 @@ import random
 import pytest
 
 from characterization import (
+    diagram_product_by_mul,
     tuple_check_quotient,
     tuple_divided_difference,
     tuple_product,
     tuple_swap_variables,
 )
 from invschub import polynomials
-from invschub.involutions import inv_schubert, involutions
-from invschub.permutations import all_permutations
+from invschub.involutions import inv_schubert, inv_schubert_dominant, involution_diagram, involutions
+from invschub.mu_involutions import Composition, all_compositions, degenerate_diagram, mu_closed_orbit_polynomial
+from invschub.permutations import all_permutations, is_dominant
 from invschub.polynomials import (
+    MAX_EXPONENT,
     IntPolynomial,
     ONE,
     ZERO,
     constant,
     divided_difference,
+    linear_product,
     monomial,
     parse_polynomial,
     swap_variables,
     variable,
 )
 from invschub.schubert import schubert
+from invschub.weak_order import anchor
 
 
 def rand_poly(rng: random.Random, nvars: int = 4, terms: int = 5, maxdeg: int = 3) -> IntPolynomial:
@@ -295,3 +301,48 @@ def test_coefficient_of_an_unrepresentable_monomial_is_zero():
     assert f.coefficient((0,)) == 3
     assert f.coefficient((300,)) == 0
     assert f.coefficient((1, -1)) == 0
+
+
+def _diagram_product(diagram) -> IntPolynomial:
+    return diagram_product_by_mul(diagram.d0 | diagram.d1, diagram.d2)
+
+
+def test_closed_orbit_products_and_anchors_equal_the_products_by_mul():
+    # anchor(nu) is the closed-orbit product of the reversed composition.
+    for n in range(1, 8):
+        for mu in all_compositions(n):
+            assert mu_closed_orbit_polynomial(mu) == _diagram_product(degenerate_diagram(mu)), mu
+            reversed_mu = Composition(tuple(reversed(mu.parts)))
+            assert anchor(mu.nu) == _diagram_product(degenerate_diagram(reversed_mu)), mu
+
+
+def test_dominant_products_equal_the_products_by_mul():
+    # The Dhat product, and the half-sum product over all of Dhat, where a
+    # diagonal cell (i, i) gives 2*x_i.
+    for n in range(1, 9):
+        for tau in involutions(n):
+            if is_dominant(tau.perm):
+                diagram = involution_diagram(tau)
+                assert inv_schubert_dominant(tau) == diagram_product_by_mul(diagram.d1, diagram.d2)
+                half_sum = diagram_product_by_mul((), diagram.d_all)
+                assert linear_product([], diagram.d_all) == half_sum, tau
+
+
+def test_linear_products_stop_at_exponent_255_as_products_do():
+    x1, x2 = variable(1), variable(2)
+    top = linear_product([1] * 254, [(1, 2)])
+    assert top == monomial((254,)) * (x1 + x2) == monomial((255,)) + monomial((254, 1))
+    assert linear_product([1] * 255, []) == x1 ** 255
+    assert linear_product([], [(1, 2)] * 255) == (x1 + x2) ** 255
+    assert linear_product([2] * 200, [(1, 2)] * 55) == x2 ** 200 * (x1 + x2) ** 55
+    for variables, pairs, by_mul in [
+        ([1] * 255, [(1, 2)], lambda: x1 ** 255 * (x1 + x2)),
+        ([1] * 256, [], lambda: x1 ** 256),
+        ([], [(1, 2)] * 256, lambda: (x1 + x2) ** 256),
+        ([2] * 201, [(1, 2)] * 55, lambda: x2 ** 201 * (x1 + x2) ** 55),
+        ([], [(1, 1)] * 256, lambda: (x1 + x1) ** 256),
+    ]:
+        with pytest.raises(ValueError, match="above %d" % MAX_EXPONENT):
+            by_mul()
+        with pytest.raises(ValueError, match="above %d" % MAX_EXPONENT):
+            linear_product(variables, pairs)

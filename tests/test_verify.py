@@ -18,8 +18,10 @@ from invschub.mu_involutions import parse_composition
 from invschub.permutations import EnumerationBoundError, parse_permutation
 from invschub.polynomials import parse_polynomial
 from invschub import verify
+from invschub.schubert import SchubertExpansion
 from invschub.verify import (
     IdentityReport,
+    reports_to_json,
     verify_all,
     verify_brion_general,
     verify_involution_identity,
@@ -166,3 +168,30 @@ def test_report_is_frozen():
     report = verify_brion_general(parse_involution("id", 2))
     with pytest.raises(AttributeError):
         report.equal = False  # type: ignore[misc]
+
+
+def _dumps(data) -> str:
+    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+
+
+def test_written_json_equals_json_dumps_on_every_report_of_the_sweeps():
+    for n in range(1, 7):
+        reports = verify_all(n)
+        for report in reports:
+            assert report.to_json() == _dumps(report.to_json_dict()), report.subject
+        assert reports_to_json(reports) == _dumps([r.to_json_dict() for r in reports]), n
+    assert reports_to_json([]) == _dumps([])
+
+
+def test_written_json_equals_json_dumps_on_doctored_reports():
+    report = verify_brion_general(parse_involution("(1,3)", 3))
+    w, v = (parse_permutation(text) for text in ("[2,1,3]", "[1,3,2]"))
+    doctored = [
+        report._replace(equal=False, rhs=parse_polynomial("x1^2")),
+        report._replace(expansion=SchubertExpansion({w: 2, v: -1}), multiplicity_free=False),
+        report._replace(expansion=SchubertExpansion({})),
+        report._replace(subject='a "quoted" back\\slash,\na new line and \u00e9'),
+    ]
+    for edited in doctored:
+        assert edited.to_json() == _dumps(edited.to_json_dict())
+    assert reports_to_json(doctored) == _dumps([r.to_json_dict() for r in doctored])
