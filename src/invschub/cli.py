@@ -107,7 +107,7 @@ def _cmd_mu_schubert(args: argparse.Namespace) -> Output:
 
 def _atoms(args: argparse.Namespace, header: dict, atom_set) -> Output:
     ordered = [_render_perm(w) for w in sorted(atom_set, key=lambda w: w.oneline)]
-    # The default method's label predates the weak-order recursion.
+    # The default method's label predates the atoms read off local moves.
     method = "bruteforce" if args.bruteforce else "characterization"
     return _text_json(
         lambda: "".join(word + "\n" for word in ordered),
@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("atoms", help="atom set of an involution")
     p.add_argument("-t", "--tau", required=True, help="involution in cycle notation")
     p.add_argument("-n", type=int, required=True, help="rank of the symmetric group")
-    p.add_argument("--bruteforce", action="store_true", help="enumerate by the definition instead of the weak-order recursion")
+    p.add_argument("--bruteforce", action="store_true", help="enumerate by the definition instead of the local moves")
     _add_max_n(p)
     _add_format(p)
     p.set_defaults(func=_cmd_atoms)
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-t", "--tau", required=True, help="base involution in cycle notation")
     p.add_argument("-u", "--upper", required=True, help="target involution in cycle notation")
     p.add_argument("-n", type=int, required=True, help="rank of the symmetric group")
-    p.add_argument("--bruteforce", action="store_true", help="enumerate by the definition instead of the weak-order recursion")
+    p.add_argument("--bruteforce", action="store_true", help="enumerate by the definition instead of the local moves")
     _add_max_n(p)
     _add_format(p)
     p.set_defaults(func=_cmd_relative_atoms)

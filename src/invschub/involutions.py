@@ -21,10 +21,10 @@ m(s_{i_1} ... s_{i_l}) . tau = m(s_{i_1}) . ( ... (m(s_{i_l}) . tau)).
 Atoms of tau are the minimal-length w with m(w) . id = tau; their common
 length is the involution length lhat(tau) = #Dhat(tau).  Atoms are one
 atom read off the cycles of tau and checked for that length, closed under
-the moves cab <-> bca (``involution_atom_words``); relative atoms come from
-the engine's walk down the weak order (``atom_words``).  Neither scans S_n;
-the tests check both against the definitional brute force and the closed
-characterization on the inverse of each candidate.
+the moves cab <-> bca (``involution_atom_words``); relative atoms are the
+atoms of tau' with one atom of tau taken off the right (``relative_atom_words``).
+Neither scans S_n; the tests check both against the definitional brute
+force and the closed characterization on the inverse of each candidate.
 """
 
 from __future__ import annotations
@@ -52,10 +52,10 @@ from .polynomials import IntPolynomial, linear_product
 from .weak_order import (
     WeakOrderGraph,
     anchor,
-    atom_words,
     build_graph,
     climb,
     involution_atom_words,
+    relative_atom_words,
 )
 
 __all__ = [
@@ -271,13 +271,13 @@ def atoms_bruteforce(
 
 
 def relative_atoms(tau: Involution, tau_prime: Involution) -> frozenset[Permutation]:
-    """A_*(tau, tau') by the weak-order recursion down from tau' to tau.
+    """A_*(tau, tau'), read off the atoms of tau': those that one atom of
+    tau divides on the right, lengths adding, with that atom taken off.
 
-    Empty when tau is not below tau' in weak order.
+    Empty when tau is not below tau' in weak order; ranks that differ
+    raise ValueError.
     """
-    if tau.n != tau_prime.n:
-        raise ValueError("rank mismatch")
-    words = atom_words(tau_prime.oneline, tau.oneline, (0, tau.n))
+    words = relative_atom_words(tau_prime.oneline, tau.oneline)
     return frozenset(map(Permutation._from_engine, words))
 
 

@@ -36,10 +36,13 @@ x1*x2
 
 from __future__ import annotations
 
+import math
 import re
 from heapq import heapify, heappop, heappush
 from operator import gt
 from typing import Iterable, Iterator, Mapping
+
+from .permutations import EnumerationBoundError
 
 __all__ = [
     "IntPolynomial",
@@ -53,6 +56,7 @@ __all__ = [
     "parse_polynomial",
     "CHECK_DIVIDED_DIFFERENCE",
     "MAX_EXPONENT",
+    "TERM_BUDGET",
     "Residual",
     "equals_sum",
     "sum_of",
@@ -67,6 +71,9 @@ CHECK_DIVIDED_DIFFERENCE = True
 
 # The largest exponent a monomial key holds: one byte per variable.
 MAX_EXPONENT = 255
+
+# ``linear_product`` refuses a product whose term count may exceed this.
+TERM_BUDGET = 10**9
 
 
 def _key(exponents: Iterable[int]) -> int:
@@ -502,7 +509,10 @@ def linear_product(variables: Iterable[int], pairs: Iterable[tuple[int, int]]) -
     coefficient is positive, so the highest exponent of x_i is the number
     of factors holding it; that count, made before any pair is multiplied
     in, refuses a product above MAX_EXPONENT with the ValueError of
-    ``__mul__``.
+    ``__mul__``.  The exponent of x_i in a term lies within the number of
+    pairs holding it, so the product of (1 + that number) over the
+    variables bounds the term count; a bound above TERM_BUDGET raises
+    EnumerationBoundError before any pass.
 
     >>> print(linear_product([1], [(1, 2), (2, 3)]))
     x1^2*x2 + x1^2*x3 + x1*x2^2 + x1*x2*x3
@@ -515,12 +525,21 @@ def linear_product(variables: Iterable[int], pairs: Iterable[tuple[int, int]]) -
     for i in variables:
         counts[i] = get(i, 0) + 1
     terms = {sum([e << 8 * (i - 1) for i, e in counts.items()]): 1}
+    held: dict[int, int] = {}  # the pairs holding each x_i
     for i, j in pairs:
-        counts[i] = get(i, 0) + 1
+        held[i] = held.get(i, 0) + 1
         if j != i:
-            counts[j] = get(j, 0) + 1
+            held[j] = held.get(j, 0) + 1
+    for i, e in held.items():
+        counts[i] = get(i, 0) + e
     if max(counts.values(), default=0) > MAX_EXPONENT:
         raise ValueError("product has an exponent above %d" % MAX_EXPONENT)
+    bound = math.prod([e + 1 for e in held.values()])
+    if bound > TERM_BUDGET:
+        shown = bound if bound < 10**12 else "about 10^%d" % round(math.log10(bound))
+        raise EnumerationBoundError(
+            "a product of %d factors x_i + x_j may have %s terms, above the budget %d" % (len(pairs), shown, TERM_BUDGET)
+        )
     for i, j in pairs:
         a, b = 1 << 8 * (i - 1), 1 << 8 * (j - 1)
         product = {key + a: coeff for key, coeff in terms.items()}

@@ -1,8 +1,9 @@
 """
 The weak-order engine under involutions and mu-involutions: the monoid
-action and the rank lhat_mu on raw one-line tuples, the climb up from the
-identity that finds I_mu and its weak-order graph, and one memoized
-divided-difference chain ``shat_mu`` with its single cache.
+action and the rank lhat_mu on raw one-line tuples, the atoms and relative
+atoms of involution words, the climb up from the identity that finds I_mu
+and its weak-order graph, and one memoized divided-difference chain
+``shat_mu`` with its single cache.
 
 A mu-involution is a pair (word, nu): its one-line tuple and the prefix
 sums ``Composition.nu`` that cut it into blocks; involutions of [n] are
@@ -12,8 +13,7 @@ ordinary Schubert polynomial of w^-1.  m(s_i) stays exactly when letter i
 appears after letter i+1; otherwise it swaps the two letters when they lie
 in different blocks, or in one block that fixes both (as a permutation of
 its own alphabet), and else conjugates inside the block: it swaps the
-block slots at the ranks of i and i+1, then relabels i <-> i+1.  Its
-inverse ``lower`` is the same rule with i and i+1 exchanged.
+block slots at the ranks of i and i+1, then relabels i <-> i+1.
 
 So the raising chain of ``shat_mu`` reads each move off the positions of
 the letters, the smallest i left of i+1, and calls ``act`` once per move.
@@ -47,9 +47,8 @@ __all__ = [
     "WeakOrderGraph",
     "act",
     "act_word",
-    "lower",
-    "atom_words",
     "involution_atom_words",
+    "relative_atom_words",
     "lhat_mu",
     "count",
     "climb",
@@ -65,36 +64,30 @@ __all__ = [
 Word = tuple[int, ...]
 
 
-def _move(a: int, b: int, word: Word, nu: Word) -> Word:
-    """The four-case rule for the ordered letter pair (a, b), b = a +- 1.
+def act(i: int, word: Word, nu: Word) -> Word:
+    """m(s_i) . word by the four-case rule, for 1 <= i < n.
 
-    ``word`` itself when a lies right of b.  Otherwise the two letters swap
-    when they lie in different blocks, or when their positions are the
-    block's slots at the ranks of a and b; in any other case the pair is
-    conjugated: those two slots swap, then a <-> b.
+    ``word`` itself when i lies right of i+1.  Otherwise the two letters
+    swap when they lie in different blocks, or when their positions are
+    the block's slots at the ranks of i and i+1; in any other case the
+    pair is conjugated: those two slots swap, then i <-> i+1.
     """
-    p, q = word.index(a), word.index(b)
+    p, q = word.index(i), word.index(i + 1)
     if p > q:
         return word
     images = list(word)
     c = bisect_right(nu, p)
     lo, hi = nu[c - 1], nu[c]
     if q < hi:
-        # Same block: the slots at the ranks of a and b are adjacent,
+        # Same block: the slots at the ranks of i and i+1 are adjacent,
         # since no letter of the block lies between them.
-        least = a if a < b else b
-        slot = lo + sum(map(least.__gt__, word[lo:hi]))
+        slot = lo + sum(map(i.__gt__, word[lo:hi]))
         if (p, q) != (slot, slot + 1):
             # Conjugate: the slot swap, then the letter swap below.
             images[slot], images[slot + 1] = images[slot + 1], images[slot]
-            p, q = images.index(a), images.index(b)
-    images[p], images[q] = b, a
+            p, q = images.index(i), images.index(i + 1)
+    images[p], images[q] = i + 1, i
     return tuple(images)
-
-
-def act(i: int, word: Word, nu: Word) -> Word:
-    """m(s_i) . word by the four-case rule, for 1 <= i < n."""
-    return _move(i, i + 1, word, nu)
 
 
 def act_word(generators: Sequence[int], word: Word, nu: Word) -> Word:
@@ -104,70 +97,12 @@ def act_word(generators: Sequence[int], word: Word, nu: Word) -> Word:
     return word
 
 
-def lower(i: int, word: Word, nu: Word) -> Word | None:
-    """The unique sigma != word with act(i, sigma, nu) == word, or None:
-    the four-case rule with i and i+1 exchanged.  It is None exactly when
-    i lies left of i+1 in ``word``."""
-    sigma = _move(i + 1, i, word, nu)
-    return None if sigma == word else sigma
-
-
-def atom_words(target: Word, base: Word, nu: Word) -> frozenset[Word]:
-    """One-line tuples of the w with m(w) . base == target and length
-    lhat_mu(target) - lhat_mu(base), down the weak order: A(base) = {id};
-    A(sigma) is empty at any other sigma of rank at most the base's, and
-    otherwise the union over i of the s_i w with w in A(lower(i, sigma));
-    every such w must have i left of i+1, or AssertionError is raised.
-    The rank is carried down, one per step.  A target or base that is not
-    a word of I_mu raises ValueError.
-
-    >>> sorted(atom_words((3, 2, 1), (1, 2, 3), (0, 3)))
-    [(2, 3, 1), (3, 1, 2)]
-    """
-    for word in (target, base):  # words enter here: 1..n once each, in involution blocks
-        blocks = [dict(zip(sorted(word[lo:hi]), word[lo:hi])) for lo, hi in zip(nu, nu[1:])]
-        if sorted(word) != list(range(1, nu[-1] + 1)) or any(b[b[x]] != x for b in blocks for x in b):
-            raise ValueError("%r is not a word of I_mu cut at %r" % (word, nu))
-    floor = lhat_mu(base, nu)
-    memo = {base: frozenset([tuple(sorted(base))])}
-
-    def walk(word: Word, rank: int) -> frozenset[Word]:
-        if word in memo:
-            return memo[word]
-        found: set[Word] = set()
-        for i in range(1, len(word)) if rank > floor else ():
-            sigma = lower(i, word, nu)
-            if sigma is None:
-                continue
-            for w in walk(sigma, rank - 1):
-                p, q = w.index(i), w.index(i + 1)
-                if p > q:
-                    # m(s_i) fixes sigma if s_i is a left descent of its atom w.
-                    raise AssertionError("s_%d w is shorter than w = %r" % (i, w))
-                w = list(w)
-                w[p], w[q] = i + 1, i
-                found.add(tuple(w))
-        memo[word] = frozenset(found)
-        return memo[word]
-
-    return walk(target, lhat_mu(target, nu))
-
-
-def involution_atom_words(target: Word) -> frozenset[Word]:
-    """A(target) for an involution word, base = id: ``atom_words(target,
-    id, (0, n))`` in time linear in the answer.  One atom is read off the
-    cycles (a, b), a <= b, in increasing order of a: ``b a`` for a
-    2-cycle, ``a`` for a fixed point.  Its length must be the involution
-    length (l(target) + kappa(target)) / 2, or AssertionError is raised;
-    a word that is not an involution of 1..n raises ValueError.  The rest
-    are its closure under the moves cab <-> bca, a < b < c, on three
-    consecutive letters (Hamaker-Marberg-Pawlowski, "Involution words
-    II", arXiv:1601.02269).  The moves do not generate relative atoms or
-    the atoms of several blocks; ``atom_words`` does.
-
-    >>> sorted(involution_atom_words((3, 2, 1)))
-    [(2, 3, 1), (3, 1, 2)]
-    """
+def _seed_atom(target: Word) -> Word:
+    """One atom of an involution word, read off its cycles (a, b), a <= b,
+    in increasing order of a: ``b a`` for a 2-cycle, ``a`` for a fixed
+    point.  Its length must be the involution length
+    (l(target) + kappa(target)) / 2, or AssertionError is raised; a word
+    that is not an involution of 1..n raises ValueError."""
     n, seed, kappa = len(target), [], 0
     for a, b in enumerate(target, start=1):
         if not 1 <= b <= n or target[b - 1] != a:
@@ -179,7 +114,21 @@ def involution_atom_words(target: Word) -> frozenset[Word]:
             seed.append(a)
     if 2 * inversions(seed) != inversions(target) + kappa:
         raise AssertionError("seed %r of %r is not of length (l + kappa) / 2" % (tuple(seed), target))
-    found = {tuple(seed)}
+    return tuple(seed)
+
+
+def involution_atom_words(target: Word) -> frozenset[Word]:
+    """A(target) for an involution word: the ``_seed_atom`` of its cycles,
+    closed under the moves cab <-> bca, a < b < c, on three consecutive
+    letters (Hamaker-Marberg-Pawlowski, "Involution words II",
+    arXiv:1601.02269), in time linear in the answer.  The moves do not
+    generate the atoms of several blocks; ``relative_atom_words`` reads
+    relative atoms off this set.
+
+    >>> sorted(involution_atom_words((3, 2, 1)))
+    [(2, 3, 1), (3, 1, 2)]
+    """
+    found = {_seed_atom(target)}
     queue = list(found)
     for w in queue:  # grows behind the loop
         for j in range(len(w) - 2):
@@ -194,6 +143,35 @@ def involution_atom_words(target: Word) -> frozenset[Word]:
                 found.add(image)
                 queue.append(image)
     return frozenset(found)
+
+
+def relative_atom_words(target: Word, base: Word) -> frozenset[Word]:
+    """A(base, target) for involution words: the w with m(w) . base ==
+    target and l(w) = lhat(target) - lhat(base), with no walk down the
+    order.  With u the ``_seed_atom`` of base, they are the v u^-1 over the
+    atoms v of target with l(v u^-1) = l(v) - l(u) (arXiv:1601.02269): the
+    v inverted at every pair of positions where u is.  So the set is empty
+    unless base lies below target.  Words of different lengths, or that
+    are not involutions, raise ValueError.
+
+    >>> sorted(relative_atom_words((3, 2, 1), (1, 2, 3)))
+    [(2, 3, 1), (3, 1, 2)]
+    >>> sorted(relative_atom_words((3, 2, 1), (2, 1, 3)))
+    [(1, 3, 2)]
+    """
+    if len(target) != len(base):
+        raise ValueError("%r and %r differ in length" % (target, base))
+    u = _seed_atom(base)
+    n = len(u)
+    pairs = [(p, q) for q in range(n) for p in range(q) if u[p] > u[q]]
+    where = [0] * n  # where[x - 1] is the position of x in u: w = v u^-1 reads v there
+    for p, x in enumerate(u):
+        where[x - 1] = p
+    return frozenset(
+        tuple(map(v.__getitem__, where))
+        for v in involution_atom_words(target)
+        if all(v[p] > v[q] for p, q in pairs)
+    )
 
 
 def lhat_mu(word: Word, nu: Word) -> int:
@@ -528,18 +506,19 @@ def _greedy_moves(word: Word, nu: Word) -> Iterator[tuple[int, Word]]:
 
 def shat_mu(word: Word, nu: Word) -> IntPolynomial:
     """Shat^mu of ``word`` cut at ``nu``, which must be a word of I_mu: it
-    is not checked here.  Climb the ``_greedy_moves`` up to the first
-    cached node or w0 (worth ``anchor(nu)``), then apply d_i back down,
-    caching every node of the chain under (nu, word).  Ranks above MAX_RANK
-    are refused."""
+    is not checked here.  On a miss, cache w0 at ``anchor(nu)`` first if
+    it is not cached, so a rank or an anchor that is refused climbs
+    nothing; climb the ``_greedy_moves`` up to the first cached node, then
+    apply d_i back down, caching every node of the chain under (nu, word).
+    Ranks above MAX_RANK are refused."""
     refuse_rank(nu[-1])
     top = tuple(range(nu[-1], 0, -1))
     moves = _greedy_moves(word, nu)
     below: list[tuple[Word, int]] = []
     while (nu, word) not in _CACHE:
-        if word == top:
-            _CACHE[nu, word] = anchor(nu)
-            break
+        if (nu, top) not in _CACHE:
+            _CACHE[nu, top] = anchor(nu)
+            continue
         step = next(moves, None)
         if step is None:
             raise AssertionError("raising chain stops below the top at %r" % (word,))

@@ -1,7 +1,7 @@
 """Slow oracles kept for the tests, independent of the fast paths.
 
 The closed characterizations of atoms and relative atoms stand apart from
-the weak-order recursion.  Both scan all of S_n and test conditions on the
+the engine's local moves.  Both scan all of S_n and test conditions on the
 inverse v = w^-1 of each candidate w.  Involutions are raw one-line tuples
 and the cycles of tau are read once per call; the scan runs over v itself
 (v[x] is the position of x in w), so only the accepted candidates are
@@ -35,8 +35,13 @@ images stands apart from the engine's climb, which skips them by the
 positions of the letters.
 
 ``weak_le`` walks up the weak order by the engine's own action, so it is
-the oracle for empty relative-atom sets: the walk down that builds them
-must come up empty exactly when the walk up misses.
+the oracle for empty relative-atom sets: they must come up empty exactly
+when the walk up misses.
+
+The memoized walk down the weak order by ``lower``, the inverse of ``act``,
+stands apart from the engine's atoms, which close one seed atom under
+local moves and read relative atoms off the atoms of the target.
+``lower`` is ``act`` conjugated by the relabelling i <-> i+1.
 
 The tuple kernel (s_i, d_i with its zero-remainder check, and the product)
 works on the public exponent tuples of ``IntPolynomial.terms`` and builds
@@ -126,6 +131,53 @@ def weak_le(tau: Involution, tau_prime: Involution) -> bool:
     for _ in range(lhat_mu(target, nu) - lhat_mu(tau.oneline, nu)):
         level = {act(i, w, nu) for w in level for i in range(1, tau.n)} - level
     return target in level
+
+
+def _relabel(i: int, word: Word) -> Word:
+    # The letters i and i+1 exchanged.
+    return tuple(i + 1 if x == i else i if x == i + 1 else x for x in word)
+
+
+def lower(i: int, word: Word, nu: Word) -> Word | None:
+    """The unique sigma != word with act(i, sigma, nu) == word, or None:
+    the four-case rule with i and i+1 exchanged, done by exchanging the
+    letters before and after ``act``.  It is None exactly when i lies left
+    of i+1 in ``word``."""
+    sigma = _relabel(i, act(i, _relabel(i, word), nu))
+    return None if sigma == word else sigma
+
+
+def atom_words(target: Word, base: Word, nu: Word) -> frozenset[Word]:
+    """One-line tuples of the w with m(w) . base == target and length
+    lhat_mu(target) - lhat_mu(base), down the weak order: A(base) = {id};
+    A(sigma) is empty at any other sigma of rank at most the base's, and
+    otherwise the union over i of the s_i w with w in A(lower(i, sigma));
+    every such w must have i left of i+1, or AssertionError is raised.
+    The rank is carried down, one per step.
+
+    >>> sorted(atom_words((3, 2, 1), (1, 2, 3), (0, 3)))
+    [(2, 3, 1), (3, 1, 2)]
+    """
+    floor = lhat_mu(base, nu)
+    memo = {base: frozenset([tuple(sorted(base))])}
+
+    def walk(word: Word, rank: int) -> frozenset[Word]:
+        if word in memo:
+            return memo[word]
+        found: set[Word] = set()
+        for i in range(1, len(word)) if rank > floor else ():
+            sigma = lower(i, word, nu)
+            if sigma is None:
+                continue
+            for w in walk(sigma, rank - 1):
+                if w.index(i) > w.index(i + 1):
+                    # m(s_i) fixes sigma if s_i is a left descent of its atom w.
+                    raise AssertionError("s_%d w is shorter than w = %r" % (i, w))
+                found.add(_relabel(i, w))
+        memo[word] = frozenset(found)
+        return memo[word]
+
+    return walk(target, lhat_mu(target, nu))
 
 
 def mu_strings(w: Permutation, mu: Composition) -> tuple[Word, ...]:

@@ -511,7 +511,7 @@ def test_exit_code_one_on_bad_input(capsys) -> None:
         assert len(err) <= 200, argv
 
 
-def test_exit_code_two_on_enumeration_bound(capsys) -> None:
+def test_exit_code_two_on_enumeration_bound(capsys, monkeypatch) -> None:
     rc, out, err = run_cli(capsys, ["poset", "-n", "12"])
     assert rc == 2
     assert out == ""
@@ -526,6 +526,18 @@ def test_exit_code_two_on_enumeration_bound(capsys) -> None:
     assert rc == 2
     assert out == ""
     assert err == "error: verification sweep at rank 9 exceeds the bound 8\n"
+
+    # The w0 anchor of inv-schubert is refused by its term bound before any
+    # chain is climbed, at rank 13 and far below the rank limit alike.
+    def no_move(i, word, nu):
+        raise AssertionError("moved %r by s_%d" % (word, i))
+
+    monkeypatch.setattr(weak_order, "act", no_move)
+    for n in ("13", "200"):
+        rc, out, err = run_cli(capsys, ["inv-schubert", "-t", "id", "-n", n])
+        assert rc == 2, n
+        assert out == "", n
+        assert err.startswith("error: a product of ") and "above the budget 1000000000" in err, n
 
 
 LETTERS_257 = ",".join(str(k) for k in range(1, 258))

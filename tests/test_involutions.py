@@ -380,6 +380,20 @@ def test_relative_atoms_specializations():
         assert relative_atoms(tau, tau) == frozenset({identity(4)})
     # Incomparable or downward pairs have no atoms.
     assert relative_atoms(longest_involution(4), identity_involution(4)) == frozenset()
+    with pytest.raises(ValueError, match="differ in length"):
+        relative_atoms(identity_involution(3), identity_involution(4))
+    # At rank 12: over the identity, the 10,395 atoms of w0; over (1,2),
+    # 5,670 words, each sending (1,2) to w0 at the length of the rank gap.
+    top = longest_involution(12)
+    assert relative_atoms(identity_involution(12), top) == atoms(top)
+    assert len(atoms(top)) == 10395
+    base = parse_involution("(1,2)", 12)
+    found = relative_atoms(base, top)
+    assert len(found) == 5670
+    gap = involution_length(top) - involution_length(base)
+    for w in found:
+        assert w.length() == gap
+        assert monoid_apply_word(w, base) == top
 
 
 def test_closed_orbit_polynomial():

@@ -18,7 +18,7 @@ from characterization import (
 from invschub import polynomials
 from invschub.involutions import inv_schubert, inv_schubert_dominant, involution_diagram, involutions
 from invschub.mu_involutions import Composition, all_compositions, degenerate_diagram, mu_closed_orbit_polynomial
-from invschub.permutations import all_permutations, is_dominant
+from invschub.permutations import EnumerationBoundError, all_permutations, is_dominant
 from invschub.polynomials import (
     MAX_EXPONENT,
     IntPolynomial,
@@ -346,3 +346,24 @@ def test_linear_products_stop_at_exponent_255_as_products_do():
             by_mul()
         with pytest.raises(ValueError, match="above %d" % MAX_EXPONENT):
             linear_product(variables, pairs)
+
+
+def test_linear_products_are_refused_by_their_term_bound(monkeypatch):
+    # The bound is the product of (1 + the pairs holding x_i): 2^4 = 16 for
+    # two disjoint pairs, which a budget of 16 admits and of 15 refuses.
+    monkeypatch.setattr(polynomials, "TERM_BUDGET", 16)
+    assert linear_product([1], [(1, 2), (3, 4)]) == variable(1) * (variable(1) + variable(2)) * (
+        variable(3) + variable(4)
+    )
+    monkeypatch.setattr(polynomials, "TERM_BUDGET", 15)
+    with pytest.raises(EnumerationBoundError, match=r"2 factors x_i \+ x_j may have 16 terms, above the budget 15"):
+        linear_product([1], [(1, 2), (3, 4)])
+    # The w0 anchor of I_12 has the bound 239,500,800, below the budget of
+    # 10^9; that of I_13 has 3,353,011,200 and is refused before any pass.
+    monkeypatch.setattr(polynomials, "TERM_BUDGET", 239500799)
+    with pytest.raises(EnumerationBoundError, match="may have 239500800 terms"):
+        anchor((0, 12))
+    monkeypatch.undo()
+    assert polynomials.TERM_BUDGET == 10**9
+    with pytest.raises(EnumerationBoundError, match="may have 3353011200 terms, above the budget 1000000000"):
+        anchor((0, 13))

@@ -1,9 +1,10 @@
 """Tests for the shared weak-order engine: one divided difference per chain
 node on a cold cache and the rank check on every chain move (ordinary
-Schubert polynomials included, as the mu = (1^n) case), the atom
-walker with the inverse action it steps down by, the climb from the
-identity that enumerates I_mu (against the definition, and short of the
-count), and the graph builder's breadth-first ranks and direct JSON writer."""
+Schubert polynomials included, as the mu = (1^n) case), atoms and
+relative atoms against the oracle walk down the weak order and the inverse
+action it steps down by, the climb from the identity that enumerates I_mu
+(against the definition, and short of the count), and the graph builder's
+breadth-first ranks and direct JSON writer."""
 
 from __future__ import annotations
 
@@ -12,7 +13,8 @@ import random
 import re
 
 import pytest
-from characterization import climb_by_scan, greedy_moves_by_scan, mu_involution_words
+import characterization
+from characterization import atom_words, climb_by_scan, greedy_moves_by_scan, lower, mu_involution_words
 
 from invschub import weak_order
 from invschub.involutions import (
@@ -38,13 +40,12 @@ from invschub.weak_order import (
     _greedy_moves,
     _rank_change,
     act,
-    atom_words,
     build_graph,
     clear_cache,
     climb,
     involution_atom_words,
     lhat_mu,
-    lower,
+    relative_atom_words,
 )
 
 
@@ -193,14 +194,29 @@ def test_move_closure_equals_atom_words_through_rank_7():
         identity_word = tuple(range(1, n + 1))
         for tau in climb((0, n))[0]:
             assert involution_atom_words(tau) == atom_words(tau, identity_word, (0, n)), tau
+    # Relative atoms read off the closure, on all 6,573 ordered pairs of
+    # I_1..I_6, incomparable ones included, and on every coatom of w0_10.
+    pairs = 0
+    for n in range(1, 7):
+        words = climb((0, n))[0]
+        for base in words:
+            for target in words:
+                assert relative_atom_words(target, base) == atom_words(target, base, (0, n)), (base, target)
+                pairs += 1
+    assert pairs == 6573
+    top, nu = tuple(range(10, 0, -1)), (0, 10)
+    coatoms = [w for w in climb(nu)[0] if lhat_mu(w, nu) == lhat_mu(top, nu) - 1]
+    assert coatoms
+    for base in coatoms:
+        assert relative_atom_words(top, base) == atom_words(top, base, nu), base
 
 
 def test_every_atom_step_is_length_checked(monkeypatch):
     # A predecessor whose atoms already descend at s_1 must be refused by
     # the walk: the chain (3,2,1) -> (2,1,3) -> id applies s_1 twice.
-    real = weak_order.lower
+    real = characterization.lower
     monkeypatch.setattr(
-        weak_order, "lower", lambda i, word, nu: (2, 1, 3) if word == (3, 2, 1) else real(i, word, nu)
+        characterization, "lower", lambda i, word, nu: (2, 1, 3) if word == (3, 2, 1) else real(i, word, nu)
     )
     with pytest.raises(AssertionError):
         atom_words((3, 2, 1), (1, 2, 3), (0, 3))
@@ -223,17 +239,18 @@ def test_involution_atom_words_refuses_a_word_that_is_not_an_involution():
 
 
 def test_atom_words_refuses_a_word_outside_i_mu():
-    # A repeated letter, a 3-cycle block and a word of the wrong length, as
-    # target or as base, are refused where they enter, before any walk.
+    # A repeated letter, a 3-cycle and a bad base are refused as words that
+    # are not involutions, and a target and base of different lengths as
+    # such, before any atom is found.
     cases = [
-        ((1, 1), (1, 2), (0, 2), (1, 1)),
-        ((2, 3, 1), (1, 2, 3), (0, 3), (2, 3, 1)),
-        ((2, 1), (2, 2), (0, 2), (2, 2)),
-        ((3, 2, 1), (1, 2, 3), (0, 2), (3, 2, 1)),
+        ((1, 1), (1, 2), "(1, 1) is not an involution of 1..2"),
+        ((2, 3, 1), (1, 2, 3), "(2, 3, 1) is not an involution of 1..3"),
+        ((2, 1), (2, 2), "(2, 2) is not an involution of 1..2"),
+        ((3, 2, 1), (1, 2), "(3, 2, 1) and (1, 2) differ in length"),
     ]
-    for target, base, nu, word in cases:
-        with pytest.raises(ValueError, match=re.escape("%r is not a word of I_mu" % (word,))):
-            atom_words(target, base, nu)
+    for target, base, message in cases:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            relative_atom_words(target, base)
 
 
 def _graphs():
