@@ -25,7 +25,11 @@ Coefficients are plain Python ints (arbitrary precision); zero coefficients
 are never stored, so structural equality is polynomial equality.
 
 Terms are ordered graded-lexicographically with x1 > x2 > ... for rendering,
-which makes every textual output deterministic.
+which makes every textual output deterministic.  Each monomial's text
+("x1^2*x3") is built once and kept in a table keyed by its exponent
+bytes, which later renders read; the table stops growing at 65,536
+(2^16) entries and never evicts, so a render past it builds the other
+texts each time, as every render did before the table.
 
 >>> x1, x2 = variable(1), variable(2)
 >>> print((x1 + x2) * (x1 - x2))
@@ -39,7 +43,7 @@ from __future__ import annotations
 import math
 import re
 from heapq import heapify, heappop, heappush
-from operator import gt
+from operator import getitem, gt
 from typing import Iterable, Iterator, Mapping
 
 from .permutations import EnumerationBoundError
@@ -118,6 +122,14 @@ def _factor_table(width: int, top: int) -> list[list[str]]:
             for k in range(1, width + 1)
         ]
     return _FACTORS
+
+
+# _BODIES[exponent bytes] is the monomial's text ("x1^2*x3"; "" for 1).  A
+# miss is built from _FACTORS and stored while the table holds fewer than
+# _BODIES_CAPACITY entries; nothing is evicted, so a full table still
+# answers its hits and builds every other body as a miss.
+_BODIES: dict[bytes, str] = {}
+_BODIES_CAPACITY = 1 << 16
 
 
 class IntPolynomial:
@@ -250,10 +262,17 @@ class IntPolynomial:
         if not self._terms:
             return "0"
         ordered = sorted(_graded(self._terms), reverse=True)
-        table = _factor_table(self.nvars, max(b"".join([exps for _, exps, _ in ordered]), default=0))
+        bodies = _BODIES
+        table = None
         pieces: list[str] = []
         for _, exps, coeff in ordered:
-            body = "*".join([row[e] for row, e in zip(table, exps) if e])
+            body = bodies.get(exps)
+            if body is None:
+                if table is None:  # a render whose texts are all stored needs no factor table
+                    table = _factor_table(self.nvars, max(b"".join([exps for _, exps, _ in ordered]), default=0))
+                body = "*".join(filter(None, map(getitem, table, exps)))
+                if len(bodies) < _BODIES_CAPACITY:
+                    bodies[exps] = body
             if coeff < 0:
                 pieces.append(" - ")
                 coeff = -coeff

@@ -52,6 +52,11 @@ A diagram product multiplied out one factor at a time by the generic
 ``IntPolynomial.__mul__`` stands apart from ``linear_product``, which adds
 each factor's variables to every term in one pass and counts exponents
 instead of checking carries.
+
+The text of a polynomial written out from its public exponent tuples,
+sorted and formatted term by term, stands apart from ``IntPolynomial``'s
+printer, which sorts packed keys and reads each monomial's text from a
+table of the texts it has built before.
 """
 
 from __future__ import annotations
@@ -494,3 +499,29 @@ def diagram_product_by_mul(
     for (i, j) in sorted(strict):
         poly = poly * (variable(i) + variable(j))
     return poly
+
+
+def render_by_definition(f: IntPolynomial) -> str:
+    """The text of f: its terms by descending (degree, exponent tuple),
+    each its absolute coefficient (left out where it is 1 and the term is
+    not constant) and its factors x_k^e (x_k where e = 1) joined by "*";
+    terms joined by " + " or " - ", a leading minus written bare, and "0"
+    for the zero polynomial.
+
+    >>> render_by_definition(IntPolynomial({(2, 0, 1): -3, (0, 1): 1, (): -1}))
+    '-3*x1^2*x3 + x2 - 1'
+    """
+    terms = sorted(f.terms.items(), key=lambda term: (sum(term[0]), term[0]), reverse=True)
+    if not terms:
+        return "0"
+    text = ""
+    for exps, coeff in terms:
+        factors = ["x%d" % k if e == 1 else "x%d^%d" % (k, e) for k, e in enumerate(exps, 1) if e]
+        if abs(coeff) != 1 or not factors:
+            factors.insert(0, str(abs(coeff)))
+        if text:
+            text += " - " if coeff < 0 else " + "
+        elif coeff < 0:
+            text = "-"
+        text += "*".join(factors)
+    return text

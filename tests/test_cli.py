@@ -496,6 +496,8 @@ BAD_INVOCATIONS = [
     ["expand", "-f", "x2000000", "-n", "3"],
     ["expand", "-f", "0", "-n", "-5", "--format", "json"],
     ["expand", "-f", "0", "-n", "0"],
+    ["expand", "-f", "x1", "-n", "0"],
+    ["expand", "-f", "x1", "-n", "-2"],
     ["expand", "-f", "x1^256", "-n", "3"],
     ["expand", "-f", "x1^300", "-n", "400"],
 ]
@@ -509,6 +511,9 @@ def test_exit_code_one_on_bad_input(capsys) -> None:
         assert err.startswith("error: "), argv
         assert err.endswith("\n") and err.count("\n") == 1, argv
         assert len(err) <= 200, argv
+        if argv[:1] == ["expand"] and int(argv[argv.index("-n") + 1]) < 1:
+            # The rank is refused before any variable of the polynomial is read.
+            assert err == "error: rank must be at least 1\n", argv
 
 
 def test_exit_code_two_on_enumeration_bound(capsys, monkeypatch) -> None:

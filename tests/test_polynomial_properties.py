@@ -3,19 +3,24 @@ random polynomials whose exponents span the whole range 0..255."""
 
 from __future__ import annotations
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from characterization import (
     diagram_product_by_mul,
+    render_by_definition,
     tuple_divided_difference,
     tuple_product,
     tuple_swap_variables,
 )
 from invschub.polynomials import (
     MAX_EXPONENT,
+    ZERO,
     IntPolynomial,
+    constant,
     divided_difference,
     linear_product,
     monomial,
@@ -36,6 +41,33 @@ generators = st.integers(1, 6)
 @given(polynomials)
 def test_printed_polynomials_parse_back(f):
     assert parse_polynomial(str(f)) == f
+
+
+# Unit and small coefficients, which print differently, and ones beyond
+# 2^63; monomials in up to 40 variables; the zero and constant polynomials.
+coefficients = st.one_of(
+    st.sampled_from([1, -1, 2, -2]),
+    st.integers(-10**6, 10**6).filter(bool),
+    st.integers(2**63, 2**70),
+    st.integers(-2**70, -2**63),
+)
+wide_polynomials = st.one_of(
+    st.just(ZERO),
+    st.builds(constant, coefficients),
+    st.dictionaries(st.lists(exponents, max_size=40).map(tuple), coefficients, max_size=12).map(IntPolynomial),
+)
+
+
+@settings(deadline=None)
+@given(wide_polynomials)
+def test_printed_polynomials_match_the_render_oracle_cold_and_warm(f):
+    expected = render_by_definition(f)
+    assert str(f) == expected  # against the table the other tests have filled
+    table: dict = {}
+    with mock.patch("invschub.polynomials._BODIES", table):
+        assert str(f) == expected  # every monomial's text built and stored
+        assert str(f) == expected  # every monomial's text read back
+    assert len(table) == len(f.terms)
 
 
 @settings(deadline=None)

@@ -10,6 +10,7 @@ import pytest
 
 from characterization import (
     diagram_product_by_mul,
+    render_by_definition,
     tuple_check_quotient,
     tuple_divided_difference,
     tuple_product,
@@ -108,6 +109,28 @@ def test_str_format():
     assert str(variable(2)) == "x2"
     assert str(monomial((1,), -2) + monomial((0, 1))) == "-2*x1 + x2"
     assert str(monomial((0, 0), 7)) == "7"
+
+
+def test_schubert_polynomials_print_as_the_render_oracle_writes_them():
+    for w in all_permutations(6):
+        f = schubert(w)
+        assert str(f) == render_by_definition(f), w
+    for tau in involutions(7):
+        f = inv_schubert(tau)
+        assert str(f) == render_by_definition(f), tau
+
+
+def test_a_full_table_of_monomial_texts_stays_full_and_prints_the_same(monkeypatch):
+    # 30 terms, one of them the constant 1, with coefficients of both signs.
+    f = IntPolynomial({(k % 4, k // 4 % 3, k // 12): (-1) ** k * (k + 1) for k in range(30)})
+    assert len(f.terms) == 30
+    monkeypatch.setattr(polynomials, "_BODIES", {})
+    monkeypatch.setattr(polynomials, "_BODIES_CAPACITY", 8)
+    expected = render_by_definition(f)
+    assert str(f) == expected  # stores the first 8 texts, builds the other 22
+    assert len(polynomials._BODIES) == 8
+    assert str(f) == expected  # 8 hits, 22 misses built again and not stored
+    assert len(polynomials._BODIES) == 8
 
 
 def test_parse_roundtrip():
