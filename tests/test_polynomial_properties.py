@@ -1,5 +1,6 @@
-"""Property tests of the polynomial kernel against the tuple oracle, on
-random polynomials whose exponents span the whole range 0..255."""
+"""Property tests of the polynomial kernel against the tuple oracle, and of
+its printer against the render oracle, on random polynomials whose
+exponents span the whole range 0..255."""
 
 from __future__ import annotations
 
