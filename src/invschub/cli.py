@@ -174,8 +174,6 @@ def _cmd_verify(args: argparse.Namespace) -> Output:
 
 
 def _cmd_expand(args: argparse.Namespace) -> Output:
-    if args.n < 1:  # before the polynomial, whose variables are checked against x_n
-        raise ValueError("rank must be at least 1")
     f = parse_polynomial(args.f, args.n)
     expansion = expand_in_schubert_basis(f, args.n)
     return _text_json(

@@ -306,13 +306,14 @@ def closed_orbit_polynomial(n: int) -> IntPolynomial:
 
 
 def inv_schubert(tau: Involution) -> IntPolynomial:
-    """Shat_tau: divided differences along any chain up to w0.
-
-    Chain-independence is a property of the action and is asserted by the
-    test suite; this is ``mu_inv_schubert`` at mu = (n): the greedy chain
-    takes the smallest i with i left of i+1 in the word at every step,
-    and each move must raise lhat by exactly one, as computed from the
-    letters i and i+1 alone.
+    """Shat_tau, as ``mu_inv_schubert`` at mu = (n) builds it, with no
+    chain to w0 and no cache: the Dhat product when tau is dominant, and
+    otherwise the sum over the involution pipe dreams of tau
+    (Hamaker-Marberg-Pawlowski, arXiv:1911.12009) of the products of their
+    cell weights, x_i on the diagonal and x_i + x_j off it.  Its value at
+    x = (1, ..., 1), which bounds its term count, is refused above the term
+    budget before any polynomial is built.  The tests check it against the
+    divided-difference chain to w0, ``shat_mu`` at nu = (0, n).
 
     >>> print(inv_schubert(longest_involution(3)))
     x1^2 + x1*x2

@@ -48,6 +48,7 @@ from .weak_order import (
     count,
     involution_atom_words,
     lhat_mu,
+    shat_involution,
     shat_mu,
 )
 
@@ -456,28 +457,35 @@ def mu_closed_orbit_polynomial(mu: Composition) -> IntPolynomial:
 
 
 def mu_inv_schubert(pi: MuInvolution) -> IntPolynomial:
-    """Shat^mu_pi: divided differences along any raising chain to the top.
+    """Shat^mu_pi.  At mu = (n) it is the engine's ``shat_involution``: the
+    Dhat product when pi is dominant, else the sum over its involution pipe
+    dreams, refused by a predicted term bound before any polynomial work.
 
-    The anchor at the top element is mu_closed_orbit_polynomial of the
-    REVERSED composition, which the engine builds from ``mu.nu`` alone, so
-    at mu = (n) it is closed_orbit_polynomial(n).  That choice is forced: it is the unique anchor
-    for which the descent is chain-independent (every raising edge gives
-    the same polynomial under its divided difference) and for which the
-    result equals the multiplicity-free sum of S_{w^-1} over the words w
-    of minimal length driving the identity up to pi.  Both properties are
-    checked exhaustively in the tests; for palindromic compositions the
-    two candidate anchors agree.  The greedy smallest-label chain is used
-    here: m(s_i) stays exactly when i lies right of i+1, so each step takes
-    the smallest i left of i+1, and each move must raise lhat_mu by
-    exactly one, as computed from the letters i and i+1 and their block,
-    or the chain is rejected.  ``pi`` was checked when it was built, so
-    its rank is not counted.
+    Every other mu takes divided differences along a raising chain to the
+    top.  The anchor at the top element is mu_closed_orbit_polynomial of the
+    REVERSED composition, which the engine builds from ``mu.nu`` alone.
+    That choice is forced: it is the unique anchor for which the descent is
+    chain-independent (every raising edge gives the same polynomial under
+    its divided difference) and for which the result equals the
+    multiplicity-free sum of S_{w^-1} over the words w of minimal length
+    driving the identity up to pi.  Both properties are checked
+    exhaustively in the tests; for palindromic compositions the two
+    candidate anchors agree.  The greedy smallest-label chain is used here:
+    m(s_i) stays exactly when i lies right of i+1, so each step takes the
+    smallest i left of i+1, and each move must raise lhat_mu by exactly
+    one, as computed from the letters i and i+1 and their block, or the
+    chain is rejected.  ``pi`` was checked when it was built, so its rank
+    is not counted.
 
     >>> print(mu_inv_schubert(parse_mu_involution("432|1")))
     x1^3*x2^2 + x1^3*x2*x3
     >>> print(mu_inv_schubert(parse_mu_involution("123|4")))
     1
+    >>> print(mu_inv_schubert(parse_mu_involution("1324")))
+    x1 + x2
     """
+    if pi.mu.k == 1:
+        return shat_involution(pi.oneline)
     return shat_mu(pi.oneline, pi.mu.nu)
 
 

@@ -17,7 +17,9 @@ Exponents lie in 0..MAX_EXPONENT (255), checked where they enter: the
 constructor, ``monomial`` and ``parse_polynomial`` raise ValueError above
 it, and a product or power that would carry a byte into the next variable
 raises ValueError instead of wrapping; ``linear_product`` counts its
-factors before it multiplies.  s_i and d_i never leave the range.
+factors before it multiplies, and ``add_linear_multiple`` tests its terms
+where the bitwise or of the keys allows a carry.  s_i and d_i never leave
+the range.
 Every divided difference is checked: with CHECK_DIVIDED_DIFFERENCE,
 f - s_i.f - (x_i - x_{i+1}).d_i(f) is summed term by term and must cancel.
 
@@ -42,8 +44,9 @@ from __future__ import annotations
 
 import math
 import re
+from functools import reduce
 from heapq import heapify, heappop, heappush
-from operator import getitem, gt
+from operator import getitem, gt, or_
 from typing import Iterable, Iterator, Mapping
 
 from .permutations import EnumerationBoundError
@@ -65,6 +68,7 @@ __all__ = [
     "equals_sum",
     "sum_of",
     "linear_product",
+    "add_linear_multiple",
 ]
 
 # When True, every divided difference asserts that its quotient q leaves no
@@ -570,6 +574,31 @@ def linear_product(variables: Iterable[int], pairs: Iterable[tuple[int, int]]) -
     return _raw(terms)
 
 
+def add_linear_multiple(f: IntPolynomial, g: IntPolynomial, indices: tuple[int, ...]) -> IntPolynomial:
+    """f + (x_k1 + ... + x_kr) * g for ``indices`` (k1, ..., kr): one pass
+    over g per index, adding x_k to every key, into a copy of f.
+
+    A byte of the keys' bitwise or below 255 means no exponent there is
+    255, so no key carries; only otherwise is every term tested, and an
+    exponent above MAX_EXPONENT raises the ValueError of ``__mul__``.
+
+    >>> print(add_linear_multiple(variable(2), variable(1), (1, 3)))
+    x1^2 + x1*x3 + x2
+    """
+    terms = dict(f._terms)
+    get = terms.get
+    top = reduce(or_, g._terms, 0)
+    for k in indices:
+        shift = 8 * (k - 1)
+        one = 1 << shift
+        if top >> shift & 255 == MAX_EXPONENT:
+            _refuse_carry(g._terms, {one: 1})
+        for key, coeff in g._terms.items():
+            key += one
+            terms[key] = get(key, 0) + coeff
+    return _raw(_nonzero(terms) if 0 in terms.values() else terms)
+
+
 _TERM_RE = re.compile(
     r"""
     ^\s*
@@ -589,13 +618,16 @@ def parse_polynomial(text: str, n: int | None = None) -> IntPolynomial:
 
     Accepts arbitrary whitespace and both "-" and the unicode minus.  Every
     "+" or "-" must be followed by a term; only the first term may carry a
-    sign of its own.  With n given, a variable above x_n is refused before
-    any exponent tuple is built.
+    sign of its own.  With n given, a rank below 1 is refused before the
+    text is read, and a variable above x_n before any exponent tuple is
+    built.
 
     >>> parse_polynomial("x1^2*x2 + x1*x3") == (
     ...     variable(1) ** 2 * variable(2) + variable(1) * variable(3))
     True
     """
+    if n is not None and n < 1:
+        raise ValueError("rank must be at least 1")
     normalized = text.replace("−", "-").strip()
     if not normalized:
         raise ValueError("empty polynomial text")

@@ -5,19 +5,21 @@ Every verifier assembles an :class:`IdentityReport` from three routes:
 
 * ``lhs`` enumerates an atom set and sums S_{w^-1} over its words w;
 * ``rhs`` is a fully factored product read directly off a diagram, or the
-  divided-difference chain of the monoid action anchored at the
-  closed-orbit product;
+  involution Schubert polynomial, which is that product at a dominant
+  involution and the sum over its involution pipe dreams otherwise;
 * ``expansion`` re-expands the rhs in the Schubert basis by peeling the
   graded-lex minimal monomial, a third route whose support must land back
   on the inverted atom set.
 
 Ordinary Schubert polynomials are the mu = (1^n) case of the weak-order
 engine: ``shat_mu`` of w cut into single letters is S_{w^-1}, which the lhs
-sums over the atoms w without inverting them.  lhs and rhs share its
-action, ``anchor`` and memoized chain unless the rhs is a closed product.
-The independence lives in the tests: their definitional oracle applies d_i
-along a reduced word to the staircase monomial without the engine, and
-must agree with ``schubert`` on all of S_n for n <= 6.
+sums over the atoms w without inverting them, down the memoized chain of
+divided differences.  The rhs takes no divided difference, so lhs and rhs
+share no kernel; the expansion peels the rhs with the lhs's Schubert
+polynomials.  The independence of the lhs lives in the tests: their
+definitional oracle applies d_i along a reduced word to the staircase
+monomial without the engine, and must agree with ``schubert`` on all of
+S_n for n <= 6.
 
 A failed identity never raises: ``equal`` is simply False and the caller
 decides what to do (the command line maps it to exit code 3).
@@ -175,7 +177,7 @@ def _atom_sum(atom_set: frozenset[Permutation]) -> IntPolynomial:
 
 def _involution_report(tau: Involution, dominant: bool) -> IdentityReport:
     """Sum of S_{w^-1} over atoms(tau) against the diagram product when
-    ``dominant``, else against the chain polynomial.  The rank is refused
+    ``dominant``, else against ``inv_schubert``.  The rank is refused
     before the O(n^3) dominance scan and before any atom is built."""
     refuse_rank(tau.n)
     subject = "involution %s in S_%d" % (tau.cycles_string(), tau.n)
@@ -239,12 +241,13 @@ def verify_mu_identity(mu: Composition) -> IdentityReport:
 def verify_brion_general(tau: Involution, max_n: int = VERIFY_BOUND) -> IdentityReport:
     """Check the atom-sum identity for an arbitrary involution.
 
-    lhs sums S_{w^-1} over atoms(tau); rhs is the divided-difference
-    chain polynomial of tau (a sum of monomials once tau is not dominant).
-    The atoms come from the engine's move closure, not from a scan of S_n;
-    the bound stays because the Schubert sum and the basis expansion still
-    grow faster than exponentially in n, and nothing yet predicts their
-    cost.
+    lhs sums S_{w^-1} over atoms(tau), each down the chain of divided
+    differences; rhs is ``inv_schubert(tau)``, the sum over the
+    involution pipe dreams of tau (the Dhat product once tau is dominant),
+    which takes no divided difference.  The atoms come from the engine's
+    move closure, not from a scan of S_n; the bound stays because the
+    Schubert sum and the basis expansion still grow faster than
+    exponentially in n, and nothing yet predicts their cost.
 
     >>> from .involutions import parse_involution
     >>> verify_brion_general(parse_involution("(1,3)", 3)).equal

@@ -2,8 +2,10 @@
 The weak-order engine under involutions and mu-involutions: the monoid
 action and the rank lhat_mu on raw one-line tuples, the atoms and relative
 atoms of involution words, the climb up from the identity that finds I_mu
-and its weak-order graph, and one memoized divided-difference chain
-``shat_mu`` with its single cache.
+and its weak-order graph, one memoized divided-difference chain
+``shat_mu`` with its single cache, and ``shat_involution``, which builds
+Shat of an involution from its involution pipe dreams with no chain and no
+cache.
 
 A mu-involution is a pair (word, nu): its one-line tuple and the prefix
 sums ``Composition.nu`` that cut it into blocks; involutions of [n] are
@@ -24,6 +26,14 @@ is ranked over the at most four slots it touches.  ``shat_mu`` takes words
 of I_mu; they are checked where they enter, by ``Permutation``,
 ``MuInvolution`` and the parsers, and the chain does not count their rank.
 
+Its cost is set by w0, where every chain starts, not by the answer.  So
+the involutions, nu = (0, n), take ``shat_involution`` instead: the Dhat
+product at a dominant word, and otherwise one pass down the cells of the
+involution pipe dreams, memoized by involution, whose value at
+x = (1, ..., 1) is counted first and refused above the term budget.  The
+chain stays for every other nu and for Schubert polynomials, and it is
+the tests' oracle for involutions.
+
 >>> act(3, (3, 2, 4, 1), (0, 3, 4)), lhat_mu((4, 3, 2, 1), (0, 3, 4))
 ((4, 3, 2, 1), 5)
 >>> print(shat_mu((2, 3, 1), (0, 1, 2, 3)))
@@ -37,11 +47,20 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import indexOf, itemgetter
+from operator import ge, indexOf, itemgetter
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .permutations import EnumerationBoundError, inversions, letter_strings
-from .polynomials import MAX_EXPONENT, IntPolynomial, divided_difference, linear_product
+from .polynomials import (
+    MAX_EXPONENT,
+    ONE,
+    TERM_BUDGET,
+    ZERO,
+    IntPolynomial,
+    add_linear_multiple,
+    divided_difference,
+    linear_product,
+)
 
 __all__ = [
     "WeakOrderGraph",
@@ -58,6 +77,7 @@ __all__ = [
     "DEFAULT_VERTEX_BUDGET",
     "refuse_rank",
     "shat_mu",
+    "shat_involution",
     "clear_cache",
 ]
 
@@ -529,3 +549,124 @@ def shat_mu(word: Word, nu: Word) -> IntPolynomial:
         poly = divided_difference(poly, i)
         _CACHE[nu, word] = poly
     return poly
+
+
+# ---------------------------------------------------------------------------
+# Involution pipe dreams
+# ---------------------------------------------------------------------------
+
+
+def _lower_involution(a: int, word: Word) -> Word:
+    """The involution sigma != word with m(s_a) . sigma == word, for an
+    involution word with letter a right of a+1: two fixed points where
+    (a a+1) is a 2-cycle of word, else s_a word s_a."""
+    images = list(word)
+    p, q = images[a - 1], images[a]
+    if p == a + 1:
+        images[a - 1], images[a] = a, a + 1
+    else:
+        images[a - 1], images[a] = q, p
+        p, q = images.index(a), images.index(a + 1)
+        images[p], images[q] = a + 1, a
+    return tuple(images)
+
+
+Row = tuple[int, frozenset, list[tuple[int, list[tuple[Word, Word]]]]]
+
+
+def _pipe_dream_moves(word: Word) -> list[Row]:
+    """The moves of the involution pipe dreams of ``word`` (Hamaker-Marberg-
+    Pawlowski, arXiv:1911.12009): per row i = 1 .. n/2, the involutions
+    that enter it and, cell by cell (i, j) from j = n - i down to i, every
+    (u, sigma) whose cell, of label a = i + j - 1, can be taken at u, a
+    descent of u, lowering it to sigma.  Row i and those below take only
+    labels >= 2i - 1, which move no letter below 2i - 1; so an involution
+    enters row i only if it fixes 1 .. 2i - 2.  More than
+    DEFAULT_VERTEX_BUDGET lowered states raise EnumerationBoundError."""
+    n = len(word)
+    rows: list[Row] = []
+    layer, states = {word}, 1
+    for i in range(1, n // 2 + 1):
+        if i > 1:  # row i - 1 left 1 .. 2i - 4 as it found them
+            layer = {u for u in layer if u[2 * i - 4] == 2 * i - 3 and u[2 * i - 3] == 2 * i - 2}
+        cells = []
+        entries = frozenset(layer)
+        for j in range(n - i, i - 1, -1):
+            a = i + j - 1
+            moves = [(u, _lower_involution(a, u)) for u in layer if u[a - 1] > u[a]]
+            if moves:
+                states += len(moves)
+                if states > DEFAULT_VERTEX_BUDGET:
+                    raise EnumerationBoundError(
+                        "the pipe dreams of an involution of rank %d pass %d states, above the vertex budget %d"
+                        % (n, states, DEFAULT_VERTEX_BUDGET)
+                    )
+                layer.update([sigma for _, sigma in moves])
+            cells.append((j, moves))
+        rows.append((i, entries, cells))
+    return rows
+
+
+def _peel(word: Word, rows: list[Row], one, zero, step):
+    """The weighted sum over the pipe dreams whose moves ``rows`` lists,
+    peeled from the bottom: values[u] sums, over the ways to take the cells
+    from the current one on so that u ends at the identity, the product of
+    their weights, and taking cell (i, j) from u to sigma adds
+    step(values[u], values[sigma], weight), the weight (i,) for x_i on the
+    diagonal and (i, j) for x_i + x_j off it.  A row's entries keep only
+    the values the row above reads."""
+    values = {tuple(range(1, len(word) + 1)): one}
+    for i, entries, cells in reversed(rows):
+        for j, moves in reversed(cells):
+            weight = (i,) if i == j else (i, j)
+            for u, sigma in moves:
+                # sigma has a+1 left of a, so it takes no cell here: its value stays.
+                below = values.get(sigma)
+                if below is not None:
+                    values[u] = step(values.get(u, zero), below, weight)
+        values = {u: values[u] for u in entries if u in values}
+    return values.get(word, zero)
+
+
+def _count_step(f: int, g: int, weight: tuple[int, ...]) -> int:
+    # The weight at x = (1, ..., 1); each count is a lower bound of the
+    # whole sum, so the first past the budget refuses it.
+    count = f + len(weight) * g
+    if count > TERM_BUDGET:
+        raise EnumerationBoundError(
+            "an involution Schubert polynomial whose coefficients sum to at least %d may have more terms than the budget %d"
+            % (count, TERM_BUDGET)
+        )
+    return count
+
+
+def shat_involution(word: Word) -> IntPolynomial:
+    """Shat of an involution word of rank n = len(word), with no chain and no
+    cache.  A dominant word (132-avoiding: its code is a partition c) gives
+    the Dhat product, x_i for c_i >= i and x_i + x_j for i < j <= c_i.
+    Otherwise Shat is the sum over the involution pipe dreams of the word of
+    the products of their weights, built by ``_peel``; the same recursion on
+    the integers, each x_i set to 1, gives Shat(1, ..., 1), which bounds the
+    term count, and it is refused above TERM_BUDGET before any polynomial
+    is built.  Ranks above MAX_RANK are refused first.
+
+    >>> print(shat_involution((4, 2, 3, 1)))
+    x1^3 + x1^2*x2 + x1^2*x3 + x1*x2*x3
+    >>> print(shat_involution((1, 4, 3, 2)))
+    x1^2 + 2*x1*x2 + x1*x3 + x2^2 + x2*x3
+    """
+    n = len(word)
+    refuse_rank(n)
+    code = [sum(map(x.__gt__, word[p + 1 :])) for p, x in enumerate(word)]
+    if all(map(ge, code, code[1:])):
+        return linear_product(
+            [i for i, c in enumerate(code, 1) if c >= i],
+            [(i, j) for i, c in enumerate(code, 1) for j in range(i + 1, c + 1)],
+        )
+    rows = _pipe_dream_moves(word)
+    # Each of the n^2/4 cells is taken or not, at weight 1 or 2 at
+    # x = (1, ..., 1), so the count is at most 2^(n/2) 3^(n^2/4 - n/2): up
+    # to n = 9 within the budget, and not counted.
+    if 2 ** (n // 2) * 3 ** (n * n // 4 - n // 2) > TERM_BUDGET:
+        _peel(word, rows, 1, 0, _count_step)
+    return _peel(word, rows, ONE, ZERO, add_linear_multiple)

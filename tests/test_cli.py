@@ -68,6 +68,23 @@ def test_inv_schubert_text(capsys) -> None:
     assert out == "1\n"
 
 
+def test_inv_schubert_past_the_w0_chain(capsys, monkeypatch) -> None:
+    # No chain and no cache: the identity at any rank up to the limit is
+    # the empty product, and (1,13) the product x1 (x1 + x2) ... (x1 + x12).
+    def no_move(i, word, nu):
+        raise AssertionError("moved %r by s_%d" % (word, i))
+
+    monkeypatch.setattr(weak_order, "act", no_move)
+    clear_cache()
+    for n in ("12", "13", "200", "256"):
+        assert run_cli(capsys, ["inv-schubert", "-t", "id", "-n", n]) == (0, "1\n", ""), n
+    rc, out, err = run_cli(capsys, ["inv-schubert", "-t", "(1,13)", "-n", "13"])
+    assert (rc, err) == (0, "")
+    assert out.count(" + ") == 2047
+    assert out.startswith("x1^12 + x1^11*x2 + ") and out.endswith(" + x1*x2*x3*x4*x5*x6*x7*x8*x9*x10*x11*x12\n")
+    assert weak_order._CACHE == {}
+
+
 def test_inv_schubert_json(capsys) -> None:
     rc, out, _ = run_cli(
         capsys, ["inv-schubert", "-t", "(1,3)", "-n", "3", "--format", "json"]
@@ -532,17 +549,25 @@ def test_exit_code_two_on_enumeration_bound(capsys, monkeypatch) -> None:
     assert out == ""
     assert err == "error: verification sweep at rank 9 exceeds the bound 8\n"
 
-    # The w0 anchor of inv-schubert is refused by its term bound before any
-    # chain is climbed, at rank 13 and far below the rank limit alike.
+    # inv-schubert is refused by a term bound before any polynomial work:
+    # w0_13 by its Dhat product, a non-dominant involution by its pipe-dream
+    # count, whose full value here is 88,087,724,032.
     def no_move(i, word, nu):
         raise AssertionError("moved %r by s_%d" % (word, i))
 
     monkeypatch.setattr(weak_order, "act", no_move)
-    for n in ("13", "200"):
-        rc, out, err = run_cli(capsys, ["inv-schubert", "-t", "id", "-n", n])
-        assert rc == 2, n
-        assert out == "", n
-        assert err.startswith("error: a product of ") and "above the budget 1000000000" in err, n
+    w0_13 = "(1,13)(2,12)(3,11)(4,10)(5,9)(6,8)"
+    rc, out, err = run_cli(capsys, ["inv-schubert", "-t", w0_13, "-n", "13"])
+    assert rc == 2
+    assert out == ""
+    assert err == (
+        "error: a product of 36 factors x_i + x_j may have 3353011200 terms, above the budget 1000000000\n"
+    )
+    rc, out, err = run_cli(capsys, ["inv-schubert", "-t", "(2,5)(3,15)(6,16)", "-n", "20"])
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: an involution Schubert polynomial whose coefficients sum to at least ")
+    assert err.endswith(" may have more terms than the budget 1000000000\n")
 
 
 LETTERS_257 = ",".join(str(k) for k in range(1, 258))

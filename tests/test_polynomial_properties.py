@@ -21,6 +21,7 @@ from invschub.polynomials import (
     MAX_EXPONENT,
     ZERO,
     IntPolynomial,
+    add_linear_multiple,
     constant,
     divided_difference,
     linear_product,
@@ -110,3 +111,16 @@ def test_linear_product_agrees_with_the_product_by_mul_or_refuses_alike(exponent
             linear_product(variables, pairs)
     else:
         assert linear_product(variables, pairs) == expected
+
+
+@settings(deadline=None)
+@given(polynomials, polynomials, st.lists(generators, min_size=1, max_size=3).map(tuple))
+def test_add_linear_multiple_agrees_with_the_oracle_or_refuses_a_carry(f, g, indices):
+    # f + (x_k1 + ... + x_kr) * g; a term of g at exponent 255 in some x_k
+    # is refused, even where the sum would cancel.
+    form = sum((monomial((0,) * (k - 1) + (1,)) for k in indices), ZERO)
+    if any(len(e) >= k and e[k - 1] == MAX_EXPONENT for e in g.terms for k in indices):
+        with pytest.raises(ValueError, match="above 255"):
+            add_linear_multiple(f, g, indices)
+    else:
+        assert add_linear_multiple(f, g, indices) == f + tuple_product(form, g)

@@ -27,6 +27,7 @@ from invschub.polynomials import (
     ZERO,
     constant,
     divided_difference,
+    add_linear_multiple,
     linear_product,
     monomial,
     parse_polynomial,
@@ -158,6 +159,26 @@ def test_parse_roundtrip():
         parse_polynomial("x2000000", 3)
 
 
+def test_add_linear_multiple_tests_every_term_only_where_an_exponent_may_be_255():
+    # x1^128 and x1^127 or to 255 in x1's byte, but neither carries.
+    g = monomial((128,)) + monomial((127,), -3)
+    assert add_linear_multiple(ONE, g, (1, 2)) == ONE + (variable(1) + variable(2)) * g
+    for k, top in ((1, (255,)), (2, (0, 255))):
+        with pytest.raises(ValueError, match="above 255"):
+            add_linear_multiple(ZERO, g + monomial(top), (k,))
+    assert add_linear_multiple(ZERO, monomial((0, 255)), (1, 3)) == (variable(1) + variable(3)) * monomial((0, 255))
+    # Terms that cancel are dropped.
+    assert add_linear_multiple(-variable(1) * variable(2), variable(2), (1,)) == ZERO
+
+
+def test_parse_refuses_a_rank_below_one_before_reading_the_text():
+    for text, n in (("x1", 0), ("1", -3), ("0", 0), ("x1 +", -1)):
+        with pytest.raises(ValueError, match="^rank must be at least 1$"):
+            parse_polynomial(text, n)
+    assert parse_polynomial("1", 1) == ONE
+    assert parse_polynomial("x1", None) == variable(1)
+
+
 def test_parse_merges_repeated_cancelling_and_zero_power_terms():
     assert parse_polynomial("x1 - x1") == ZERO
     assert str(parse_polynomial("x1 - x1")) == "0"
@@ -278,8 +299,8 @@ def test_packed_kernel_equals_tuple_oracle_on_random_polynomials():
 
 
 def test_packed_kernel_equals_tuple_oracle_on_chain_nodes():
-    # Once every S_w of S_n and every Shat_tau of I_n is computed, these are
-    # all the chain nodes that schubert and inv_schubert cache.
+    # Every S_w of S_n and every Shat_tau of I_n: all the nodes of the
+    # divided-difference chains at these ranks.
     for n in range(1, 7):
         nodes = [schubert(w) for w in all_permutations(n)]
         nodes += [inv_schubert(tau) for tau in involutions(n)]

@@ -33,11 +33,16 @@ from invschub.mu_involutions import (
     mu_involutions,
     mu_weak_order_graph,
 )
-from invschub.permutations import all_permutations, identity
+from invschub.permutations import EnumerationBoundError, all_permutations, identity
+from invschub.polynomials import ONE, ZERO, add_linear_multiple
 from invschub.schubert import schubert
 from invschub.weak_order import (
     WeakOrderGraph,
+    _count_step,
     _greedy_moves,
+    _lower_involution,
+    _peel,
+    _pipe_dream_moves,
     _rank_change,
     act,
     build_graph,
@@ -46,7 +51,12 @@ from invschub.weak_order import (
     involution_atom_words,
     lhat_mu,
     relative_atom_words,
+    shat_mu,
 )
+
+
+def _chain(tau):
+    return shat_mu(tau.oneline, (0, tau.n))
 
 
 def test_cold_descent_divides_once_per_node_below_the_top(monkeypatch):
@@ -58,8 +68,10 @@ def test_cold_descent_divides_once_per_node_below_the_top(monkeypatch):
         return real(f, i)
 
     monkeypatch.setattr(weak_order, "divided_difference", counted)
+    # Involutions reach the chain through shat_mu at nu = (0, n): their
+    # Shat is built from pipe dreams.
     families = (
-        [(list(involutions(n)), inv_schubert) for n in (5, 6)]
+        [(list(involutions(n)), _chain) for n in (5, 6)]
         + [
             (list(mu_involutions(Composition(parts))), mu_inv_schubert)
             for parts in ((3, 2), (2, 2, 2), (1, 4))
@@ -91,7 +103,7 @@ def test_every_chain_move_is_rank_checked(monkeypatch):
     )
     elements = (
         (identity(3), schubert),
-        (identity_involution(3), inv_schubert),
+        (identity_involution(3), _chain),
         (identity_mu_involution(Composition((2, 1))), mu_inv_schubert),
     )
     for corrupt in corruptions:
@@ -106,6 +118,90 @@ def test_every_chain_move_is_rank_checked(monkeypatch):
             clear_cache()
             with pytest.raises(AssertionError):
                 polynomial(x)
+    clear_cache()
+
+
+def _pipe_dreams(word):
+    return _peel(word, _pipe_dream_moves(word), ONE, ZERO, add_linear_multiple)
+
+
+def test_pipe_dreams_equal_the_chain_on_every_involution_through_rank_8():
+    # The 1,109 involutions with n <= 8, dominant ones included, against the
+    # divided-difference chain, its oracle; inv_schubert takes the Dhat
+    # product at the dominant ones and the pipe dreams elsewhere.
+    for n in range(1, 9):
+        clear_cache()
+        for tau in involutions(n):
+            chain = shat_mu(tau.oneline, (0, n))
+            assert _pipe_dreams(tau.oneline) == chain, tau
+            assert inv_schubert(tau) == chain, tau
+    clear_cache()
+
+
+def test_lowering_step_equals_the_four_case_oracle_at_every_descent():
+    # Every (tau, a) of I_n with n <= 8: a is a descent exactly where the
+    # oracle finds a predecessor, and there the two agree.
+    for n in range(2, 9):
+        for tau in involutions(n):
+            word = tau.oneline
+            for a in range(1, n):
+                expected = lower(a, word, (0, n))
+                if word[a - 1] > word[a]:
+                    assert _lower_involution(a, word) == expected, (word, a)
+                else:
+                    assert expected is None, (word, a)
+
+
+def test_integer_prediction_is_the_coefficient_sum_and_refuses_past_the_budget(monkeypatch):
+    # Shat(1, ..., 1) on all of I_n, n <= 7.  With the budget one below it
+    # the count refuses; at it, it does not.
+    refused = 0
+    for n in range(1, 8):
+        for tau in involutions(n):
+            word = tau.oneline
+            total = sum(shat_mu(word, (0, n)).terms.values())
+            rows = _pipe_dream_moves(word)
+            monkeypatch.setattr(weak_order, "TERM_BUDGET", total)
+            assert _peel(word, rows, 1, 0, _count_step) == total, tau
+            if total > 1:
+                monkeypatch.setattr(weak_order, "TERM_BUDGET", total - 1)
+                with pytest.raises(EnumerationBoundError, match="more terms than the budget %d$" % (total - 1)):
+                    _peel(word, rows, 1, 0, _count_step)
+                refused += 1
+    assert refused == 351 - 13  # all of I_1 .. I_7 but the 13 whose Shat is one monomial
+    clear_cache()
+    # The refusal comes before any polynomial is built.
+
+    def no_polynomial(f, g, weight):
+        raise AssertionError("built a polynomial")
+
+    monkeypatch.setattr(weak_order, "add_linear_multiple", no_polynomial)
+    monkeypatch.setattr(weak_order, "TERM_BUDGET", 5)
+    with pytest.raises(EnumerationBoundError, match="sum to at least 6 may have more terms than the budget 5$"):
+        weak_order.shat_involution((1, 4, 3, 2))
+
+
+def test_pipe_dream_rows_hold_only_live_involutions_and_stay_in_budget(monkeypatch):
+    # An involution enters row i only if it fixes 1 .. 2i - 2, the letters
+    # the labels >= 2i - 1 of row i and below cannot move; the cells of a
+    # row are taken right to left, labels n - 1 down to 2i - 1.
+    for n in range(1, 9):
+        for tau in involutions(n):
+            rows = _pipe_dream_moves(tau.oneline)
+            assert [i for i, _, _ in rows] == list(range(1, n // 2 + 1))
+            for i, entries, cells in rows:
+                assert all(u[: 2 * i - 2] == tuple(range(1, 2 * i - 1)) for u in entries), (tau, i)
+                assert [j for j, _ in cells] == list(range(n - i, i - 1, -1))
+    # The states are bounded by the vertex budget, before any count.
+    word = (1, 4, 3, 2, 8, 7, 6, 5)
+    states = 1 + sum(len(moves) for _, _, cells in _pipe_dream_moves(word) for _, moves in cells)
+    monkeypatch.setattr(weak_order, "DEFAULT_VERTEX_BUDGET", states - 1)
+    monkeypatch.setattr(weak_order, "_count_step", None)
+    with pytest.raises(EnumerationBoundError, match="pass %d states, above the vertex budget %d" % (states, states - 1)):
+        weak_order.shat_involution(word)
+    monkeypatch.setattr(weak_order, "DEFAULT_VERTEX_BUDGET", states)
+    monkeypatch.setattr(weak_order, "_count_step", _count_step)
+    assert weak_order.shat_involution(word) == shat_mu(word, (0, 8))
     clear_cache()
 
 
