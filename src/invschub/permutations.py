@@ -126,13 +126,6 @@ class Permutation:
         imgs[i - 1], imgs[i] = imgs[i], imgs[i - 1]
         return Permutation._from_engine(tuple(imgs))
 
-    def left_multiply_s(self, i: int) -> "Permutation":
-        """s_i * w: swap the values i and i+1 wherever they occur."""
-        if not 1 <= i <= self.n - 1:
-            raise IndexError("generator index %d out of range 1..%d" % (i, self.n - 1))
-        swap = {i: i + 1, i + 1: i}
-        return Permutation._from_engine(tuple(swap.get(v, v) for v in self._images))
-
     def descents(self) -> tuple[int, ...]:
         """Indices i with w(i) > w(i+1)."""
         imgs = self._images

@@ -26,12 +26,11 @@ f - s_i.f - (x_i - x_{i+1}).d_i(f) is summed term by term and must cancel.
 Coefficients are plain Python ints (arbitrary precision); zero coefficients
 are never stored, so structural equality is polynomial equality.
 
-Terms are ordered graded-lexicographically with x1 > x2 > ... for rendering,
-which makes every textual output deterministic.  Each monomial's text
-("x1^2*x3") is built once and kept in a table keyed by its exponent
-bytes, which later renders read; the table stops growing at 65,536
-(2^16) entries and never evicts, so a render past it builds the other
-texts each time, as every render did before the table.
+Terms are rendered in graded-lex order with x1 > x2 > ..., so every text is
+deterministic.  A table keyed by monomial key holds each monomial's rank in
+that order, as bytes, and its text with coefficient 1 (" + x1^2*x3"): a
+render sorts by stored ranks and formats only coefficients other than 1.
+The table keeps at most 16,384 (2^14) monomials and never evicts.
 
 >>> x1, x2 = variable(1), variable(2)
 >>> print((x1 + x2) * (x1 - x2))
@@ -46,8 +45,9 @@ import math
 import re
 from functools import reduce
 from heapq import heapify, heappop, heappush
+from itertools import repeat
 from operator import getitem, gt, or_
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .permutations import EnumerationBoundError
 
@@ -112,28 +112,63 @@ def _nonzero(terms: dict[int, int]) -> dict[int, int]:
     return {key: coeff for key, coeff in terms.items() if coeff}
 
 
-# _FACTORS[k-1][e] renders x_k^e ("x3^2"; "x3" at e = 1); every row has the
-# same length, and the table grows only when a polynomial needs more.
+# The render table, keyed by monomial key: _RANKS[key] is the monomial's
+# graded-lex rank, its degree in four big-endian bytes and then its
+# exponent bytes, and _PIECES[key] its text as a term with coefficient 1
+# (" + x1^2*x3"; " + 1" for the constant).  Misses are stored while the
+# table holds fewer than _TABLE_CAPACITY monomials; nothing is evicted.
+_RANKS: dict[int, bytes] = {}
+_PIECES: dict[int, str] = {}
+_TABLE_CAPACITY = 1 << 14
 _FACTORS: list[list[str]] = []
 
 
-def _factor_table(width: int, top: int) -> list[list[str]]:
+def _ranked(keys: Iterable[int]) -> list[bytes]:
+    vectors = [key.to_bytes((key.bit_length() + 7) >> 3, "little") for key in keys]
+    return [sum(vector).to_bytes(4, "big") + vector for vector in vectors]
+
+
+def _written(vectors: list[bytes]) -> list[str]:
+    # _FACTORS[k-1][e] is the text of x_k^e ("x3^2"; "x3" at e = 1); every
+    # row has the same length, and it grows only when the vectors need more.
+    width, top = max(map(len, vectors), default=0), max(b"".join(vectors), default=0)
     have = len(_FACTORS[0]) - 1 if _FACTORS else 1
     if width > len(_FACTORS) or top > have:
         width, top = max(width, len(_FACTORS)), max(top, have)
-        _FACTORS[:] = [
-            ["", "x%d" % k] + ["x%d^%d" % (k, e) for e in range(2, top + 1)]
-            for k in range(1, width + 1)
-        ]
-    return _FACTORS
+        _FACTORS[:] = [["", "x%d" % k] + ["x%d^%d" % (k, e) for e in range(2, top + 1)] for k in range(1, width + 1)]
+    return [" + " + ("*".join(filter(None, map(getitem, _FACTORS, vector))) or "1") for vector in vectors]
 
 
-# _BODIES[exponent bytes] is the monomial's text ("x1^2*x3"; "" for 1).  A
-# miss is built from _FACTORS and stored while the table holds fewer than
-# _BODIES_CAPACITY entries; nothing is evicted, so a full table still
-# answers its hits and builds every other body as a miss.
-_BODIES: dict[bytes, str] = {}
-_BODIES_CAPACITY = 1 << 16
+def _text(terms: dict[int, int]) -> str:
+    # The pieces of ``terms`` in graded-lex order; KeyError on a miss.
+    pieces = _PIECES
+    ordered = sorted(terms, key=_RANKS.__getitem__, reverse=True)
+    return "".join([pieces[key] if terms[key] == 1 else _signed(pieces[key], terms[key]) for key in ordered])
+
+
+def _text_with_misses(terms: dict[int, int]) -> str:
+    # ``_text`` for terms the table does not answer in full: its misses are
+    # ranked and written in one batch and stored while there is room.
+    missing = [key for key in terms if key not in _RANKS]
+    stored = missing[: _TABLE_CAPACITY - len(_RANKS)]
+    ranks = _ranked(stored)
+    _RANKS.update(zip(stored, ranks))
+    _PIECES.update(zip(stored, _written([rank[4:] for rank in ranks])))
+    if len(stored) == len(missing):
+        return _text(terms)
+    # Past the capacity every term is ranked in one batch and the ranks are
+    # sorted alone; each ends in its exponent bytes, which give back its key.
+    vectors = [rank[4:] for rank in sorted(_ranked(terms), reverse=True)]
+    coeffs = map(terms.__getitem__, map(int.from_bytes, vectors, repeat("little")))
+    return "".join([piece if coeff == 1 else _signed(piece, coeff) for piece, coeff in zip(_written(vectors), coeffs)])
+
+
+def _signed(piece: str, coeff: int) -> str:
+    # The piece of a term whose coefficient is not 1, from its monomial's.
+    sign, body = " + " if coeff > 0 else " - ", piece[3:]
+    if body == "1":
+        return sign + str(abs(coeff))
+    return sign + body if coeff == -1 else "%s%d*%s" % (sign, abs(coeff), body)
 
 
 class IntPolynomial:
@@ -154,11 +189,6 @@ class IntPolynomial:
     def terms(self) -> dict[tuple[int, ...], int]:
         return {tuple(_exponents(key)): coeff for key, coeff in self._terms.items()}
 
-    @property
-    def nvars(self) -> int:
-        """Index of the highest variable actually appearing."""
-        return (max(self._terms, default=0).bit_length() + 7) >> 3
-
     def is_zero(self) -> bool:
         return not self._terms
 
@@ -172,26 +202,12 @@ class IntPolynomial:
         except ValueError:  # an exponent no term can have
             return 0
 
-    def leading_term(self) -> tuple[tuple[int, ...], int]:
-        """Graded-lex maximal monomial and its coefficient."""
-        if not self._terms:
-            raise ValueError("the zero polynomial has no leading term")
-        _, exps, coeff = max(_graded(self._terms))
-        return tuple(exps), coeff
-
     def trailing_term(self) -> tuple[tuple[int, ...], int]:
         """Graded-lex minimal monomial and its coefficient."""
         if not self._terms:
             raise ValueError("the zero polynomial has no trailing term")
         _, exps, coeff = min(_graded(self._terms))
         return tuple(exps), coeff
-
-    def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
-        """Terms in decreasing graded-lex order."""
-        return [(tuple(exps), coeff) for _, exps, coeff in sorted(_graded(self._terms), reverse=True)]
-
-    def __iter__(self) -> Iterator[tuple[tuple[int, ...], int]]:
-        return iter(self.sorted_terms())
 
     # -- ring operations ---------------------------------------------------
 
@@ -263,31 +279,14 @@ class IntPolynomial:
     # -- rendering ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
+        terms = self._terms
+        if not terms:
             return "0"
-        ordered = sorted(_graded(self._terms), reverse=True)
-        bodies = _BODIES
-        table = None
-        pieces: list[str] = []
-        for _, exps, coeff in ordered:
-            body = bodies.get(exps)
-            if body is None:
-                if table is None:  # a render whose texts are all stored needs no factor table
-                    table = _factor_table(self.nvars, max(b"".join([exps for _, exps, _ in ordered]), default=0))
-                body = "*".join(filter(None, map(getitem, table, exps)))
-                if len(bodies) < _BODIES_CAPACITY:
-                    bodies[exps] = body
-            if coeff < 0:
-                pieces.append(" - ")
-                coeff = -coeff
-            else:
-                pieces.append(" + ")
-            if coeff == 1:
-                pieces.append(body or "1")
-            else:
-                pieces.append("%d*%s" % (coeff, body) if body else str(coeff))
+        try:
+            text = _text(terms)
+        except KeyError:
+            text = _text_with_misses(terms)
         # The first sign is written without its spaces, and "+" not at all.
-        text = "".join(pieces)
         return text[3:] if text[1] == "+" else "-" + text[3:]
 
     def __repr__(self) -> str:
@@ -392,9 +391,12 @@ def divided_difference(f: IntPolynomial, i: int) -> IntPolynomial:
             key, coeff, d = key + d * unit - one, -coeff, -d
         else:
             continue
-        for term in range(key, key + d * unit, unit):
-            result[term] = get(term, 0) + coeff
-    quotient = _raw(_nonzero(result))
+        if d == 1:
+            result[key] = get(key, 0) + coeff
+        else:
+            for term in range(key, key + d * unit, unit):
+                result[term] = get(term, 0) + coeff
+    quotient = _raw(_nonzero(result) if 0 in result.values() else result)
     if CHECK_DIVIDED_DIFFERENCE:
         _check_quotient(f, i, quotient)
     return quotient

@@ -55,8 +55,12 @@ instead of checking carries.
 
 The text of a polynomial written out from its public exponent tuples,
 sorted and formatted term by term, stands apart from ``IntPolynomial``'s
-printer, which sorts packed keys and reads each monomial's text from a
-table of the texts it has built before.
+printer, which sorts packed keys by ranks and reads their texts from a
+table of the monomials it has met before.  ``leading_term`` reads the
+same order off the same tuples.
+
+``left_multiply_s`` swaps two values through the public constructor, so
+it checks the engine's products with simple transpositions.
 """
 
 from __future__ import annotations
@@ -123,6 +127,17 @@ def product_of_word(word: Sequence[int], n: int) -> Permutation:
     for i in word:
         result = result.right_multiply_s(i)
     return result
+
+
+def left_multiply_s(w: Permutation, i: int) -> Permutation:
+    """s_i * w: the values i and i+1 swapped wherever they occur, built
+    through the public constructor.
+
+    >>> left_multiply_s(Permutation([3, 1, 4, 2]), 1).oneline
+    (3, 2, 4, 1)
+    """
+    swap = {i: i + 1, i + 1: i}
+    return Permutation([swap.get(v, v) for v in w.oneline])
 
 
 def weak_le(tau: Involution, tau_prime: Involution) -> bool:
@@ -499,6 +514,18 @@ def diagram_product_by_mul(
     for (i, j) in sorted(strict):
         poly = poly * (variable(i) + variable(j))
     return poly
+
+
+def leading_term(f: IntPolynomial) -> tuple[Word, int]:
+    """The graded-lex maximal monomial of f, read off its public exponent
+    tuples, and its coefficient.
+
+    >>> leading_term(IntPolynomial({(1, 1): 2, (0, 2): 1}))
+    ((1, 1), 2)
+    """
+    if f.is_zero():
+        raise ValueError("the zero polynomial has no leading term")
+    return max(f.terms.items(), key=lambda term: (sum(term[0]), term[0]))
 
 
 def render_by_definition(f: IntPolynomial) -> str:

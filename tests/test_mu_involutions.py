@@ -10,7 +10,7 @@ import math
 import random
 
 import pytest
-from characterization import mu_strings, schubert_by_definition, sort_mu
+from characterization import left_multiply_s, mu_strings, schubert_by_definition, sort_mu
 
 from invschub.involutions import (
     Involution,
@@ -245,8 +245,8 @@ def three_case_rule(i, tau):
     if perm(i + 1) < perm(i):
         return perm
     if perm(i) == i and perm(i + 1) == i + 1:
-        return perm.left_multiply_s(i)
-    return perm.right_multiply_s(i).left_multiply_s(i)
+        return left_multiply_s(perm, i)
+    return left_multiply_s(perm.right_multiply_s(i), i)
 
 
 def test_single_block_reduces_to_involutions():

@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 
 import pytest
-from characterization import ReducedWordBoundError, all_reduced_words, product_of_word
+from characterization import ReducedWordBoundError, all_reduced_words, left_multiply_s, product_of_word
 
 from invschub.permutations import (
     Permutation,
@@ -43,7 +43,7 @@ def test_engine_results_skip_the_check_and_the_constructor_keeps_it():
         with pytest.raises(ValueError):
             Permutation(bad)
     for u in all_permutations(4):
-        for w in (u.inverse(), u * u.inverse(), u * longest(4), u.right_multiply_s(2), u.left_multiply_s(3)):
+        for w in (u.inverse(), u * u.inverse(), u * longest(4), u.right_multiply_s(2), left_multiply_s(u, 3)):
             assert type(w.oneline) is tuple and sorted(w.oneline) == [1, 2, 3, 4]
             assert w == Permutation(w.oneline) and hash(w) == hash(Permutation(w.oneline))
 
@@ -86,9 +86,9 @@ def test_simple_transposition_and_multiplication():
     assert s2.oneline == (1, 3, 2, 4)
     w = Permutation([3, 1, 4, 2])
     assert w.right_multiply_s(1).oneline == (1, 3, 4, 2)
-    assert w.left_multiply_s(1).oneline == (3, 2, 4, 1)
+    assert left_multiply_s(w, 1).oneline == (3, 2, 4, 1)
     assert w.right_multiply_s(2) == w * s2
-    assert w.left_multiply_s(2) == s2 * w
+    assert left_multiply_s(w, 2) == s2 * w
     with pytest.raises(ValueError):
         w * identity(3)
 

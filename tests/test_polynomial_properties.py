@@ -65,11 +65,12 @@ wide_polynomials = st.one_of(
 def test_printed_polynomials_match_the_render_oracle_cold_and_warm(f):
     expected = render_by_definition(f)
     assert str(f) == expected  # against the table the other tests have filled
-    table: dict = {}
-    with mock.patch("invschub.polynomials._BODIES", table):
-        assert str(f) == expected  # every monomial's text built and stored
-        assert str(f) == expected  # every monomial's text read back
-    assert len(table) == len(f.terms)
+    ranks: dict = {}
+    pieces: dict = {}
+    with mock.patch("invschub.polynomials._RANKS", ranks), mock.patch("invschub.polynomials._PIECES", pieces):
+        assert str(f) == expected  # every monomial ranked, written and stored
+        assert str(f) == expected  # every monomial's rank and text read back
+    assert len(ranks) == len(pieces) == len(f.terms)
 
 
 @settings(deadline=None)
@@ -77,6 +78,17 @@ def test_printed_polynomials_match_the_render_oracle_cold_and_warm(f):
 def test_divided_difference_and_swap_agree_with_the_oracle(f, i):
     assert divided_difference(f, i) == tuple_divided_difference(f, i)
     assert swap_variables(f, i) == tuple_swap_variables(f, i)
+
+
+@settings(deadline=None)
+@given(polynomials, polynomials, generators)
+def test_a_quotient_whose_terms_cancel_stores_no_zero(f, g, i):
+    # d_i(f + s_i.f) = 0, so the quotient terms of f + s_i.f cancel, within
+    # it and against those of g.
+    h = f + swap_variables(f, i) + g
+    quotient = divided_difference(h, i)
+    assert 0 not in quotient._terms.values()
+    assert quotient == tuple_divided_difference(h, i)
 
 
 @settings(deadline=None)

@@ -10,6 +10,7 @@ import pytest
 
 from characterization import (
     diagram_product_by_mul,
+    leading_term,
     render_by_definition,
     tuple_check_quotient,
     tuple_divided_difference,
@@ -18,7 +19,14 @@ from characterization import (
 )
 from invschub import polynomials
 from invschub.involutions import inv_schubert, inv_schubert_dominant, involution_diagram, involutions
-from invschub.mu_involutions import Composition, all_compositions, degenerate_diagram, mu_closed_orbit_polynomial
+from invschub.mu_involutions import (
+    Composition,
+    all_compositions,
+    degenerate_diagram,
+    mu_closed_orbit_polynomial,
+    mu_inv_schubert,
+    mu_involutions,
+)
 from invschub.permutations import EnumerationBoundError, all_permutations, is_dominant
 from invschub.polynomials import (
     MAX_EXPONENT,
@@ -92,10 +100,10 @@ def test_pow():
 def test_leading_term_graded_lex():
     # Total degree dominates; ties break lexicographically with x1 largest.
     f = monomial((1, 1)) + monomial((3,)) + monomial((0, 2))
-    assert f.leading_term() == ((3,), 1)
+    assert leading_term(f) == ((3,), 1)
     g = monomial((1, 1)) + monomial((0, 2))
-    assert g.leading_term() == ((1, 1), 1)
-    assert (variable(2) + variable(3)).leading_term() == ((0, 1), 1)
+    assert leading_term(g) == ((1, 1), 1)
+    assert leading_term(variable(2) + variable(3)) == ((0, 1), 1)
 
 
 def test_degree():
@@ -110,6 +118,10 @@ def test_str_format():
     assert str(variable(2)) == "x2"
     assert str(monomial((1,), -2) + monomial((0, 1))) == "-2*x1 + x2"
     assert str(monomial((0, 0), 7)) == "7"
+    # Degrees 256, 255 and 1: the degree is ranked as a number, not by its
+    # low byte or its length.
+    f = monomial((255, 1)) + monomial((255,)) + variable(2) + 2
+    assert str(f) == render_by_definition(f) == "x1^255*x2 + x1^255 + x2 + 2"
 
 
 def test_schubert_polynomials_print_as_the_render_oracle_writes_them():
@@ -121,17 +133,28 @@ def test_schubert_polynomials_print_as_the_render_oracle_writes_them():
         assert str(f) == render_by_definition(f), tau
 
 
+def test_poly_sweep_population_prints_as_the_render_oracle_writes_it():
+    for w in all_permutations(7):
+        f = schubert(w)
+        assert str(f) == render_by_definition(f), w
+    for mu in all_compositions(6):
+        for pi in mu_involutions(mu):
+            f = mu_inv_schubert(pi)
+            assert str(f) == render_by_definition(f), pi
+
+
 def test_a_full_table_of_monomial_texts_stays_full_and_prints_the_same(monkeypatch):
     # 30 terms, one of them the constant 1, with coefficients of both signs.
     f = IntPolynomial({(k % 4, k // 4 % 3, k // 12): (-1) ** k * (k + 1) for k in range(30)})
     assert len(f.terms) == 30
-    monkeypatch.setattr(polynomials, "_BODIES", {})
-    monkeypatch.setattr(polynomials, "_BODIES_CAPACITY", 8)
+    monkeypatch.setattr(polynomials, "_RANKS", {})
+    monkeypatch.setattr(polynomials, "_PIECES", {})
+    monkeypatch.setattr(polynomials, "_TABLE_CAPACITY", 8)
     expected = render_by_definition(f)
-    assert str(f) == expected  # stores the first 8 texts, builds the other 22
-    assert len(polynomials._BODIES) == 8
-    assert str(f) == expected  # 8 hits, 22 misses built again and not stored
-    assert len(polynomials._BODIES) == 8
+    assert str(f) == expected  # stores the first 8 monomials, past them ranks and writes all 30
+    assert len(polynomials._RANKS) == len(polynomials._PIECES) == 8
+    assert str(f) == expected  # 22 misses: all 30 ranked and written again, none stored
+    assert len(polynomials._RANKS) == len(polynomials._PIECES) == 8
 
 
 def test_parse_roundtrip():
