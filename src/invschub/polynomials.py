@@ -192,10 +192,6 @@ class IntPolynomial:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def degree(self) -> int:
-        """Total degree (-1 for the zero polynomial)."""
-        return max((sum(_exponents(key)) for key in self._terms), default=-1)
-
     def coefficient(self, exponents: Iterable[int]) -> int:
         try:
             return self._terms.get(_key(exponents), 0)

@@ -46,7 +46,11 @@ def schubert(w: Permutation) -> IntPolynomial:
     >>> print(schubert(Permutation([1, 3, 2])))
     x1 + x2
     """
-    return shat_mu(w.inverse().oneline, tuple(range(w.n + 1)))
+    images = w.oneline
+    inverse = [0] * len(images)
+    for i, v in enumerate(images, start=1):
+        inverse[v - 1] = i
+    return shat_mu(tuple(inverse), tuple(range(len(images) + 1)))
 
 
 def schubert_dominant(w: Permutation) -> IntPolynomial:

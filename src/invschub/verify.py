@@ -64,9 +64,9 @@ __all__ = [
 
 # The largest rank the general atom-sum checks and ``verify_all`` take by
 # default.  Their cost is the Schubert sums, the chain and the expansions,
-# not a scan of S_n, so it is set apart from BRUTE_FORCE_BOUND:
-# ``verify_all(8)`` took 2.7-3.6 s on a 2-vCPU Intel Xeon (Python 3.11.7),
-# and rank 9 is refused before any work.
+# not a scan of S_n, so it is set apart from BRUTE_FORCE_BOUND: its 962
+# reports of ``verify_all(8)`` take about 1.15 s in-process on one CPU of a
+# 2-vCPU Intel Xeon (Python 3.11.7), and rank 9 is refused before any work.
 VERIFY_BOUND = 8
 
 

@@ -47,7 +47,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import ge, indexOf, itemgetter
+from operator import ge, indexOf, itemgetter, ne
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .permutations import EnumerationBoundError, inversions, letter_strings
@@ -254,10 +254,6 @@ class WeakOrderGraph(NamedTuple):
         k = bisect_left(self.edges, edge)  # edges are sorted
         return k < len(self.edges) and self.edges[k] == edge
 
-    def minimal_vertices(self) -> tuple[int, ...]:
-        targets = set(map(itemgetter(2), self.edges))
-        return tuple(i for i in range(len(self.vertices)) if i not in targets)
-
     def maximal_vertices(self) -> tuple[int, ...]:
         sources = set(map(itemgetter(0), self.edges))
         return tuple(i for i in range(len(self.vertices)) if i not in sources)
@@ -398,8 +394,9 @@ def build_graph(name: str, nu: Word, label: Callable[[Word], str]) -> WeakOrderG
 # Memoized descent
 # ---------------------------------------------------------------------------
 
-# Chain-node polynomials keyed by (nu, word).
-_CACHE: dict[tuple[Word, Word], IntPolynomial] = {}
+# Chain-node polynomials: one node table per cut nu, from the words of I_mu
+# to their Shat^mu.
+_CACHE: dict[Word, dict[Word, IntPolynomial]] = {}
 
 
 def clear_cache() -> None:
@@ -460,9 +457,8 @@ def _rank_change(i: int, word: Word, image: Word, nu: Word) -> int:
     if not lo <= q < hi:
         if image == word:
             return 0
-        swapped = list(word)
-        swapped[p], swapped[q] = i + 1, i
-        if image != tuple(swapped):
+        # i + 1 at p and i at q, and no other slot changed.
+        if len(image) != len(word) or image[p] != i + 1 or image[q] != i or sum(map(ne, word, image)) != 2:
             raise AssertionError("m(s_%d) sends %r to %r, not a swap of its letters" % (i, word, image))
         return 1 if p < q else -1
     r = lo + sorted(word[lo:hi]).index(i)
@@ -525,29 +521,32 @@ def _greedy_moves(word: Word, nu: Word) -> Iterator[tuple[int, Word]]:
 
 
 def shat_mu(word: Word, nu: Word) -> IntPolynomial:
-    """Shat^mu of ``word`` cut at ``nu``, which must be a word of I_mu: it
-    is not checked here.  On a miss, cache w0 at ``anchor(nu)`` first if
-    it is not cached, so a rank or an anchor that is refused climbs
-    nothing; climb the ``_greedy_moves`` up to the first cached node, then
-    apply d_i back down, caching every node of the chain under (nu, word).
-    Ranks above MAX_RANK are refused."""
-    refuse_rank(nu[-1])
-    top = tuple(range(nu[-1], 0, -1))
+    """Shat^mu of ``word`` cut at ``nu``, which must be a word of I_mu (not
+    checked here); a hit is one lookup in the node table of ``nu``.  A new
+    cut's table holds only w0 at ``anchor(nu)``, made once the rank (up to
+    MAX_RANK) and the anchor are granted, so a refusal leaves no table.  A
+    miss climbs the ``_greedy_moves`` to a stored word and stores each d_i
+    back down."""
+    nodes = _CACHE.get(nu)
+    if nodes is None:
+        refuse_rank(nu[-1])
+        nodes = _CACHE[nu] = {tuple(range(nu[-1], 0, -1)): anchor(nu)}
+    else:
+        poly = nodes.get(word)
+        if poly is not None:
+            return poly
     moves = _greedy_moves(word, nu)
     below: list[tuple[Word, int]] = []
-    while (nu, word) not in _CACHE:
-        if (nu, top) not in _CACHE:
-            _CACHE[nu, top] = anchor(nu)
-            continue
+    while word not in nodes:
         step = next(moves, None)
         if step is None:
             raise AssertionError("raising chain stops below the top at %r" % (word,))
         below.append((word, step[0]))
         word = step[1]
-    poly = _CACHE[nu, word]
+    poly = nodes[word]
     for word, i in reversed(below):
         poly = divided_difference(poly, i)
-        _CACHE[nu, word] = poly
+        nodes[word] = poly
     return poly
 
 

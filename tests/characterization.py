@@ -60,7 +60,10 @@ table of the monomials it has met before.  ``leading_term`` reads the
 same order off the same tuples.
 
 ``left_multiply_s`` swaps two values through the public constructor, so
-it checks the engine's products with simple transpositions.
+it checks the engine's products with simple transpositions.  ``degree``
+reads the total degree off the public exponent tuples, and
+``minimal_vertices`` reads the sources of a weak-order graph off its
+public edge list.
 """
 
 from __future__ import annotations
@@ -80,9 +83,9 @@ from invschub.permutations import (
     permutation_from_code,
     reduced_word,
 )
-from invschub.polynomials import ONE, IntPolynomial, divided_difference, monomial, variable
+from invschub.polynomials import ONE, ZERO, IntPolynomial, divided_difference, monomial, variable
 from invschub.schubert import SchubertExpansion, schubert
-from invschub.weak_order import act, lhat_mu
+from invschub.weak_order import WeakOrderGraph, act, lhat_mu
 
 Word = tuple[int, ...]
 
@@ -552,3 +555,23 @@ def render_by_definition(f: IntPolynomial) -> str:
             text = "-"
         text += "*".join(factors)
     return text
+
+
+def degree(f: IntPolynomial) -> int:
+    """The total degree of f, read off its public exponent tuples; -1 for
+    the zero polynomial.
+
+    >>> degree(ZERO), degree(ONE), degree(IntPolynomial({(2, 0, 1): 1, (0, 1): -4}))
+    (-1, 0, 3)
+    """
+    return max(map(sum, f.terms), default=-1)
+
+
+def minimal_vertices(graph: WeakOrderGraph) -> tuple[int, ...]:
+    """The indices of the vertices of ``graph`` that no edge enters.
+
+    >>> minimal_vertices(WeakOrderGraph("g", (((1, 2), "12", 0), ((2, 1), "21", 1)), ((0, 1, 1),)))
+    (0,)
+    """
+    targets = {v for _, _, v in graph.edges}
+    return tuple(i for i in range(len(graph.vertices)) if i not in targets)

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from characterization import sort_mu
+from characterization import degree, minimal_vertices, sort_mu
 
 from invschub import cli
 from invschub.involutions import (
@@ -296,7 +296,7 @@ def test_criterion_08_poset_fixtures() -> None:
         assert gmu.has_edge(mi(src), gen, mi(dst)), (src, gen, dst)
 
     # unique bottom and top
-    assert gmu.minimal_vertices() == (gmu.index_of(mi("123|4")),)
+    assert minimal_vertices(gmu) == (gmu.index_of(mi("123|4")),)
     assert gmu.maximal_vertices() == (gmu.index_of(mi("432|1")),)
 
 
@@ -447,7 +447,7 @@ def test_criterion_09_property_suite() -> None:
                 mu_length(top_mu_involution(mu)),
                 d.size,
                 len(d.union),
-                mu_closed_orbit_polynomial(mu).degree(),
+                degree(mu_closed_orbit_polynomial(mu)),
             )
             if len(set(counts)) != 1:
                 rank_bad.append((mu.parts, *counts))

@@ -12,6 +12,7 @@ from characterization import (
     all_reduced_words,
     atoms_by_characterization,
     diagram_product_by_mul,
+    minimal_vertices,
     relative_atoms_by_characterization,
     weak_le,
 )
@@ -213,7 +214,7 @@ def test_weak_order_graph_i5():
     graph = weak_order_graph(5)
     assert len(graph.vertices) == 26
     assert graph.rank_profile() == (1, 4, 6, 6, 5, 3, 1)
-    assert graph.minimal_vertices() == (graph.index_of(identity(5).oneline),)
+    assert minimal_vertices(graph) == (graph.index_of(identity(5).oneline),)
     assert graph.maximal_vertices() == (graph.index_of(longest(5).oneline),)
     # Every edge raises the rank by exactly one.
     for u, gen, v in graph.edges:

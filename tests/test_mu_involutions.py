@@ -10,7 +10,7 @@ import math
 import random
 
 import pytest
-from characterization import left_multiply_s, mu_strings, schubert_by_definition, sort_mu
+from characterization import degree, left_multiply_s, mu_strings, schubert_by_definition, sort_mu
 
 from invschub.involutions import (
     Involution,
@@ -518,7 +518,7 @@ def test_mu_closed_orbit_polynomial():
         )
     # Degree equals the rank of the top element.
     for mu in small_compositions(6):
-        assert mu_closed_orbit_polynomial(mu).degree() == mu_length(top_mu_involution(mu))
+        assert degree(mu_closed_orbit_polynomial(mu)) == mu_length(top_mu_involution(mu))
 
 
 def test_mu_inv_schubert_fixtures():

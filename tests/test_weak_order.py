@@ -1,6 +1,7 @@
 """Tests for the shared weak-order engine: one divided difference per chain
-node on a cold cache and the rank check on every chain move (ordinary
-Schubert polynomials included, as the mu = (1^n) case), atoms and
+node on a cold cache, a warm node read from the table of its cut alone, no
+table left by a refused rank or anchor, and the rank check on every chain
+move (ordinary Schubert polynomials included, as the mu = (1^n) case), atoms and
 relative atoms against the oracle walk down the weak order and the inverse
 action it steps down by, the climb from the identity that enumerates I_mu
 (against the definition, and short of the count), and the graph builder's
@@ -33,7 +34,7 @@ from invschub.mu_involutions import (
     mu_involutions,
     mu_weak_order_graph,
 )
-from invschub.permutations import EnumerationBoundError, all_permutations, identity
+from invschub.permutations import EnumerationBoundError, Permutation, all_permutations, identity
 from invschub.polynomials import ONE, ZERO, add_linear_multiple
 from invschub.schubert import schubert
 from invschub.weak_order import (
@@ -119,6 +120,60 @@ def test_every_chain_move_is_rank_checked(monkeypatch):
             with pytest.raises(AssertionError):
                 polynomial(x)
     clear_cache()
+
+
+def test_a_warm_node_is_one_lookup_in_the_table_of_its_cut(monkeypatch):
+    clear_cache()
+    words = [(w.inverse().oneline, tuple(range(5))) for w in all_permutations(4)]
+    words += [(word, (0, 2, 3, 4)) for word in mu_involution_words((2, 1, 1))]
+    cold = {(word, nu): shat_mu(word, nu) for word, nu in words}
+
+    def refused(*args):
+        raise AssertionError("a warm node took the slow path")
+
+    for name in ("divided_difference", "anchor", "act", "refuse_rank", "_greedy_moves"):
+        monkeypatch.setattr(weak_order, name, refused)
+    for (word, nu), poly in cold.items():
+        assert shat_mu(word, nu) is poly, (word, nu)
+    clear_cache()
+
+
+def test_a_refused_rank_or_anchor_leaves_no_table():
+    clear_cache()
+    with pytest.raises(EnumerationBoundError):
+        shat_mu(tuple(range(1, 258)), tuple(range(258)))
+    assert weak_order._CACHE == {}
+    # The anchor at nu = (0, 13) is a product of 36 factors x_i + x_j,
+    # refused by the term budget.
+    with pytest.raises(EnumerationBoundError):
+        shat_mu(tuple(range(1, 14)), (0, 13))
+    assert weak_order._CACHE == {}
+
+
+def test_one_word_under_two_cuts_has_an_entry_in_each_table():
+    clear_cache()
+    # (2, 1) is w0 of both cuts, and both anchors are x1.
+    assert str(shat_mu((2, 1), (0, 2))) == str(shat_mu((2, 1), (0, 1, 2))) == "x1"
+    assert sorted(weak_order._CACHE) == [(0, 1, 2), (0, 2)]
+    assert all(list(nodes) == [(2, 1)] for nodes in weak_order._CACHE.values())
+    word = (1, 4, 3, 2)
+    involution, permutation = shat_mu(word, (0, 4)), shat_mu(word, (0, 1, 2, 3, 4))
+    assert involution != permutation
+    assert weak_order._CACHE[0, 4][word] is involution
+    assert weak_order._CACHE[0, 1, 2, 3, 4][word] is permutation
+    assert involution == weak_order.shat_involution(word)
+    assert permutation == schubert(Permutation(word).inverse())
+    clear_cache()
+
+
+def test_a_two_block_image_that_is_not_the_swap_is_refused():
+    # Every letter is its own block, so m(s_1) must swap the letters 1 and 2.
+    nu = (0, 1, 2, 3, 4)
+    assert _rank_change(1, (1, 2, 3, 4), (2, 1, 3, 4), nu) == 1
+    assert _rank_change(1, (2, 1, 3, 4), (2, 1, 3, 4), nu) == 0
+    for image in ((2, 1), (2, 1, 3), (2, 1, 3, 4, 5), (2, 1, 4, 3), (2, 1, 3, 3)):
+        with pytest.raises(AssertionError):
+            _rank_change(1, (1, 2, 3, 4), image, nu)
 
 
 def _pipe_dreams(word):
