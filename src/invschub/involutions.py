@@ -6,10 +6,13 @@ Schubert polynomials.
 Involutions are the mu = (n) case of the mu-theory: ``Involution`` is the
 ``MuInvolution`` whose composition is (n), equal to it and hashing alike,
 and it adds only the cycle view (``cyc``, ``fix``, ``kappa``) and its own
-notation.  So the action, the polynomial and the definitional brute force
-here are calls into :mod:`invschub.mu_involutions`, and the poset is the
-engine's ``build_graph`` at nu = (0, n), refused and checked as the mu
-poset is.  The engine's four-case rule reduces there to the three-case rule
+notation.  So ``monoid_apply``, ``monoid_apply_word`` and ``inv_schubert``
+are the functions ``mu_monoid_apply``, ``mu_monoid_apply_word`` and
+``mu_inv_schubert`` of :mod:`invschub.mu_involutions` under the names of
+this module, the definitional brute force is a call into it, and the poset
+is the engine's ``build_graph`` at nu = (0, n), refused and checked as the
+mu poset is.  The engine's four-case rule reduces there to the three-case
+rule
 
     m(s_i) . tau = tau            if tau(i+1) < tau(i)
                  = s_i tau        if tau(i) = i and tau(i+1) = i+1
@@ -17,6 +20,24 @@ poset is.  The engine's four-case rule reduces there to the three-case rule
 
 and words act rightmost generator first, so
 m(s_{i_1} ... s_{i_l}) . tau = m(s_{i_1}) . ( ... (m(s_{i_l}) . tau)).
+
+>>> monoid_apply(1, identity_involution(2)).cycles_string()
+'(1,2)'
+>>> monoid_apply(1, parse_involution("(1,2)", 2)).cycles_string()
+'(1,2)'
+>>> monoid_apply(2, parse_involution("(1,2)", 3)).cycles_string()
+'(1,3)'
+
+At mu = (n), ``inv_schubert`` is the engine's ``shat_involution``: the
+Dhat product when tau is dominant, else the sum over the involution pipe
+dreams of tau (Hamaker-Marberg-Pawlowski, arXiv:1911.12009), refused by its
+term bound before any polynomial is built.  The tests check it against the
+divided-difference chain to w0, ``shat_mu`` at nu = (0, n).
+
+>>> print(inv_schubert(longest_involution(3)))
+x1^2 + x1*x2
+>>> print(inv_schubert(identity_involution(3)))
+1
 
 Atoms of tau are the minimal-length w with m(w) . id = tau; their common
 length is the involution length lhat(tau) = #Dhat(tau).  Atoms are one
@@ -29,6 +50,7 @@ force and the closed characterization on the inverse of each candidate.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterator, NamedTuple
 
 from .mu_involutions import (
@@ -36,17 +58,17 @@ from .mu_involutions import (
     Composition,
     MuInvolution,
     atoms_mu_bruteforce,
-    mu_inv_schubert,
-    mu_monoid_apply,
-    mu_monoid_apply_word,
 )
+from .mu_involutions import mu_inv_schubert as inv_schubert
+from .mu_involutions import mu_monoid_apply as monoid_apply
+from .mu_involutions import mu_monoid_apply_word as monoid_apply_word
 from .permutations import (
     Permutation,
     identity,
     is_dominant,
     longest,
     parse_permutation,
-    rothe_diagram,
+    rothe_rows,
 )
 from .polynomials import IntPolynomial, linear_product
 from .weak_order import (
@@ -182,25 +204,6 @@ def parse_involution(text: str, n: int) -> Involution:
     return Involution(parse_permutation(text, n))
 
 
-def monoid_apply(i: int, tau: Involution) -> Involution:
-    """m(s_i) . tau by the three-case rule: ``mu_monoid_apply`` at mu = (n).
-
-    >>> monoid_apply(1, identity_involution(2)).cycles_string()
-    '(1,2)'
-    >>> monoid_apply(1, parse_involution("(1,2)", 2)).cycles_string()
-    '(1,2)'
-    >>> monoid_apply(2, parse_involution("(1,2)", 3)).cycles_string()
-    '(1,3)'
-    """
-    return mu_monoid_apply(i, tau)
-
-
-def monoid_apply_word(w: Permutation, tau: Involution) -> Involution:
-    """m(w) . tau along a reduced word of w, rightmost generator first:
-    ``mu_monoid_apply_word`` at mu = (n)."""
-    return mu_monoid_apply_word(w, tau)
-
-
 class InvolutionDiagram(NamedTuple):
     """Dhat(tau) with its diagonal part, strict part, code and length."""
 
@@ -217,13 +220,11 @@ def involution_diagram(tau: Involution) -> InvolutionDiagram:
     >>> involution_diagram(parse_involution("(1,3)", 3)).inv_length
     2
     """
-    cells = frozenset((i, j) for (i, j) in rothe_diagram(tau.perm).cells if i <= j)
+    rows = [[(i, j) for j in row if i <= j] for i, row in enumerate(rothe_rows(tau.oneline), start=1)]
+    cells = frozenset(chain.from_iterable(rows))
     d1 = frozenset(c for c in cells if c[0] == c[1])
     d2 = frozenset(c for c in cells if c[0] < c[1])
-    row_counts = [0] * tau.n
-    for (i, _) in cells:
-        row_counts[i - 1] += 1
-    return InvolutionDiagram(cells, d1, d2, tuple(row_counts), len(cells))
+    return InvolutionDiagram(cells, d1, d2, tuple(map(len, rows)), len(cells))
 
 
 def involution_length(tau: Involution) -> int:
@@ -267,7 +268,7 @@ def atoms_bruteforce(
     tau: Involution, max_n: int = BRUTE_FORCE_BOUND
 ) -> frozenset[Permutation]:
     """A(tau) by the definition: all w with m(w).id = tau, l(w) = lhat(tau)."""
-    return relative_atoms_bruteforce(identity_involution(tau.n), tau, max_n)
+    return atoms_mu_bruteforce(tau, identity_involution(tau.n), max_n)
 
 
 def relative_atoms(tau: Involution, tau_prime: Involution) -> frozenset[Permutation]:
@@ -303,24 +304,6 @@ def closed_orbit_polynomial(n: int) -> IntPolynomial:
     if n < 1:
         raise ValueError("rank must be at least 1")
     return anchor((0, n))
-
-
-def inv_schubert(tau: Involution) -> IntPolynomial:
-    """Shat_tau, as ``mu_inv_schubert`` at mu = (n) builds it, with no
-    chain to w0 and no cache: the Dhat product when tau is dominant, and
-    otherwise the sum over the involution pipe dreams of tau
-    (Hamaker-Marberg-Pawlowski, arXiv:1911.12009) of the products of their
-    cell weights, x_i on the diagonal and x_i + x_j off it.  Its value at
-    x = (1, ..., 1), which bounds its term count, is refused above the term
-    budget before any polynomial is built.  The tests check it against the
-    divided-difference chain to w0, ``shat_mu`` at nu = (0, n).
-
-    >>> print(inv_schubert(longest_involution(3)))
-    x1^2 + x1*x2
-    >>> print(inv_schubert(identity_involution(3)))
-    1
-    """
-    return mu_inv_schubert(tau)
 
 
 def inv_schubert_dominant(tau: Involution) -> IntPolynomial:

@@ -359,35 +359,24 @@ def atoms_mu_top(mu: Composition) -> frozenset[Permutation]:
 
 
 def atoms_mu_bruteforce(
-    target: MuInvolution,
-    base: MuInvolution,
-    max_n: int = BRUTE_FORCE_BOUND,
-    candidates: Sequence[Permutation] | None = None,
+    target: MuInvolution, base: MuInvolution, max_n: int = BRUTE_FORCE_BOUND
 ) -> frozenset[Permutation]:
-    """Relative atoms by the definition: all w with m(w).base = target and
-    l(w) = lhat_mu(target) - lhat_mu(base), with m(w) applied to the raw
-    word along ``reduced_word(w)``.  At mu = (n) this is
+    """Relative atoms by the definition: the w of S_n, scanned as raw tuples
+    up to the bound, of length lhat_mu(target) - lhat_mu(base) and with
+    m(w).base = target along ``reduced_word(w)``.  At mu = (n) this is
     ``relative_atoms_bruteforce``.
-
-    ``candidates`` restricts the search space (the filter stays exhaustive
-    over whatever is supplied); without it, all of S_n is scanned, subject
-    to the bound, as raw tuples: only those of length ``gap`` become a
-    ``Permutation`` and go through the action.
     """
     if target.mu != base.mu:
         raise ValueError("composition mismatch")
-    if candidates is None:
-        if target.n > max_n:
-            raise EnumerationBoundError(
-                "brute force over S_%d exceeds the bound %d" % (target.n, max_n)
-            )
-        words = itertools.permutations(range(1, target.n + 1))
-    else:
-        words = (w.oneline for w in candidates)
+    if target.n > max_n:
+        raise EnumerationBoundError(
+            "brute force over S_%d exceeds the bound %d" % (target.n, max_n)
+        )
     nu = target.mu.nu
     gap = lhat_mu(target.oneline, nu) - lhat_mu(base.oneline, nu)
     if gap < 0:
         return frozenset()
+    words = itertools.permutations(range(1, target.n + 1))
     return frozenset(
         w
         for w in map(Permutation, (word for word in words if inversions(word) == gap))

@@ -16,13 +16,16 @@ Permutation([5, 2, 1, 3, 4])
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import permutations as _itertools_permutations
+from operator import ge
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 __all__ = [
     "Permutation",
     "RotheDiagram",
     "inversions",
+    "rothe_rows",
     "letter_strings",
     "identity",
     "longest",
@@ -145,6 +148,25 @@ def inversions(seq: Sequence[int]) -> int:
     return sum(1 for k, a in enumerate(seq) for b in seq[k + 1 :] if a > b)
 
 
+def rothe_rows(word: Sequence[int]) -> list[list[int]]:
+    """The rows of the Rothe diagram of a word on 1..n, in one pass: row i
+    holds the columns j < w(i) whose values come after position i, so it
+    has c_i cells.  The pass keeps the sorted list of the values still to
+    come; row i is its part below w(i), found by bisection, and w(i) then
+    leaves the list.
+
+    >>> rothe_rows((3, 1, 4, 2))
+    [[1, 2], [], [2], []]
+    """
+    later = sorted(word)
+    rows = []
+    for x in word:
+        k = bisect_left(later, x)
+        rows.append(later[:k])
+        del later[k]
+    return rows
+
+
 _DIGITS = bytes.maketrans(bytes(range(1, 10)), b"123456789")
 
 
@@ -215,37 +237,27 @@ def reduced_word(w: Permutation) -> tuple[int, ...]:
 
 
 def rothe_diagram(w: Permutation) -> RotheDiagram:
-    """Rothe diagram and code of w.
+    """Rothe diagram and code of w, read off ``rothe_rows``.
 
     >>> rothe_diagram(Permutation([6, 4, 3, 5, 7, 2, 1])).code
     (5, 3, 2, 2, 2, 1, 0)
     """
-    images, inverse = w.oneline, w.inverse().oneline
-    cells = frozenset(
-        (i, j)
-        for i in range(1, w.n + 1)
-        for j in range(1, images[i - 1])
-        if i < inverse[j - 1]
-    )
-    row_counts = [0] * w.n
-    for (i, _) in cells:
-        row_counts[i - 1] += 1
-    return RotheDiagram(cells, tuple(row_counts))
+    rows = rothe_rows(w.oneline)
+    cells = frozenset((i, j) for i, row in enumerate(rows, start=1) for j in row)
+    return RotheDiagram(cells, tuple(map(len, rows)))
 
 
 def code(w: Permutation) -> tuple[int, ...]:
-    """Lehmer code: c_i = #{j > i : w(j) < w(i)}."""
-    imgs = w.oneline
-    return tuple(
-        sum(1 for j in range(i + 1, len(imgs)) if imgs[j] < imgs[i])
-        for i in range(len(imgs))
-    )
+    """Lehmer code: c_i = #{j > i : w(j) < w(i)}, the row lengths of ``rothe_rows``."""
+    return tuple(map(len, rothe_rows(w.oneline)))
 
 
 def permutation_from_code(c: Sequence[int]) -> Permutation:
     """Inverse of :func:`code`: rebuild w with code c.
 
-    The i-th entry is the (c_i + 1)-th smallest value not yet used.
+    The i-th entry is the (c_i + 1)-th smallest value not yet used: the
+    pass of ``rothe_rows`` run backwards, which finds w(i) at index c_i of
+    the same sorted list of values to come, where this takes it out.
 
     >>> permutation_from_code((5, 3, 2, 2, 2, 1, 0))
     Permutation([6, 4, 3, 5, 7, 2, 1])
@@ -261,23 +273,16 @@ def permutation_from_code(c: Sequence[int]) -> Permutation:
 
 
 def is_dominant(w: Permutation) -> bool:
-    """True iff w is 132-avoiding (no i < j < k with w(i) < w(k) < w(j)).
+    """True iff the code of w is weakly decreasing, which holds exactly
+    when w is 132-avoiding (no i < j < k with w(i) < w(k) < w(j)).
 
     >>> is_dominant(Permutation([6, 4, 3, 5, 7, 2, 1]))
     True
     >>> is_dominant(Permutation([1, 3, 2]))
     False
     """
-    imgs = w.oneline
-    n = len(imgs)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if imgs[i] >= imgs[j]:
-                continue
-            for k in range(j + 1, n):
-                if imgs[i] < imgs[k] < imgs[j]:
-                    return False
-    return True
+    c = code(w)
+    return all(map(ge, c, c[1:]))
 
 
 def standardize(letters: Sequence[int]) -> Permutation:

@@ -99,15 +99,6 @@ def _exponents(key: int) -> bytes:
     return key.to_bytes((key.bit_length() + 7) >> 3, "little")
 
 
-def _graded(terms: dict[int, int]) -> list[tuple[int, bytes, int]]:
-    # (degree, exponent bytes, coefficient) per term.  These triples order
-    # the terms graded-lexicographically with x1 > x2 > ...: total degree
-    # first, then the exponent vector left to right.  The vectors are
-    # distinct, so coefficients are never compared.
-    vectors = [key.to_bytes((key.bit_length() + 7) >> 3, "little") for key in terms]
-    return list(zip(map(sum, vectors), vectors, terms.values()))
-
-
 def _nonzero(terms: dict[int, int]) -> dict[int, int]:
     return {key: coeff for key, coeff in terms.items() if coeff}
 
@@ -202,8 +193,8 @@ class IntPolynomial:
         """Graded-lex minimal monomial and its coefficient."""
         if not self._terms:
             raise ValueError("the zero polynomial has no trailing term")
-        _, exps, coeff = min(_graded(self._terms))
-        return tuple(exps), coeff
+        exps = min(_ranked(self._terms))[4:]  # the render's least rank, less its degree
+        return tuple(exps), self._terms[int.from_bytes(exps, "little")]
 
     # -- ring operations ---------------------------------------------------
 

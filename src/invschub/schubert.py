@@ -21,12 +21,7 @@ is one ``Residual`` of the polynomial kernel, peeled in place.
 
 from __future__ import annotations
 
-from .permutations import (
-    Permutation,
-    is_dominant,
-    permutation_from_code,
-    rothe_diagram,
-)
+from .permutations import Permutation, code, is_dominant, permutation_from_code
 from .polynomials import IntPolynomial, Residual, equals_sum, monomial, sum_of
 from .weak_order import refuse_rank, shat_mu
 
@@ -61,7 +56,7 @@ def schubert_dominant(w: Permutation) -> IntPolynomial:
     """
     if not is_dominant(w):
         raise ValueError("%s is not dominant (contains a 132 pattern)" % w)
-    return monomial(rothe_diagram(w).code)
+    return monomial(code(w))
 
 
 class SchubertExpansion:

@@ -50,7 +50,7 @@ from json.encoder import encode_basestring_ascii
 from operator import ge, indexOf, itemgetter, ne
 from typing import Callable, Iterator, NamedTuple, Sequence
 
-from .permutations import EnumerationBoundError, inversions, letter_strings
+from .permutations import EnumerationBoundError, inversions, letter_strings, rothe_rows
 from .polynomials import (
     MAX_EXPONENT,
     ONE,
@@ -656,7 +656,7 @@ def shat_involution(word: Word) -> IntPolynomial:
     """
     n = len(word)
     refuse_rank(n)
-    code = [sum(map(x.__gt__, word[p + 1 :])) for p, x in enumerate(word)]
+    code = list(map(len, rothe_rows(word)))
     if all(map(ge, code, code[1:])):
         return linear_product(
             [i for i, c in enumerate(code, 1) if c >= i],

@@ -59,6 +59,14 @@ printer, which sorts packed keys by ranks and reads their texts from a
 table of the monomials it has met before.  ``leading_term`` reads the
 same order off the same tuples.
 
+The Rothe diagram and the Lehmer code by their definitions, a test of
+every cell and a count over every later position, stand apart from the
+one pass of ``rothe_rows`` behind ``rothe_diagram``, ``code``,
+``is_dominant`` and the dominance test of ``shat_involution``.
+``relative_atoms_among`` applies the definition behind
+``atoms_mu_bruteforce`` to a pool of candidates instead of all of S_n,
+through the public action and length.
+
 ``left_multiply_s`` swaps two values through the public constructor, so
 it checks the engine's products with simple transpositions.  ``degree``
 reads the total degree off the public exponent tuples, and
@@ -72,10 +80,11 @@ from itertools import accumulate, permutations, zip_longest
 from typing import Iterable, Iterator, Sequence
 
 from invschub.involutions import Involution
-from invschub.mu_involutions import Composition, MuInvolution
+from invschub.mu_involutions import Composition, MuInvolution, mu_length, mu_monoid_apply_word
 from invschub.permutations import (
     EnumerationBoundError,
     Permutation,
+    RotheDiagram,
     all_permutations,
     code,
     identity,
@@ -141,6 +150,52 @@ def left_multiply_s(w: Permutation, i: int) -> Permutation:
     """
     swap = {i: i + 1, i + 1: i}
     return Permutation([swap.get(v, v) for v in w.oneline])
+
+
+def rothe_by_definition(w: Permutation) -> RotheDiagram:
+    """Cells {(i, j) : j < w(i) and i < w^-1(j)}, each tested, and the code
+    counted off them row by row.
+
+    >>> d = rothe_by_definition(Permutation([3, 1, 4, 2]))
+    >>> sorted(d.cells), d.code
+    ([(1, 1), (1, 2), (3, 2)], (2, 0, 1, 0))
+    """
+    images, inverse = w.oneline, w.inverse().oneline
+    cells = frozenset(
+        (i, j)
+        for i in range(1, w.n + 1)
+        for j in range(1, images[i - 1])
+        if i < inverse[j - 1]
+    )
+    row_counts = [0] * w.n
+    for (i, _) in cells:
+        row_counts[i - 1] += 1
+    return RotheDiagram(cells, tuple(row_counts))
+
+
+def code_by_definition(w: Permutation) -> tuple[int, ...]:
+    """Lehmer code: c_i = #{j > i : w(j) < w(i)}, each pair compared.
+
+    >>> code_by_definition(Permutation([6, 4, 3, 5, 7, 2, 1]))
+    (5, 3, 2, 2, 2, 1, 0)
+    """
+    imgs = w.oneline
+    return tuple(
+        sum(1 for j in range(i + 1, len(imgs)) if imgs[j] < imgs[i])
+        for i in range(len(imgs))
+    )
+
+
+def relative_atoms_among(
+    target: MuInvolution, base: MuInvolution, candidates: Iterable[Permutation]
+) -> frozenset[Permutation]:
+    """The w among ``candidates`` with m(w) . base == target and length
+    lhat_mu(target) - lhat_mu(base): the definition of relative atoms over a
+    pool that the caller knows holds all of them, in place of S_n."""
+    gap = mu_length(target) - mu_length(base)
+    return frozenset(
+        w for w in candidates if w.length() == gap and mu_monoid_apply_word(w, base) == target
+    )
 
 
 def weak_le(tau: Involution, tau_prime: Involution) -> bool:

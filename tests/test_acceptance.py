@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from characterization import degree, minimal_vertices, sort_mu
+from characterization import degree, minimal_vertices, relative_atoms_among, sort_mu
 
 from invschub import cli
 from invschub.involutions import (
@@ -238,9 +238,7 @@ def test_criterion_06_atoms_of_4_1_3() -> None:
         for b in itertools.permutations((1, 2, 3))
     ]
     assert len(pool) == 144
-    brute = atoms_mu_bruteforce(
-        top_mu_involution(mu), identity_mu_involution(mu), candidates=pool
-    )
+    brute = relative_atoms_among(top_mu_involution(mu), identity_mu_involution(mu), pool)
     assert {w.compact() for w in brute} == expected
 
 

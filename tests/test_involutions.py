@@ -41,6 +41,7 @@ from invschub.mu_involutions import (
     Composition,
     MuInvolution,
     count_mu_involutions,
+    mu_inv_schubert,
     mu_involutions,
     mu_monoid_apply,
     mu_monoid_apply_word,
@@ -69,6 +70,9 @@ def test_involution_is_the_one_block_mu_involution(monkeypatch):
     tau = parse_involution("(1,5)(2,3)", 5)
     one_block = Composition((5,))
     assert isinstance(tau, MuInvolution) and tau.mu == one_block
+    # The involution names are the mu-functions themselves, not wrappers.
+    assert monoid_apply is mu_monoid_apply and monoid_apply_word is mu_monoid_apply_word
+    assert inv_schubert is mu_inv_schubert
     as_mu = MuInvolution(tau.perm, one_block)
     assert tau == as_mu and as_mu == tau and hash(tau) == hash(as_mu)
     assert type(mu_monoid_apply(3, tau)) is Involution

@@ -10,7 +10,14 @@ import math
 import random
 
 import pytest
-from characterization import degree, left_multiply_s, mu_strings, schubert_by_definition, sort_mu
+from characterization import (
+    degree,
+    left_multiply_s,
+    mu_strings,
+    relative_atoms_among,
+    schubert_by_definition,
+    sort_mu,
+)
 
 from invschub.involutions import (
     Involution,
@@ -409,18 +416,17 @@ def test_atoms_are_words_reaching_the_top():
 
 
 def test_atoms_mu_bruteforce_candidates():
-    # Restricting the scan to the letter-interval candidates reproduces the
-    # full search (the letters of each block of an atom are forced).
+    # The definition restricted to the letter-interval candidates reproduces
+    # the full search (the letters of each block of an atom are forced).
     mu = parse_composition("3,1")
     candidates = [
         Permutation(list(p) + [q])
         for p in itertools.permutations([2, 3, 4])
         for q in [1]
     ]
-    restricted = atoms_mu_bruteforce(
-        top_mu_involution(mu), identity_mu_involution(mu), candidates=candidates
-    )
-    assert restricted == atoms_mu_top(mu)
+    top, bottom = top_mu_involution(mu), identity_mu_involution(mu)
+    restricted = relative_atoms_among(top, bottom, candidates)
+    assert restricted == atoms_mu_top(mu) == atoms_mu_bruteforce(top, bottom)
 
 
 def test_atoms_mu_bruteforce_guards():

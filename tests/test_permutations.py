@@ -4,9 +4,17 @@ Rothe diagrams, Lehmer codes, dominance, parsing."""
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
-from characterization import ReducedWordBoundError, all_reduced_words, left_multiply_s, product_of_word
+from characterization import (
+    ReducedWordBoundError,
+    all_reduced_words,
+    code_by_definition,
+    left_multiply_s,
+    product_of_word,
+    rothe_by_definition,
+)
 
 from invschub.permutations import (
     Permutation,
@@ -128,15 +136,34 @@ def test_all_reduced_words_bound():
         all_reduced_words(longest(9))
 
 
+def has_132(w: Permutation) -> bool:
+    images = w.oneline
+    return any(a < c < b for a, b, c in itertools.combinations(images, 3))
+
+
+def words_to_check() -> list[Permutation]:
+    """All of S_n for n <= 7, then seeded words of rank 60: random ones, and
+    dominant ones from random partitions as codes, each also with one
+    adjacent swap, which may or may not leave it dominant."""
+    words = [w for n in range(1, 8) for w in all_permutations(n)]
+    rng = random.Random(60)
+    for _ in range(20):
+        words.append(Permutation(rng.sample(range(1, 61), 60)))
+        partition = sorted((rng.randrange(60 - i) for i in range(60)), reverse=True)
+        dominant = permutation_from_code([min(c, 59 - i) for i, c in enumerate(partition)])
+        words += [dominant, dominant.right_multiply_s(rng.randrange(1, 60))]
+    return words
+
+
 def test_rothe_diagram_and_code():
     d = rothe_diagram(Permutation([3, 1, 4, 2]))
     assert sorted(d.cells) == [(1, 1), (1, 2), (3, 2)]
     assert d.code == (2, 0, 1, 0)
-    for w in all_permutations(5):
+    for w in words_to_check():
         d = rothe_diagram(w)
-        assert len(d.cells) == w.length()
-        assert code(w) == d.code
-        assert sum(d.code) == w.length()
+        assert d == rothe_by_definition(w)
+        assert code(w) == d.code == code_by_definition(w)
+        assert len(d.cells) == sum(d.code) == w.length()
 
 
 def test_code_roundtrip():
@@ -152,18 +179,13 @@ def test_code_roundtrip():
 
 
 def test_dominant_is_132_avoiding():
-    def has_132(w: Permutation) -> bool:
-        n = w.n
-        return any(
-            w(i) < w(k) < w(j)
-            for i, j, k in itertools.combinations(range(1, n + 1), 3)
-        )
-
-    for w in all_permutations(5):
-        weakly_decreasing = all(
-            a >= b for a, b in zip(code(w), code(w)[1:])
-        )
+    dominant_seen = 0
+    for w in words_to_check():
+        c = code_by_definition(w)
+        weakly_decreasing = all(a >= b for a, b in zip(c, c[1:]))
         assert is_dominant(w) == (not has_132(w)) == weakly_decreasing
+        dominant_seen += weakly_decreasing and w.n == 60
+    assert dominant_seen >= 20
 
 
 def test_standardize():
