@@ -6,13 +6,14 @@ Schubert polynomials.
 Involutions are the mu = (n) case of the mu-theory: ``Involution`` is the
 ``MuInvolution`` whose composition is (n), equal to it and hashing alike,
 and it adds only the cycle view (``cyc``, ``fix``, ``kappa``) and its own
-notation.  So ``monoid_apply``, ``monoid_apply_word`` and ``inv_schubert``
-are the functions ``mu_monoid_apply``, ``mu_monoid_apply_word`` and
-``mu_inv_schubert`` of :mod:`invschub.mu_involutions` under the names of
-this module, the definitional brute force is a call into it, and the poset
-is the engine's ``build_graph`` at nu = (0, n), refused and checked as the
-mu poset is.  The engine's four-case rule reduces there to the three-case
-rule
+notation.  So ``monoid_apply_word`` is ``mu_monoid_apply_word`` of
+:mod:`invschub.mu_involutions` under the name of this module, and
+``monoid_apply`` and ``inv_schubert`` are one call each into
+``mu_monoid_apply`` and ``mu_inv_schubert``, kept as functions of this
+module for their examples.  The definitional brute force is a call into
+that module, and the poset is the engine's ``build_graph`` at nu = (0, n),
+refused and checked as the mu poset is.  The engine's four-case rule
+reduces there to the three-case rule
 
     m(s_i) . tau = tau            if tau(i+1) < tau(i)
                  = s_i tau        if tau(i) = i and tau(i+1) = i+1
@@ -20,24 +21,6 @@ rule
 
 and words act rightmost generator first, so
 m(s_{i_1} ... s_{i_l}) . tau = m(s_{i_1}) . ( ... (m(s_{i_l}) . tau)).
-
->>> monoid_apply(1, identity_involution(2)).cycles_string()
-'(1,2)'
->>> monoid_apply(1, parse_involution("(1,2)", 2)).cycles_string()
-'(1,2)'
->>> monoid_apply(2, parse_involution("(1,2)", 3)).cycles_string()
-'(1,3)'
-
-At mu = (n), ``inv_schubert`` is the engine's ``shat_involution``: the
-Dhat product when tau is dominant, else the sum over the involution pipe
-dreams of tau (Hamaker-Marberg-Pawlowski, arXiv:1911.12009), refused by its
-term bound before any polynomial is built.  The tests check it against the
-divided-difference chain to w0, ``shat_mu`` at nu = (0, n).
-
->>> print(inv_schubert(longest_involution(3)))
-x1^2 + x1*x2
->>> print(inv_schubert(identity_involution(3)))
-1
 
 Atoms of tau are the minimal-length w with m(w) . id = tau; their common
 length is the involution length lhat(tau) = #Dhat(tau).  Atoms are one
@@ -59,8 +42,7 @@ from .mu_involutions import (
     MuInvolution,
     atoms_mu_bruteforce,
 )
-from .mu_involutions import mu_inv_schubert as inv_schubert
-from .mu_involutions import mu_monoid_apply as monoid_apply
+from .mu_involutions import mu_inv_schubert, mu_monoid_apply
 from .mu_involutions import mu_monoid_apply_word as monoid_apply_word
 from .permutations import (
     Permutation,
@@ -204,6 +186,19 @@ def parse_involution(text: str, n: int) -> Involution:
     return Involution(parse_permutation(text, n))
 
 
+def monoid_apply(i: int, tau: Involution) -> Involution:
+    """m(s_i) . tau by the three-case rule: ``mu_monoid_apply`` at mu = (n).
+
+    >>> monoid_apply(1, identity_involution(2)).cycles_string()
+    '(1,2)'
+    >>> monoid_apply(1, parse_involution("(1,2)", 2)).cycles_string()
+    '(1,2)'
+    >>> monoid_apply(2, parse_involution("(1,2)", 3)).cycles_string()
+    '(1,3)'
+    """
+    return mu_monoid_apply(i, tau)
+
+
 class InvolutionDiagram(NamedTuple):
     """Dhat(tau) with its diagonal part, strict part, code and length."""
 
@@ -304,6 +299,21 @@ def closed_orbit_polynomial(n: int) -> IntPolynomial:
     if n < 1:
         raise ValueError("rank must be at least 1")
     return anchor((0, n))
+
+
+def inv_schubert(tau: Involution) -> IntPolynomial:
+    """Shat_tau, as ``mu_inv_schubert`` at mu = (n) builds it: the Dhat
+    product when tau is dominant, else the sum over the involution pipe
+    dreams of tau (Hamaker-Marberg-Pawlowski, arXiv:1911.12009), refused by
+    its term bound before any polynomial is built.  The tests check it
+    against the divided-difference chain to w0, ``shat_mu`` at nu = (0, n).
+
+    >>> print(inv_schubert(longest_involution(3)))
+    x1^2 + x1*x2
+    >>> print(inv_schubert(identity_involution(3)))
+    1
+    """
+    return mu_inv_schubert(tau)
 
 
 def inv_schubert_dominant(tau: Involution) -> IntPolynomial:
