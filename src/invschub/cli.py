@@ -12,7 +12,7 @@ output in one piece.  So text mode never builds JSON, and a command that
 is refused prints nothing on stdout.
 
 Exit codes: 0 success; 1 parse/validation error (one-line diagnostic on
-stderr); 2 enumeration-bound refusal; 3 failed verification.
+stderr); 2 enumeration-bound refusal or out of memory; 3 failed verification.
 """
 
 from __future__ import annotations
@@ -339,6 +339,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 2
     sys.stdout.write(output)
     return status
 

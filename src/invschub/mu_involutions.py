@@ -235,12 +235,16 @@ class MuInvolution:
 
 def _blocks_label(nu: tuple[int, ...]) -> Callable[[tuple[int, ...]], str]:
     """The text of a word cut at nu, "586|21|743", with commas between
-    letters once n > 9: the word's one text, sliced at the cuts."""
-    n, cuts = nu[-1], [slice(lo, hi) for lo, hi in zip(nu, nu[1:])]
+    letters once n > 9: one format of the word, by a template made at the
+    first call (a poset refused by its size makes none)."""
+    template = ""
 
     def text(word: tuple[int, ...]) -> str:
-        letters = letter_strings(word)
-        return "|".join([letters[c] if n <= 9 else ",".join(letters[c]) for c in cuts])
+        nonlocal template
+        if not template:
+            comma = "" if nu[-1] <= 9 else ","
+            template = "|".join([comma.join(["%d"] * (hi - lo)) for lo, hi in zip(nu, nu[1:])])
+        return template % word
     return text
 
 

@@ -48,9 +48,9 @@ from collections import Counter
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import ge, indexOf, itemgetter, ne
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .permutations import EnumerationBoundError, inversions, letter_strings, rothe_rows
+from .permutations import EnumerationBoundError, inversions, rothe_rows
 from .polynomials import (
     MAX_EXPONENT,
     ONE,
@@ -84,15 +84,17 @@ __all__ = [
 Word = tuple[int, ...]
 
 
-def act(i: int, word: Word, nu: Word) -> Word:
-    """m(s_i) . word by the four-case rule, for 1 <= i < n.
+def act(i: int, word: Word, nu: Word, p: int | None = None, q: int | None = None) -> Word:
+    """m(s_i) . word by the four-case rule, for 1 <= i < n; p and q, when
+    given, are the positions of the letters i and i+1 in ``word``.
 
     ``word`` itself when i lies right of i+1.  Otherwise the two letters
     swap when they lie in different blocks, or when their positions are
     the block's slots at the ranks of i and i+1; in any other case the
     pair is conjugated: those two slots swap, then i <-> i+1.
     """
-    p, q = word.index(i), word.index(i + 1)
+    if p is None:
+        p, q = word.index(i), word.index(i + 1)
     if p > q:
         return word
     images = list(word)
@@ -103,9 +105,10 @@ def act(i: int, word: Word, nu: Word) -> Word:
         # since no letter of the block lies between them.
         slot = lo + sum(map(i.__gt__, word[lo:hi]))
         if (p, q) != (slot, slot + 1):
-            # Conjugate: the slot swap, then the letter swap below.
+            # Conjugate: the slot swap, which p and q follow, then the letter swap.
             images[slot], images[slot + 1] = images[slot + 1], images[slot]
-            p, q = images.index(i), images.index(i + 1)
+            p += (p == slot) - (p == slot + 1)
+            q += (q == slot) - (q == slot + 1)
     images[p], images[q] = i + 1, i
     return tuple(images)
 
@@ -254,10 +257,6 @@ class WeakOrderGraph(NamedTuple):
         k = bisect_left(self.edges, edge)  # edges are sorted
         return k < len(self.edges) and self.edges[k] == edge
 
-    def maximal_vertices(self) -> tuple[int, ...]:
-        sources = set(map(itemgetter(0), self.edges))
-        return tuple(i for i in range(len(self.vertices)) if i not in sources)
-
     def to_dot(self) -> str:
         return "digraph %s {\n%s%s}\n" % (
             self.name,
@@ -273,24 +272,27 @@ class WeakOrderGraph(NamedTuple):
         edges = _formatted(
             '    {\n      "from": %d,\n      "label": "s_%d",\n      "to": %d\n    }', self.edges, ",\n"
         )
-        vertices = ",\n".join(
-            [
-                '    {\n      "cycles": %s,\n      "id": %d,\n      "oneline": "[%s]",\n      "rank": %d\n    }'
-                % (encode_basestring_ascii(label), idx, ",".join(letter_strings(ol)), rank)
-                for idx, (ol, label, rank) in enumerate(self.vertices)
-            ]
+        ids, onelines, labels, ranks = self._columns()
+        vertices = _formatted(
+            '    {\n      "cycles": %s,\n      "id": %d,\n      "oneline": "[%s]",\n      "rank": %d\n    }',
+            list(zip(map(encode_basestring_ascii, labels), ids, onelines, ranks)),
+            ",\n",
         )
         lists = tuple("[\n%s\n  ]" % items if items else "[]" for items in (edges, vertices))
         return '{\n  "edges": %s,\n  "vertices": %s\n}\n' % lists
 
     def to_text(self) -> str:
-        vertices = [
-            "  n%d rank=%d [%s] %s\n" % (idx, rank, ",".join(letter_strings(ol)), label)
-            for idx, (ol, label, rank) in enumerate(self.vertices)
-        ]
+        ids, onelines, labels, ranks = self._columns()
+        vertices = _formatted("  n%d rank=%d [%s] %s\n", list(zip(ids, ranks, onelines, labels)))
         edges = _formatted("  n%d -s_%d-> n%d\n", self.edges)
         head = "%s: %d vertices, %d edges\n" % (self.name, len(self.vertices), len(self.edges))
-        return head + "".join(vertices) + edges
+        return head + vertices + edges
+
+    def _columns(self) -> tuple[Iterable, ...]:
+        """The vertices' indices, one-line notations (all of one length), labels and ranks."""
+        words, labels, ranks = (list(map(itemgetter(k), self.vertices)) for k in range(3))
+        letters = ",".join(["%d"] * len(words[0])) if words else ""
+        return range(len(words)), map(letters.__mod__, words), labels, ranks
 
 
 def _formatted(template: str, rows: Sequence[tuple], sep: str = "") -> str:
@@ -315,9 +317,10 @@ def count(nu: Word) -> int:
 def climb(nu: Word) -> tuple[list[Word], list[int], list[tuple[int, int, int]]]:
     """Breadth-first search up from the identity word by ``act``: the words
     reached, each once and in order of level, their levels, and every move
-    (u, j, v), m(s_j) sending words[u] to words[v].  ``act`` is called
-    only where the letters' positions put j left of j+1 (m(s_j) stays
-    elsewhere).  A move that does not raise the level by one, or a reach
+    (u, j, v), m(s_j) sending words[u] to words[v], in order of (u, j).
+    The letters' positions of each word are read once: ``act`` is called
+    only where they put j left of j+1 (m(s_j) stays elsewhere), and is
+    handed them.  A move that does not raise the level by one, or a reach
     other than ``count(nu)`` words, raises AssertionError; so the words are
     all of I_mu, ranked by level.
 
@@ -327,24 +330,26 @@ def climb(nu: Word) -> tuple[list[Word], list[int], list[tuple[int, int, int]]]:
     n, expected = nu[-1], count(nu)
     words = [tuple(range(1, n + 1))]
     index, level, moves = {words[0]: 0}, [0], []
+    where = [0] * (n + 1)
     for u, word in enumerate(words):  # a queue: words grows behind u
-        where = [0] * (n + 1)
         for s, x in enumerate(word):
             where[x] = s
+        up = level[u] + 1
         for j in range(1, n):
-            if where[j] > where[j + 1]:
+            p, q = where[j], where[j + 1]
+            if p > q:
                 continue  # m(s_j) stays exactly when j lies right of j+1
-            image = act(j, word, nu)
+            image = act(j, word, nu, p, q)
             if image == word:  # act fails to move: left to the count and w0 checks
                 continue
             v = index.get(image)
             if v is None:
                 v = index[image] = len(words)
                 words.append(image)
-                level.append(level[u] + 1)
-            elif level[v] != level[u] + 1:
+                level.append(up)
+            elif level[v] != up:
                 raise AssertionError(
-                    "m(s_%d) moves %r from level %d to level %d" % (j, word, level[u], level[v])
+                    "m(s_%d) moves %r from level %d to level %d" % (j, word, up - 1, level[v])
                 )
             moves.append((u, j, v))
     if len(words) != expected:
@@ -362,7 +367,9 @@ def build_graph(name: str, nu: Word, label: Callable[[Word], str]) -> WeakOrderG
     reached from the identity, ranked by level and sorted by (rank, word),
     with an edge (u, j, v) whenever m(s_j) moves u to v.  Its size is its
     one limit: above DEFAULT_VERTEX_BUDGET, which has no override, it is
-    refused before the climb.  w0 must be the unique maximum."""
+    refused before the climb.  The levels are contiguous, so each is sorted
+    alone, and each word's moves come in order of j, so one walk over the
+    vertices emits the edges sorted.  w0 must be the only word with no move."""
     n = nu[-1]
     family = "I_%d" % n if len(nu) == 2 else "I_mu"
     # |I_mu| >= 2^(n-1), as |I_m| >= 2 |I_(m-1)| and k blocks have a multinomial of
@@ -377,17 +384,23 @@ def build_graph(name: str, nu: Word, label: Callable[[Word], str]) -> WeakOrderG
             "|%s| = %d exceeds the vertex budget %d" % (family, size, DEFAULT_VERTEX_BUDGET)
         )
     words, level, moves = climb(nu)
-    order = sorted(zip(level, words, range(len(words))))  # words are distinct
-    position = [0] * len(order)
-    for new, (_, _, old) in enumerate(order):
+    bounds = [bisect_left(level, rank) for rank in range(level[-1] + 2)]
+    order = []  # it permutes inside levels only, so level[k] is the rank of vertex k
+    for lo, hi in zip(bounds, bounds[1:]):
+        order += sorted(range(lo, hi), key=words.__getitem__)
+    position = [0] * size
+    for new, old in enumerate(order):
         position[old] = new
-    edges = tuple(sorted([(position[u], j, position[v]) for u, j, v in moves]))
-    del moves, position  # freed before the labels are made, to keep the peak RSS down
-    ranks, ordered, _ = zip(*order)
-    graph = WeakOrderGraph(name, tuple(zip(ordered, map(label, ordered), ranks)), edges)
-    if graph.maximal_vertices() != (graph.index_of(tuple(range(n, 0, -1))),):
+    rows = [[] for _ in order]  # rows[k]: the (j, target) of the moves up from vertex k
+    for u, j, v in moves:
+        rows[position[u]].append((j, position[v]))
+    del moves, position  # each freed once read, to keep the peak RSS down
+    ordered = list(map(words.__getitem__, order))
+    if [word for word, row in zip(ordered, rows) if not row] != [tuple(range(n, 0, -1))]:
         raise AssertionError("w0 is not the unique maximum of the mu-weak order")
-    return graph
+    edges = tuple([(k, j, v) for k, row in enumerate(rows) for j, v in row])
+    del rows
+    return WeakOrderGraph(name, tuple(zip(ordered, map(label, ordered), level)), edges)
 
 
 # ---------------------------------------------------------------------------

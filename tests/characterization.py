@@ -70,8 +70,13 @@ through the public action and length.
 ``left_multiply_s`` swaps two values through the public constructor, so
 it checks the engine's products with simple transpositions.  ``degree``
 reads the total degree off the public exponent tuples, and
-``minimal_vertices`` reads the sources of a weak-order graph off its
-public edge list.
+``minimal_vertices`` and ``maximal_vertices`` read the sources and sinks
+of a weak-order graph off its public edge list.
+
+``graph_by_sorting`` builds the weak-order graph from ``climb_by_scan``
+by sorting every (level, word, index) and every edge triple, and checks
+its top by ``maximal_vertices``; it stands apart from ``build_graph``,
+which sorts each level alone and emits its edges in order.
 """
 
 from __future__ import annotations
@@ -630,3 +635,29 @@ def minimal_vertices(graph: WeakOrderGraph) -> tuple[int, ...]:
     """
     targets = {v for _, _, v in graph.edges}
     return tuple(i for i in range(len(graph.vertices)) if i not in targets)
+
+
+def maximal_vertices(graph: WeakOrderGraph) -> tuple[int, ...]:
+    """The indices of the vertices of ``graph`` that no edge leaves.
+
+    >>> maximal_vertices(WeakOrderGraph("g", (((1, 2), "12", 0), ((2, 1), "21", 1)), ((0, 1, 1),)))
+    (1,)
+    """
+    sources = {u for u, _, _ in graph.edges}
+    return tuple(i for i in range(len(graph.vertices)) if i not in sources)
+
+
+def graph_by_sorting(name: str, nu: Word, label) -> WeakOrderGraph:
+    """The weak-order graph on I_mu from ``climb_by_scan``: its vertices
+    sorted by (level, word), its edges renumbered and sorted as triples.
+    w0 must be its one maximal vertex, or AssertionError is raised."""
+    words, level, moves = climb_by_scan(nu)
+    order = sorted(zip(level, words, range(len(words))))
+    position = [0] * len(order)
+    for new, (_, _, old) in enumerate(order):
+        position[old] = new
+    edges = tuple(sorted((position[u], j, position[v]) for u, j, v in moves))
+    graph = WeakOrderGraph(name, tuple((word, label(word), rank) for rank, word, _ in order), edges)
+    if maximal_vertices(graph) != (graph.index_of(tuple(range(nu[-1], 0, -1))),):
+        raise AssertionError("w0 is not the unique maximum of the mu-weak order")
+    return graph

@@ -30,7 +30,7 @@ from __future__ import annotations
 import itertools
 import json
 
-from characterization import degree, minimal_vertices, relative_atoms_among, sort_mu
+from characterization import degree, maximal_vertices, minimal_vertices, relative_atoms_among, sort_mu
 
 from invschub import cli
 from invschub.involutions import (
@@ -295,7 +295,7 @@ def test_criterion_08_poset_fixtures() -> None:
 
     # unique bottom and top
     assert minimal_vertices(gmu) == (gmu.index_of(mi("123|4")),)
-    assert gmu.maximal_vertices() == (gmu.index_of(mi("432|1")),)
+    assert maximal_vertices(gmu) == (gmu.index_of(mi("432|1")),)
 
 
 def test_criterion_09_property_suite() -> None:

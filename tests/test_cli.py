@@ -384,6 +384,16 @@ def test_verify_requires_rank_for_dominant(capsys) -> None:
     assert err == "error: --dominant-involution requires -n\n"
 
 
+def test_out_of_memory_is_one_line_and_exit_two(capsys, monkeypatch) -> None:
+    # A command that runs out of memory prints one line on stderr, nothing
+    # on stdout, and exits 2, as a refusal does; no traceback.
+    def exhausted(mu):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "verify_mu_identity", exhausted)
+    assert run_cli(capsys, ["verify", "--mu", "2"]) == (2, "", "error: out of memory\n")
+
+
 def test_verify_failure_exits_three(capsys, monkeypatch) -> None:
     genuine = verify_mu_identity(parse_composition("2"))
     doctored = genuine._replace(equal=False)

@@ -12,6 +12,7 @@ from characterization import (
     all_reduced_words,
     atoms_by_characterization,
     diagram_product_by_mul,
+    maximal_vertices,
     minimal_vertices,
     relative_atoms_by_characterization,
     weak_le,
@@ -221,7 +222,7 @@ def test_weak_order_graph_i5():
     assert len(graph.vertices) == 26
     assert graph.rank_profile() == (1, 4, 6, 6, 5, 3, 1)
     assert minimal_vertices(graph) == (graph.index_of(identity(5).oneline),)
-    assert graph.maximal_vertices() == (graph.index_of(longest(5).oneline),)
+    assert maximal_vertices(graph) == (graph.index_of(longest(5).oneline),)
     # Every edge raises the rank by exactly one.
     for u, gen, v in graph.edges:
         assert graph.vertices[v][2] == graph.vertices[u][2] + 1
@@ -256,7 +257,7 @@ def test_weak_order_graph_checks_that_w0_is_the_unique_maximum(monkeypatch):
     monkeypatch.setattr(
         weak_order,
         "act",
-        lambda i, word, nu: word if (i, word) == (2, (2, 1, 3)) else real(i, word, nu),
+        lambda i, word, nu, *at: word if (i, word) == (2, (2, 1, 3)) else real(i, word, nu, *at),
     )
     with pytest.raises(AssertionError, match="w0 is not the unique maximum"):
         weak_order_graph(3)

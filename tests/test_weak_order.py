@@ -19,6 +19,7 @@ from characterization import (
     atom_words,
     climb_by_scan,
     code_by_definition,
+    graph_by_sorting,
     greedy_moves_by_scan,
     lower,
     mu_involution_words,
@@ -445,6 +446,28 @@ def test_climb_equals_the_climb_that_acts_by_every_generator():
         assert climb(nu) == climb_by_scan(nu), nu
 
 
+def test_act_with_positions_equals_act_without():
+    # The climb hands act the positions p < q of the letters i and i+1; act
+    # must then give what it gives when it finds them itself.
+    for n in range(1, 7):
+        for mu in all_compositions(n):
+            for word in mu_involution_words(mu.parts):
+                for i in range(1, n):
+                    p, q = word.index(i), word.index(i + 1)
+                    if p < q:
+                        assert act(i, word, mu.nu, p, q) == act(i, word, mu.nu), (word, mu, i)
+
+
+def test_build_graph_equals_the_builder_that_sorts_everything():
+    # Record for record: the same vertices with the same labels and ranks,
+    # and the same edges in the same order.
+    nus = [mu.nu for n in range(1, 7) for mu in all_compositions(n)] + [(0, n) for n in range(1, 9)]
+    for nu in nus:
+        graph, oracle = build_graph("g", nu, str), graph_by_sorting("g", nu, str)
+        assert graph.vertices == oracle.vertices, nu
+        assert graph.edges == oracle.edges, nu
+
+
 def test_graph_edges_are_sorted_and_has_edge_finds_exactly_them():
     # has_edge bisects the edges, so they must be sorted.  Each edge is
     # found, and each with its target replaced by another vertex is not.
@@ -470,9 +493,9 @@ def test_graph_builder_rejects_an_edge_that_skips_a_level(monkeypatch):
     monkeypatch.setattr(
         weak_order,
         "act",
-        lambda i, word, nu: real(2, real(1, word, nu), nu)
+        lambda i, word, nu, *at: real(2, real(1, word, nu), nu)
         if (i, word) == (1, (1, 2, 3))
-        else real(i, word, nu),
+        else real(i, word, nu, *at),
     )
     with pytest.raises(AssertionError, match=r"from level \d+ to level \d+"):
         build_graph("jump", (0, 3), str)
@@ -484,7 +507,7 @@ def test_graph_builder_rejects_a_climb_short_of_the_count(monkeypatch):
     monkeypatch.setattr(
         weak_order,
         "act",
-        lambda i, word, nu: word if (i, word) == (2, (1, 2, 3)) else real(i, word, nu),
+        lambda i, word, nu, *at: word if (i, word) == (2, (1, 2, 3)) else real(i, word, nu, *at),
     )
     with pytest.raises(AssertionError, match=r"reached 3 words from the identity, expected \|I_mu\| = 4"):
         build_graph("short", (0, 3), str)
