@@ -260,8 +260,8 @@ class WeakOrderGraph(NamedTuple):
     def to_dot(self) -> str:
         return "digraph %s {\n%s%s}\n" % (
             self.name,
-            _formatted('  n%d [label="%s"];\n', list(enumerate(map(itemgetter(1), self.vertices)))),
-            _formatted('  n%d -> n%d [label="s_%d"];\n', list(map(itemgetter(0, 2, 1), self.edges))),
+            _formatted('  n%d [label="%s"];\n', enumerate(map(itemgetter(1), self.vertices))),
+            _formatted('  n%d -> n%d [label="s_%d"];\n', map(itemgetter(0, 2, 1), self.edges)),
         )
 
     def to_json(self) -> str:
@@ -269,35 +269,37 @@ class WeakOrderGraph(NamedTuple):
         print {"edges": [{"from", "label", "to"}], "vertices": [{"cycles",
         "id", "oneline", "rank"}]}, written directly.  Only the labels need
         escaping; everything else is built from integers."""
+        ids, onelines, labels, ranks = self._columns()
+        vertices = _formatted(  # made before the edges, which take more memory
+            '    {\n      "cycles": %s,\n      "id": %d,\n      "oneline": "[%s]",\n      "rank": %d\n    }',
+            zip(map(encode_basestring_ascii, labels), ids, onelines, ranks),
+            ",\n",
+        )
         edges = _formatted(
             '    {\n      "from": %d,\n      "label": "s_%d",\n      "to": %d\n    }', self.edges, ",\n"
-        )
-        ids, onelines, labels, ranks = self._columns()
-        vertices = _formatted(
-            '    {\n      "cycles": %s,\n      "id": %d,\n      "oneline": "[%s]",\n      "rank": %d\n    }',
-            list(zip(map(encode_basestring_ascii, labels), ids, onelines, ranks)),
-            ",\n",
         )
         lists = tuple("[\n%s\n  ]" % items if items else "[]" for items in (edges, vertices))
         return '{\n  "edges": %s,\n  "vertices": %s\n}\n' % lists
 
     def to_text(self) -> str:
         ids, onelines, labels, ranks = self._columns()
-        vertices = _formatted("  n%d rank=%d [%s] %s\n", list(zip(ids, ranks, onelines, labels)))
+        vertices = _formatted("  n%d rank=%d [%s] %s\n", zip(ids, ranks, onelines, labels))
         edges = _formatted("  n%d -s_%d-> n%d\n", self.edges)
         head = "%s: %d vertices, %d edges\n" % (self.name, len(self.vertices), len(self.edges))
         return head + vertices + edges
 
     def _columns(self) -> tuple[Iterable, ...]:
         """The vertices' indices, one-line notations (all of one length), labels and ranks."""
-        words, labels, ranks = (list(map(itemgetter(k), self.vertices)) for k in range(3))
-        letters = ",".join(["%d"] * len(words[0])) if words else ""
-        return range(len(words)), map(letters.__mod__, words), labels, ranks
+        letters = ",".join(["%d"] * len(self.vertices[0][0])) if self.vertices else ""
+        words, labels, ranks = (map(itemgetter(k), self.vertices) for k in range(3))
+        return range(len(self.vertices)), map(letters.__mod__, words), labels, ranks
 
 
-def _formatted(template: str, rows: Sequence[tuple], sep: str = "") -> str:
-    """sep.join(template % row for row in rows), made by one format call."""
-    return sep.join([template] * len(rows)) % tuple(chain.from_iterable(rows))
+def _formatted(template: str, rows: Iterable[tuple], sep: str = "") -> str:
+    """sep.join(template % row for row in rows), made by one format call; each
+    row fills the template's fields, one per %."""
+    args = tuple(chain.from_iterable(rows))
+    return sep.join([template] * (len(args) // template.count("%"))) % args
 
 
 def count(nu: Word) -> int:
