@@ -237,12 +237,11 @@ def _blocks_label(nu: tuple[int, ...]) -> Callable[[tuple[int, ...]], str]:
     """The text of a word cut at nu, "586|21|743", with commas between
     letters once n > 9: one format of the word, by a template made at the
     first call (a poset refused by its size makes none)."""
-    template = ""
+    comma, template = "" if nu[-1] <= 9 else ",", ""
 
     def text(word: tuple[int, ...]) -> str:
         nonlocal template
         if not template:
-            comma = "" if nu[-1] <= 9 else ","
             template = "|".join([comma.join(["%d"] * (hi - lo)) for lo, hi in zip(nu, nu[1:])])
         return template % word
     return text

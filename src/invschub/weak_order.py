@@ -296,8 +296,7 @@ class WeakOrderGraph(NamedTuple):
 
 
 def _formatted(template: str, rows: Iterable[tuple], sep: str = "") -> str:
-    """sep.join(template % row for row in rows), made by one format call; each
-    row fills the template's fields, one per %."""
+    """sep.join(template % row for row in rows) by one format call; a row fills one field per %."""
     args = tuple(chain.from_iterable(rows))
     return sep.join([template] * (len(args) // template.count("%"))) % args
 
