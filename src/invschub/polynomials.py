@@ -22,6 +22,11 @@ where the bitwise or of the keys allows a carry.  s_i and d_i never leave
 the range.
 Every divided difference is checked: with CHECK_DIVIDED_DIFFERENCE,
 f - s_i.f - (x_i - x_{i+1}).d_i(f) is summed term by term and must cancel.
+A quotient takes each key from a key table as the term is emitted, so the
+quotients made with one table share one int object per monomial.
+``divided_difference`` gives each call a table of its own;
+``weak_order.shat_mu`` passes one table for all its chains, which lives as
+long as the chain cache and is emptied with it by ``clear_cache``.
 
 Coefficients are plain Python ints (arbitrary precision); zero coefficients
 are never stored, so structural equality is polynomial equality.
@@ -361,12 +366,19 @@ def divided_difference(f: IntPolynomial, i: int) -> IntPolynomial:
     >>> print(divided_difference(variable(1) * variable(2), 1))
     0
     """
+    return _divided_difference(f, i, {})
+
+
+def _divided_difference(f: IntPolynomial, i: int, keys: dict[int, int]) -> IntPolynomial:
+    # d_i(f), each quotient key taken from ``keys`` as it is emitted: the
+    # first time a monomial is seen its key object is stored, and every
+    # later quotient made with the same table holds that object.
     if i < 1:
         raise ValueError("generator index must be >= 1")
     shift = 8 * (i - 1)
     one, unit = 1 << shift, 255 << shift
     result: dict[int, int] = {}
-    get = result.get
+    get, share = result.get, keys.setdefault
     for key, coeff in f._terms.items():
         # The first quotient term is x_i^(max(p,q)-1) x_{i+1}^min(p,q), the
         # key (or, with p < q, its swap) less x_i; each next term moves one
@@ -379,9 +391,11 @@ def divided_difference(f: IntPolynomial, i: int) -> IntPolynomial:
         else:
             continue
         if d == 1:
+            key = share(key, key)
             result[key] = get(key, 0) + coeff
         else:
             for term in range(key, key + d * unit, unit):
+                term = share(term, term)
                 result[term] = get(term, 0) + coeff
     quotient = _raw(_nonzero(result) if 0 in result.values() else result)
     if CHECK_DIVIDED_DIFFERENCE:
@@ -391,22 +405,25 @@ def divided_difference(f: IntPolynomial, i: int) -> IntPolynomial:
 
 def _check_quotient(f: IntPolynomial, i: int, quotient: IntPolynomial) -> None:
     # f - s_i.f - (x_i - x_{i+1}).quotient, accumulated in one dict, must
-    # cancel everywhere; terms of f that s_i fixes cancel themselves and are
-    # skipped.  Adding x_i to a key of a wrong quotient may carry, but the
-    # test stays exact: q -> (X^x_i - X^x_{i+1}).q on formal sums of keys is
-    # injective, and the true quotient never carries.
+    # cancel everywhere: one pass over the terms of f that s_i moves (the
+    # others cancel themselves and are skipped), then one over the quotient.
+    # Adding x_i to a key of a wrong quotient may carry, but the test stays
+    # exact: q -> (X^x_i - X^x_{i+1}).q on formal sums of keys is injective,
+    # and the true quotient never carries.
     shift = 8 * (i - 1)
     one, up, unit = 1 << shift, 1 << shift + 8, 255 << shift
-    remainder = {key + one: -coeff for key, coeff in quotient._terms.items()}
+    remainder: dict[int, int] = {}
     get = remainder.get
-    for key, coeff in quotient._terms.items():
-        remainder[key + up] = get(key + up, 0) + coeff
     for key, coeff in f._terms.items():
         d = ((key >> shift) & 255) - ((key >> shift + 8) & 255)
         if d:
             swapped = key + d * unit
             remainder[key] = get(key, 0) + coeff
             remainder[swapped] = get(swapped, 0) - coeff
+    for key, coeff in quotient._terms.items():
+        low, high = key + one, key + up
+        remainder[low] = get(low, 0) - coeff
+        remainder[high] = get(high, 0) + coeff
     if any(remainder.values()):
         raise AssertionError("divided difference left a remainder for i=%d on %s" % (i, f))
 

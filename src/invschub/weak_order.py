@@ -57,8 +57,8 @@ from .polynomials import (
     TERM_BUDGET,
     ZERO,
     IntPolynomial,
+    _divided_difference,
     add_linear_multiple,
-    divided_difference,
     linear_product,
 )
 
@@ -409,13 +409,18 @@ def build_graph(name: str, nu: Word, label: Callable[[Word], str]) -> WeakOrderG
 # ---------------------------------------------------------------------------
 
 # Chain-node polynomials: one node table per cut nu, from the words of I_mu
-# to their Shat^mu.
+# to their Shat^mu.  Every divided difference of the chains takes its
+# monomial keys from _KEYS, so all the nodes below the anchors share one key
+# object per monomial; the table lives as long as the nodes and is emptied
+# with them.
 _CACHE: dict[Word, dict[Word, IntPolynomial]] = {}
+_KEYS: dict[int, int] = {}
 
 
 def clear_cache() -> None:
-    """Drop every memoized polynomial."""
+    """Drop every memoized polynomial and the monomial keys they share."""
     _CACHE.clear()
+    _KEYS.clear()
 
 
 # The anchor of rank n holds x1^(n-1), and no monomial holds an exponent
@@ -503,9 +508,10 @@ def _rank_change(i: int, word: Word, image: Word, nu: Word) -> int:
 
 def _greedy_moves(word: Word, nu: Word) -> Iterator[tuple[int, Word]]:
     # Smallest moving generator first: m(s_i) stays exactly when i lies
-    # right of i+1, so the positions of the letters name the next move,
-    # and each move must raise lhat_mu by exactly one (a stay raises it
-    # by none).
+    # right of i+1, so the positions of the letters name the next move and
+    # are handed to ``act``.  Each move must raise lhat_mu by exactly one
+    # (a stay raises it by none), which ``_rank_change`` checks from the
+    # letters it finds itself.
     n = nu[-1]
     where = [0] * (n + 1)
     for s, x in enumerate(word):
@@ -516,11 +522,11 @@ def _greedy_moves(word: Word, nu: Word) -> Iterator[tuple[int, Word]]:
             i += 1
         if i == n:
             return
-        image = act(i, word, nu)
+        p, q = where[i], where[i + 1]
+        image = act(i, word, nu, p, q)
         if _rank_change(i, word, image, nu) != 1:
             raise AssertionError("m(s_%d) does not raise lhat_mu by one at %r" % (i, word))
         yield i, image
-        p, q = where[i], where[i + 1]
         c = bisect_right(nu, p)
         if q < nu[c]:
             # One block moved: its letters are read again, and an ascent
@@ -559,7 +565,7 @@ def shat_mu(word: Word, nu: Word) -> IntPolynomial:
         word = step[1]
     poly = nodes[word]
     for word, i in reversed(below):
-        poly = divided_difference(poly, i)
+        poly = _divided_difference(poly, i, _KEYS)
         nodes[word] = poly
     return poly
 

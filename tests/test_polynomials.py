@@ -294,7 +294,14 @@ def test_zero_remainder_check_rejects_a_wrong_quotient(monkeypatch):
     quotient = divided_difference(f, 1)
     assert quotient == x1 ** 2 * x2 + x1 * x2 ** 2
     polynomials._check_quotient(f, 1, quotient)
-    wrong_quotients = (quotient + x3, quotient - x1 ** 2 * x2, -quotient, swap_variables(quotient, 1) + x1)
+    wrong_quotients = (
+        quotient + x3,
+        quotient - x1 ** 2 * x2,
+        -quotient,
+        swap_variables(quotient, 1) + x1,
+        quotient + x1 * x2 ** 2,  # a coefficient off by one
+        quotient - x1 * x2 ** 2 + x1 * x2 * x3,  # a term at the wrong key
+    )
     for wrong in wrong_quotients:
         with pytest.raises(AssertionError):
             polynomials._check_quotient(f, 1, wrong)

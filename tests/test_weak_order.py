@@ -1,6 +1,7 @@
 """Tests for the shared weak-order engine: one divided difference per chain
 node on a cold cache, a warm node read from the table of its cut alone, no
-table left by a refused rank or anchor, and the rank check on every chain
+table left by a refused rank or anchor, one key object per monomial shared
+by the chain nodes, and the rank check on every chain
 move (ordinary Schubert polynomials included, as the mu = (1^n) case), atoms and
 relative atoms against the oracle walk down the weak order and the inverse
 action it steps down by, the climb from the identity that enumerates I_mu
@@ -45,6 +46,7 @@ from invschub.mu_involutions import (
 from invschub.permutations import EnumerationBoundError, Permutation, all_permutations, identity
 from invschub.polynomials import ONE, ZERO, add_linear_multiple
 from invschub.schubert import schubert
+from invschub.verify import verify_all
 from invschub.weak_order import (
     WeakOrderGraph,
     _count_step,
@@ -70,13 +72,13 @@ def _chain(tau):
 
 def test_cold_descent_divides_once_per_node_below_the_top(monkeypatch):
     calls = []
-    real = weak_order.divided_difference
+    real = weak_order._divided_difference
 
-    def counted(f, i):
+    def counted(f, i, keys):
         calls.append(i)
-        return real(f, i)
+        return real(f, i, keys)
 
-    monkeypatch.setattr(weak_order, "divided_difference", counted)
+    monkeypatch.setattr(weak_order, "_divided_difference", counted)
     # Involutions reach the chain through shat_mu at nu = (0, n): their
     # Shat is built from pipe dreams.
     families = (
@@ -119,9 +121,9 @@ def test_every_chain_move_is_rank_checked(monkeypatch):
         monkeypatch.setattr(
             weak_order,
             "act",
-            lambda i, word, nu, corrupt=corrupt: corrupt(word, nu)
+            lambda i, word, nu, p=None, q=None, corrupt=corrupt: corrupt(word, nu)
             if (i, word) == (1, (1, 2, 3))
-            else real(i, word, nu),
+            else real(i, word, nu, p, q),
         )
         for x, polynomial in elements:
             clear_cache()
@@ -139,7 +141,7 @@ def test_a_warm_node_is_one_lookup_in_the_table_of_its_cut(monkeypatch):
     def refused(*args):
         raise AssertionError("a warm node took the slow path")
 
-    for name in ("divided_difference", "anchor", "act", "refuse_rank", "_greedy_moves"):
+    for name in ("_divided_difference", "anchor", "act", "refuse_rank", "_greedy_moves"):
         monkeypatch.setattr(weak_order, name, refused)
     for (word, nu), poly in cold.items():
         assert shat_mu(word, nu) is poly, (word, nu)
@@ -156,6 +158,28 @@ def test_a_refused_rank_or_anchor_leaves_no_table():
     with pytest.raises(EnumerationBoundError):
         shat_mu(tuple(range(1, 14)), (0, 13))
     assert weak_order._CACHE == {}
+    assert weak_order._KEYS == {}
+
+
+def test_chain_nodes_share_one_key_object_per_monomial():
+    clear_cache()
+    verify_all(6)
+    keys = weak_order._KEYS
+    shared, objects, terms = set(), set(), 0
+    for nu, nodes in weak_order._CACHE.items():
+        top = tuple(range(nu[-1], 0, -1))
+        for word, poly in nodes.items():
+            if word == top:
+                continue  # the anchor is a product, made before any division
+            terms += len(poly._terms)
+            for key in poly._terms:
+                assert keys[key] is key, (word, nu, key)
+                shared.add(key)
+                objects.add(id(key))
+    assert len(objects) == len(shared) == len(keys)
+    assert terms > 2 * len(keys)  # the nodes do share keys
+    clear_cache()
+    assert weak_order._CACHE == {} and weak_order._KEYS == {}
 
 
 def test_one_word_under_two_cuts_has_an_entry_in_each_table():
