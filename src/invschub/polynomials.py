@@ -22,11 +22,11 @@ where the bitwise or of the keys allows a carry.  s_i and d_i never leave
 the range.
 Every divided difference is checked: with CHECK_DIVIDED_DIFFERENCE,
 f - s_i.f - (x_i - x_{i+1}).d_i(f) is summed term by term and must cancel.
-A quotient takes each key from a key table as the term is emitted, so the
-quotients made with one table share one int object per monomial.
-``divided_difference`` gives each call a table of its own;
-``weak_order.shat_mu`` passes one table for all its chains, which lives as
-long as the chain cache and is emptied with it by ``clear_cache``.
+The divided differences of ``weak_order.shat_mu`` take each quotient key
+from one key table as the term is emitted, so all the quotients it stores
+share one int object per monomial; the table lives as long as the chain
+cache and is emptied with it by ``clear_cache``.  ``divided_difference``
+itself uses no table.
 
 Coefficients are plain Python ints (arbitrary precision); zero coefficients
 are never stored, so structural equality is polynomial equality.
@@ -366,19 +366,20 @@ def divided_difference(f: IntPolynomial, i: int) -> IntPolynomial:
     >>> print(divided_difference(variable(1) * variable(2), 1))
     0
     """
-    return _divided_difference(f, i, {})
+    return _divided_difference(f, i, None)
 
 
-def _divided_difference(f: IntPolynomial, i: int, keys: dict[int, int]) -> IntPolynomial:
+def _divided_difference(f: IntPolynomial, i: int, keys: dict[int, int] | None) -> IntPolynomial:
     # d_i(f), each quotient key taken from ``keys`` as it is emitted: the
     # first time a monomial is seen its key object is stored, and every
-    # later quotient made with the same table holds that object.
+    # later quotient made with the same table holds that object.  With no
+    # table, an empty dict's get hands each key back as it is.
     if i < 1:
         raise ValueError("generator index must be >= 1")
     shift = 8 * (i - 1)
     one, unit = 1 << shift, 255 << shift
     result: dict[int, int] = {}
-    get, share = result.get, keys.setdefault
+    get, share = result.get, {}.get if keys is None else keys.setdefault
     for key, coeff in f._terms.items():
         # The first quotient term is x_i^(max(p,q)-1) x_{i+1}^min(p,q), the
         # key (or, with p < q, its swap) less x_i; each next term moves one
