@@ -64,7 +64,6 @@ from .permutations import (
     permutation_from_code,
     reduced_word,
     rothe_diagram,
-    standardize,
 )
 from .polynomials import (
     IntPolynomial,

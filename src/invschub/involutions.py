@@ -5,13 +5,12 @@ Schubert polynomials.
 
 Involutions are the mu = (n) case of the mu-theory: ``Involution`` is the
 ``MuInvolution`` whose composition is (n), equal to it and hashing alike,
-and it adds only the cycle view (``cyc``, ``fix``, ``kappa``) and its own
-notation.  So ``monoid_apply_word`` is ``mu_monoid_apply_word`` of
-:mod:`invschub.mu_involutions` under the name of this module, and
-``monoid_apply`` and ``inv_schubert`` are one call each into
-``mu_monoid_apply`` and ``mu_inv_schubert``, kept as functions of this
-module for their examples.  The definitional brute force is a call into
-that module, and the poset is the engine's ``build_graph`` at nu = (0, n),
+and it adds only ``kappa`` and its own cycle notation.  So
+``monoid_apply``, ``monoid_apply_word`` and ``inv_schubert`` are
+``mu_monoid_apply``, ``mu_monoid_apply_word`` and ``mu_inv_schubert`` of
+:mod:`invschub.mu_involutions` under the names of this module, and their
+examples are there.  The definitional brute force is a call into that
+module, and the poset is the engine's ``build_graph`` at nu = (0, n),
 refused and checked as the mu poset is.  The engine's four-case rule
 reduces there to the three-case rule
 
@@ -42,7 +41,8 @@ from .mu_involutions import (
     MuInvolution,
     atoms_mu_bruteforce,
 )
-from .mu_involutions import mu_inv_schubert, mu_monoid_apply
+from .mu_involutions import mu_inv_schubert as inv_schubert
+from .mu_involutions import mu_monoid_apply as monoid_apply
 from .mu_involutions import mu_monoid_apply_word as monoid_apply_word
 from .permutations import (
     Permutation,
@@ -89,12 +89,11 @@ class Involution(MuInvolution):
     """A permutation equal to its own inverse: the mu-involution whose
     composition is (n).
 
-    ``cyc`` lists the 1- and 2-cycles as pairs (i, j) with i <= j = tau(i);
-    ``fix`` lists the fixed points; ``kappa`` counts the 2-cycles.
+    ``kappa`` counts the 2-cycles.
 
     >>> tau = parse_involution("(1,5)(2,3)", 5)
-    >>> tau.kappa, tau.fix
-    (2, (4,))
+    >>> tau.kappa
+    2
     >>> tau.cycles_string()
     '(1,5)(2,3)'
     """
@@ -107,25 +106,9 @@ class Involution(MuInvolution):
         self.perm = perm
         self.mu = Composition((perm.n,))
 
-    def __call__(self, i: int) -> int:
-        return self.perm(i)
-
-    @property
-    def cyc(self) -> tuple[tuple[int, int], ...]:
-        return tuple(
-            (i, self.perm(i)) for i in range(1, self.n + 1) if i <= self.perm(i)
-        )
-
-    @property
-    def fix(self) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.n + 1) if self.perm(i) == i)
-
     @property
     def kappa(self) -> int:
         return sum(1 for i in range(1, self.n + 1) if self.perm(i) > i)
-
-    def two_cycles(self) -> tuple[tuple[int, int], ...]:
-        return tuple((i, j) for (i, j) in self.cyc if i < j)
 
     def cycles_string(self) -> str:
         """Cycle notation listing 2-cycles only, e.g. "(1,5)(2,3)"; "id" if none."""
@@ -186,19 +169,6 @@ def parse_involution(text: str, n: int) -> Involution:
     return Involution(parse_permutation(text, n))
 
 
-def monoid_apply(i: int, tau: Involution) -> Involution:
-    """m(s_i) . tau by the three-case rule: ``mu_monoid_apply`` at mu = (n).
-
-    >>> monoid_apply(1, identity_involution(2)).cycles_string()
-    '(1,2)'
-    >>> monoid_apply(1, parse_involution("(1,2)", 2)).cycles_string()
-    '(1,2)'
-    >>> monoid_apply(2, parse_involution("(1,2)", 3)).cycles_string()
-    '(1,3)'
-    """
-    return mu_monoid_apply(i, tau)
-
-
 class InvolutionDiagram(NamedTuple):
     """Dhat(tau) with its diagonal part, strict part, code and length."""
 
@@ -238,8 +208,8 @@ def weak_order_graph(n: int) -> WeakOrderGraph:
     """The labeled weak-order digraph on all involutions of [n]: the
     mu = (n) poset of ``mu_weak_order_graph``, labeled by cycles.
 
-    >>> weak_order_graph(2).rank_profile()
-    (1, 1)
+    >>> weak_order_graph(2).edges
+    ((0, 1, 1),)
     """
     return build_graph("involutions_%d" % n, (0, n), _cycles_string)
 
@@ -299,21 +269,6 @@ def closed_orbit_polynomial(n: int) -> IntPolynomial:
     if n < 1:
         raise ValueError("rank must be at least 1")
     return anchor((0, n))
-
-
-def inv_schubert(tau: Involution) -> IntPolynomial:
-    """Shat_tau, as ``mu_inv_schubert`` at mu = (n) builds it: the Dhat
-    product when tau is dominant, else the sum over the involution pipe
-    dreams of tau (Hamaker-Marberg-Pawlowski, arXiv:1911.12009), refused by
-    its term bound before any polynomial is built.  The tests check it
-    against the divided-difference chain to w0, ``shat_mu`` at nu = (0, n).
-
-    >>> print(inv_schubert(longest_involution(3)))
-    x1^2 + x1*x2
-    >>> print(inv_schubert(identity_involution(3)))
-    1
-    """
-    return mu_inv_schubert(tau)
 
 
 def inv_schubert_dominant(tau: Involution) -> IntPolynomial:

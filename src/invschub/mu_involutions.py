@@ -24,7 +24,6 @@ composition, so every function here takes one and the action returns one.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .permutations import (
@@ -74,10 +73,15 @@ __all__ = [
     "mu_inv_schubert",
     "DEFAULT_VERTEX_BUDGET",
     "BRUTE_FORCE_BOUND",
+    "DIAGRAM_BUDGET",
 ]
 
 # The brute-force rank bound; a caller may pass another as max_n.
 BRUTE_FORCE_BOUND = 7
+
+# The most cells ``degenerate_diagram`` builds; a larger diagram is refused
+# by its exact cell count before any cell is made.
+DIAGRAM_BUDGET = 10**6
 
 
 class Composition:
@@ -86,8 +90,6 @@ class Composition:
     >>> mu = parse_composition("4,1,3")
     >>> mu.n, mu.k, mu.nu
     (8, 3, (0, 4, 5, 8))
-    >>> mu.block_of(5)
-    2
     """
 
     __slots__ = ("_parts", "_nu")
@@ -114,15 +116,6 @@ class Composition:
     @property
     def nu(self) -> tuple[int, ...]:
         return self._nu
-
-    def block_positions(self, a: int) -> range:
-        """Positions (1-based) of block a (1-based)."""
-        return range(self._nu[a - 1] + 1, self._nu[a] + 1)
-
-    def block_of(self, pos: int) -> int:
-        if not 1 <= pos <= self.n:
-            raise IndexError("position %d out of range 1..%d" % (pos, self.n))
-        return bisect_left(self._nu, pos)  # the first a with pos <= nu_a
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Composition) and self._parts == other._parts
@@ -210,12 +203,6 @@ class MuInvolution:
     def oneline(self) -> tuple[int, ...]:
         return self.perm.oneline
 
-    @property
-    def strings(self) -> tuple[tuple[int, ...], ...]:
-        """The blocks of the one-line notation, cut at ``mu.nu``."""
-        word, nu = self.perm.oneline, self.mu.nu
-        return tuple(word[lo:hi] for lo, hi in zip(nu, nu[1:]))
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, MuInvolution)
@@ -297,6 +284,8 @@ def mu_monoid_apply(i: int, pi: MuInvolution) -> MuInvolution:
     '432|1'
     >>> str(mu_monoid_apply(3, parse_mu_involution("432|1")))
     '432|1'
+    >>> [str(mu_monoid_apply(i, parse_mu_involution(w))) for i, w in [(1, "12"), (1, "21"), (2, "213")]]
+    ['21', '21', '321']
     """
     if not 1 <= i <= pi.n - 1:
         raise IndexError("generator index %d out of range 1..%d" % (i, pi.n - 1))
@@ -395,10 +384,6 @@ class DegenerateDiagram(NamedTuple):
     d2: frozenset[tuple[int, int]]
 
     @property
-    def union(self) -> frozenset[tuple[int, int]]:
-        return self.d0 | self.d1 | self.d2
-
-    @property
     def size(self) -> int:
         return len(self.d0) + len(self.d1) + len(self.d2)
 
@@ -406,21 +391,24 @@ class DegenerateDiagram(NamedTuple):
 def degenerate_diagram(mu: Composition) -> DegenerateDiagram:
     """d0: all cross-block cells (i earlier block than j); d1, d2: the
     within-block translates of the diagram parts of each block's longest
-    involution.
+    involution.  A block [lo, hi) of size m has lo * m cells of d0 in its
+    columns and floor(m^2 / 4) in d1 and d2; above ``DIAGRAM_BUDGET`` cells
+    in all (lhat_mu of the top), EnumerationBoundError is raised first.
 
     >>> d = degenerate_diagram(parse_composition("3,1"))
     >>> sorted(d.d0), sorted(d.d1), sorted(d.d2)
     ([(1, 4), (2, 4), (3, 4)], [(1, 1)], [(1, 2)])
     """
-    d0 = set()
-    for a in range(1, mu.k + 1):
-        for b in range(a + 1, mu.k + 1):
-            for i in mu.block_positions(a):
-                for j in mu.block_positions(b):
-                    d0.add((i, j))
+    nu = mu.nu
+    cells = sum(lo * (hi - lo) + (hi - lo) ** 2 // 4 for lo, hi in zip(nu, nu[1:]))
+    if cells > DIAGRAM_BUDGET:
+        raise EnumerationBoundError(
+            "the degenerate diagram of mu %s has %d cells, above the budget %d" % (mu, cells, DIAGRAM_BUDGET)
+        )
+    d0 = {(i, j) for lo, hi in zip(nu, nu[1:]) for i in range(1, lo + 1) for j in range(lo + 1, hi + 1)}
     d1: set[tuple[int, int]] = set()
     d2: set[tuple[int, int]] = set()
-    for lo, hi in zip(mu.nu, mu.nu[1:]):
+    for lo, hi in zip(nu, nu[1:]):
         # Dhat(w0_m): the cells (i, j), i <= j, of the Rothe diagram of w0_m.
         for (i, j) in rothe_diagram(longest(hi - lo)).cells:
             if i == j:
@@ -451,7 +439,8 @@ def mu_closed_orbit_polynomial(mu: Composition) -> IntPolynomial:
 def mu_inv_schubert(pi: MuInvolution) -> IntPolynomial:
     """Shat^mu_pi.  At mu = (n) it is the engine's ``shat_involution``: the
     Dhat product when pi is dominant, else the sum over its involution pipe
-    dreams, refused by a predicted term bound before any polynomial work.
+    dreams (Hamaker-Marberg-Pawlowski, arXiv:1911.12009), refused by a
+    predicted term bound before any polynomial work.
 
     Every other mu takes divided differences along a raising chain to the
     top.  The anchor at the top element is mu_closed_orbit_polynomial of the
@@ -475,6 +464,8 @@ def mu_inv_schubert(pi: MuInvolution) -> IntPolynomial:
     1
     >>> print(mu_inv_schubert(parse_mu_involution("1324")))
     x1 + x2
+    >>> print(mu_inv_schubert(parse_mu_involution("321")))
+    x1^2 + x1*x2
     """
     if pi.mu.k == 1:
         return shat_involution(pi.oneline)

@@ -34,7 +34,6 @@ __all__ = [
     "code",
     "permutation_from_code",
     "is_dominant",
-    "standardize",
     "all_permutations",
     "parse_permutation",
     "EnumerationBoundError",
@@ -283,21 +282,6 @@ def is_dominant(w: Permutation) -> bool:
     """
     c = code(w)
     return all(map(ge, c, c[1:]))
-
-
-def standardize(letters: Sequence[int]) -> Permutation:
-    """Replace each letter by its rank in the alphabet (smallest -> 1).
-
-    The result is the permutation of [m] order-isomorphic to the string.
-
-    >>> standardize([5, 8, 6])
-    Permutation([1, 3, 2])
-    """
-    letters = tuple(letters)
-    rank = {v: r for r, v in enumerate(sorted(set(letters)), start=1)}
-    if len(rank) != len(letters):
-        raise ValueError("letters must be distinct, got %r" % (list(letters),))
-    return Permutation(rank[v] for v in letters)
 
 
 def all_permutations(n: int) -> Iterator[Permutation]:

@@ -1,6 +1,6 @@
 """
-Sparse multivariate polynomials over the integers, with the variable-swap
-action of the symmetric group and the divided difference operators d_i.
+Sparse multivariate polynomials over the integers, with the divided
+difference operators d_i.
 
 Each monomial is stored as one int key holding the exponent of x_k in
 byte k-1 (little-endian): x1^2*x3 is 0x010002.  Trailing zero exponents
@@ -63,7 +63,6 @@ __all__ = [
     "variable",
     "monomial",
     "constant",
-    "swap_variables",
     "divided_difference",
     "parse_polynomial",
     "CHECK_DIVIDED_DIFFERENCE",
@@ -187,12 +186,6 @@ class IntPolynomial:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def coefficient(self, exponents: Iterable[int]) -> int:
-        try:
-            return self._terms.get(_key(exponents), 0)
-        except ValueError:  # an exponent no term can have
-            return 0
 
     def trailing_term(self) -> tuple[tuple[int, ...], int]:
         """Graded-lex minimal monomial and its coefficient."""
@@ -333,23 +326,6 @@ def variable(i: int) -> IntPolynomial:
 
 def monomial(exponents: Iterable[int], coeff: int = 1) -> IntPolynomial:
     return IntPolynomial({tuple(exponents): coeff})
-
-
-def swap_variables(f: IntPolynomial, i: int) -> IntPolynomial:
-    """s_i . f: interchange x_i and x_{i+1}.
-
-    >>> print(swap_variables(variable(1), 1))
-    x2
-    """
-    if i < 1:
-        raise ValueError("generator index must be >= 1")
-    # A bijection on monomials: nothing merges, cancels or needs validating.
-    # Moving one unit of degree from x_i to x_{i+1} adds `unit` to a key.
-    shift = 8 * (i - 1)
-    unit = 255 << shift
-    return _raw(
-        {key + (((key >> shift) & 255) - ((key >> shift + 8) & 255)) * unit: coeff for key, coeff in f._terms.items()}
-    )
 
 
 def divided_difference(f: IntPolynomial, i: int) -> IntPolynomial:

@@ -22,7 +22,7 @@ is one ``Residual`` of the polynomial kernel, peeled in place.
 from __future__ import annotations
 
 from .permutations import Permutation, code, is_dominant, permutation_from_code
-from .polynomials import IntPolynomial, Residual, equals_sum, monomial, sum_of
+from .polynomials import IntPolynomial, Residual, equals_sum, monomial
 from .weak_order import refuse_rank, shat_mu
 
 __all__ = [
@@ -74,21 +74,12 @@ class SchubertExpansion:
     def coefficients(self) -> dict[Permutation, int]:
         return dict(self._coefficients)
 
-    def coefficient(self, w: Permutation) -> int:
-        return self._coefficients.get(w, 0)
-
-    def support(self) -> frozenset[Permutation]:
-        return frozenset(self._coefficients)
-
     def is_multiplicity_free(self) -> bool:
         """True iff every (nonzero) coefficient equals 1."""
         return all(c == 1 for c in self._coefficients.values())
 
     def sorted_items(self) -> list[tuple[Permutation, int]]:
         return sorted(self._coefficients.items(), key=lambda kv: kv[0].oneline)
-
-    def reconstruct(self) -> IntPolynomial:
-        return sum_of(schubert(w).scale(coeff) for w, coeff in self._coefficients.items())
 
     def __eq__(self, other: object) -> bool:
         return (

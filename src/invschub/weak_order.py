@@ -44,10 +44,9 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from collections import Counter
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import ge, indexOf, itemgetter, ne
+from operator import ge, itemgetter, ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .permutations import EnumerationBoundError, inversions, rothe_rows
@@ -241,21 +240,6 @@ class WeakOrderGraph(NamedTuple):
     @property
     def vertex_count(self) -> int:
         return len(self.vertices)
-
-    def rank_profile(self) -> tuple[int, ...]:
-        ranks = Counter(map(itemgetter(2), self.vertices))
-        return tuple(ranks[rank] for rank in range(max(ranks, default=-1) + 1))
-
-    def index_of(self, oneline: tuple[int, ...]) -> int:
-        try:
-            return indexOf(map(itemgetter(0), self.vertices), oneline)
-        except ValueError:
-            raise KeyError("vertex %r not in graph" % (oneline,)) from None
-
-    def has_edge(self, from_oneline: tuple[int, ...], gen: int, to_oneline: tuple[int, ...]) -> bool:
-        edge = (self.index_of(from_oneline), gen, self.index_of(to_oneline))
-        k = bisect_left(self.edges, edge)  # edges are sorted
-        return k < len(self.edges) and self.edges[k] == edge
 
     def to_dot(self) -> str:
         return "digraph %s {\n%s%s}\n" % (

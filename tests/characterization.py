@@ -22,9 +22,9 @@ an involution, stands apart from the climb up from the identity by the
 monoid action that ``involutions`` and ``mu_involutions`` enumerate.
 
 Every reduced word of w, by recursion on right descents, stands apart
-from the one word ``reduced_word`` picks.  The blocks of a mu-involution,
-read position by position, stand apart from the slicing behind
-``MuInvolution.strings``.
+from the one word ``reduced_word`` picks.  The blocks of a mu-involution
+are read position by position, and ``standardize`` turns a block into the
+permutation of its own size that it stands for, by ranking its letters.
 
 The raising chain that scans the generators from 1 with ``act`` until one
 moves, and counts ``lhat_mu`` of every image again to see it rise by one,
@@ -71,7 +71,10 @@ through the public action and length.
 it checks the engine's products with simple transpositions.  ``degree``
 reads the total degree off the public exponent tuples, and
 ``minimal_vertices`` and ``maximal_vertices`` read the sources and sinks
-of a weak-order graph off its public edge list.
+of a weak-order graph off its public edge list.  ``index_of``,
+``has_edge`` and ``rank_profile`` read a vertex, an edge and the number of
+vertices of each rank off the public vertex and edge tuples by linear
+scans, which assume no order in either.
 
 ``graph_by_sorting`` builds the weak-order graph from ``climb_by_scan``
 by sorting every (level, word, index) and every edge triple, and checks
@@ -272,9 +275,20 @@ def mu_strings(w: Permutation, mu: Composition) -> tuple[Word, ...]:
     """
     if w.n != mu.n:
         raise ValueError("rank mismatch")
-    return tuple(
-        tuple(w(p) for p in mu.block_positions(a)) for a in range(1, mu.k + 1)
-    )
+    return tuple(tuple(w(p) for p in range(lo + 1, hi + 1)) for lo, hi in zip(mu.nu, mu.nu[1:]))
+
+
+def standardize(letters: Sequence[int]) -> Permutation:
+    """The permutation of [m] order-isomorphic to m distinct letters: each
+    letter replaced by its rank among them.
+
+    >>> standardize([5, 8, 6])
+    Permutation([1, 3, 2])
+    """
+    rank = {v: r for r, v in enumerate(sorted(set(letters)), start=1)}
+    if len(rank) != len(letters):
+        raise ValueError("letters must be distinct, got %r" % (list(letters),))
+    return Permutation(rank[v] for v in letters)
 
 
 def sort_mu(pi: MuInvolution) -> Permutation:
@@ -430,14 +444,15 @@ def expand_by_elimination(f: IntPolynomial, n: int) -> SchubertExpansion:
     so cannot contribute at x^{code(w)}."""
     basis = sorted(all_permutations(n), key=lambda w: (sum(code(w)), code(w)))
     coefficients = {}
-    residual = f
+    residual, terms = f, f.terms
     for w in basis:
-        if residual.is_zero():
+        if not terms:
             break
-        c = residual.coefficient(code(w))
+        c = terms.get(_trim(code(w)), 0)
         if c != 0:
             coefficients[w] = c
             residual = residual - schubert(w).scale(c)
+            terms = residual.terms
     if not residual.is_zero():
         raise AssertionError("elimination left a nonzero residual %s" % residual)
     return SchubertExpansion(coefficients)
@@ -469,10 +484,9 @@ def expand_by_peeling(f: IntPolynomial, n: int) -> SchubertExpansion:
         w = permutation_from_code(exps + (0,) * (n - len(exps)))
         coefficients[w] = coefficients.get(w, 0) + coeff
         residual = residual - schubert(w).scale(coeff)
-    expansion = SchubertExpansion(coefficients)
-    if expansion.reconstruct() != f:
+    if sum((schubert(w).scale(c) for w, c in coefficients.items()), ZERO) != f:
         raise AssertionError("Schubert expansion failed to reconstruct input")
-    return expansion
+    return SchubertExpansion(coefficients)
 
 
 def schubert_by_definition(w: Permutation) -> IntPolynomial:
@@ -517,7 +531,11 @@ def _write_pair(head: Word, a: int, b: int, tail: Word) -> Word:
 
 
 def tuple_swap_variables(f: IntPolynomial, i: int) -> IntPolynomial:
-    """s_i . f on exponent tuples."""
+    """s_i . f on exponent tuples: x_i and x_{i+1} interchanged.
+
+    >>> print(tuple_swap_variables(variable(1), 1))
+    x2
+    """
     result: dict[Word, int] = {}
     for exps, coeff in f.terms.items():
         head, a, b, tail = _read_pair(exps, i)
@@ -647,6 +665,34 @@ def maximal_vertices(graph: WeakOrderGraph) -> tuple[int, ...]:
     return tuple(i for i in range(len(graph.vertices)) if i not in sources)
 
 
+def index_of(graph: WeakOrderGraph, word: Word) -> int:
+    """The index of the vertex of ``graph`` whose one-line notation is ``word``.
+
+    >>> index_of(WeakOrderGraph("g", (((1, 2), "12", 0), ((2, 1), "21", 1)), ((0, 1, 1),)), (2, 1))
+    1
+    """
+    return [vertex for vertex, _, _ in graph.vertices].index(word)
+
+
+def has_edge(graph: WeakOrderGraph, u: Word, j: int, v: Word) -> bool:
+    """Whether ``graph`` has the edge u -s_j-> v, given by one-line notations.
+
+    >>> has_edge(WeakOrderGraph("g", (((1, 2), "12", 0), ((2, 1), "21", 1)), ((0, 1, 1),)), (1, 2), 1, (2, 1))
+    True
+    """
+    return (index_of(graph, u), j, index_of(graph, v)) in graph.edges
+
+
+def rank_profile(graph: WeakOrderGraph) -> tuple[int, ...]:
+    """The number of vertices of each rank of ``graph``, from rank 0.
+
+    >>> rank_profile(WeakOrderGraph("g", (((1, 2), "12", 0), ((2, 1), "21", 1)), ((0, 1, 1),)))
+    (1, 1)
+    """
+    ranks = [rank for _, _, rank in graph.vertices]
+    return tuple(ranks.count(rank) for rank in range(max(ranks, default=-1) + 1))
+
+
 def graph_by_sorting(name: str, nu: Word, label) -> WeakOrderGraph:
     """The weak-order graph on I_mu from ``climb_by_scan``: its vertices
     sorted by (level, word), its edges renumbered and sorted as triples.
@@ -658,6 +704,6 @@ def graph_by_sorting(name: str, nu: Word, label) -> WeakOrderGraph:
         position[old] = new
     edges = tuple(sorted((position[u], j, position[v]) for u, j, v in moves))
     graph = WeakOrderGraph(name, tuple((word, label(word), rank) for rank, word, _ in order), edges)
-    if maximal_vertices(graph) != (graph.index_of(tuple(range(nu[-1], 0, -1))),):
+    if maximal_vertices(graph) != (index_of(graph, tuple(range(nu[-1], 0, -1))),):
         raise AssertionError("w0 is not the unique maximum of the mu-weak order")
     return graph

@@ -543,6 +543,14 @@ def test_exit_code_one_on_bad_input(capsys) -> None:
             assert err == "error: rank must be at least 1\n", argv
 
 
+def test_diagram_of_mu_is_refused_by_its_cell_count(capsys) -> None:
+    # (100000) has floor(100000^2 / 4) cells in one block, far above the budget.
+    rc, out, err = run_cli(capsys, ["diagram", "-m", "100000"])
+    assert rc == 2
+    assert out == ""
+    assert err == "error: the degenerate diagram of mu 100000 has 2500000000 cells, above the budget 1000000\n"
+
+
 def test_exit_code_two_on_enumeration_bound(capsys, monkeypatch) -> None:
     rc, out, err = run_cli(capsys, ["poset", "-n", "12"])
     assert rc == 2

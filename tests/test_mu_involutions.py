@@ -13,7 +13,9 @@ import pytest
 from characterization import (
     degree,
     left_multiply_s,
+    has_edge,
     mu_strings,
+    rank_profile,
     relative_atoms_among,
     schubert_by_definition,
     sort_mu,
@@ -75,9 +77,6 @@ def test_composition_basics():
     assert mu.n == 8
     assert mu.k == 3
     assert mu.nu == (0, 4, 5, 8)
-    assert list(mu.block_positions(1)) == [1, 2, 3, 4]
-    assert list(mu.block_positions(3)) == [6, 7, 8]
-    assert mu.block_of(5) == 2
     assert str(mu) == "4,1,3"
     with pytest.raises(ValueError):
         Composition((2, 0))
@@ -149,7 +148,7 @@ def test_mu_involution_text_round_trips_past_rank_9():
     for n in (10, 11, 12):
         for _ in range(200):
             pi = _random_mu_involution(rng, n)
-            text = "|".join(",".join(map(str, block)) for block in pi.strings)
+            text = "|".join(",".join(map(str, block)) for block in mu_strings(pi.perm, pi.mu))
             assert str(pi) == text
             assert parse_mu_involution(text) == pi
             assert str(parse_mu_involution(text, pi.mu)) == text
@@ -159,10 +158,11 @@ def test_mu_strings():
     w = parse_permutation("37184265")
     assert mu_strings(w, parse_composition("4,1,3")) == ((3, 7, 1, 8), (4,), (2, 6, 5))
     pi = parse_mu_involution("586|21|743")
-    assert pi.strings == ((5, 8, 6), (2, 1), (7, 4, 3))
+    assert mu_strings(pi.perm, pi.mu) == ((5, 8, 6), (2, 1), (7, 4, 3))
     for mu in small_compositions(4):
         for pi in mu_involutions(mu):
-            assert pi.strings == mu_strings(pi.perm, mu)
+            slices = tuple(pi.oneline[lo:hi] for lo, hi in zip(mu.nu, mu.nu[1:]))
+            assert mu_strings(pi.perm, mu) == slices
 
 
 def test_identity_and_top():
@@ -295,13 +295,13 @@ def test_all_singleton_blocks_reduce_to_permutations():
 def test_mu_weak_order_graph_3_1():
     graph = mu_weak_order_graph(parse_composition("3,1"))
     assert len(graph.vertices) == 16
-    assert graph.rank_profile() == (1, 3, 4, 4, 3, 1)
+    assert rank_profile(graph) == (1, 3, 4, 4, 3, 1)
     for u, gen, v in graph.edges:
         assert graph.vertices[v][2] == graph.vertices[u][2] + 1
     # Labeled edges read off the rank-5 interval's picture.
     def edge(a, gen, b):
-        return graph.has_edge(
-            parse_mu_involution(a).perm.oneline, gen, parse_mu_involution(b).perm.oneline
+        return has_edge(
+            graph, parse_mu_involution(a).perm.oneline, gen, parse_mu_involution(b).perm.oneline
         )
 
     assert edge("123|4", 1, "213|4")
@@ -453,7 +453,33 @@ def test_degenerate_diagram_fixtures():
     # The pieces are disjoint for every small mu.
     for mu in small_compositions(7):
         d = degenerate_diagram(mu)
-        assert len(d.union) == d.size
+        assert len(d.d0 | d.d1 | d.d2) == d.size
+
+
+def test_degenerate_diagram_is_refused_by_its_cell_count(monkeypatch):
+    # The budget is checked against the exact number of cells, which is
+    # lhat_mu of the top element: admitted at that budget, refused below it.
+    for mu in small_compositions(8):
+        d = degenerate_diagram(mu)
+        cells = len(d.d0 | d.d1 | d.d2)
+        assert cells == mu_length(top_mu_involution(mu)), mu
+        with monkeypatch.context() as patch:
+            patch.setattr("invschub.mu_involutions.DIAGRAM_BUDGET", cells)
+            assert degenerate_diagram(mu) == d
+            patch.setattr("invschub.mu_involutions.DIAGRAM_BUDGET", cells - 1)
+            with pytest.raises(EnumerationBoundError):
+                degenerate_diagram(mu)
+
+    # A refusal names the count and comes before any cell is built: (3,1)
+    # has 5 cells.
+    def no_cells(w):
+        raise AssertionError("built the cells of %s" % w)
+
+    monkeypatch.setattr("invschub.mu_involutions.DIAGRAM_BUDGET", 4)
+    monkeypatch.setattr("invschub.mu_involutions.rothe_diagram", no_cells)
+    message = r"^the degenerate diagram of mu 3,1 has 5 cells, above the budget 4$"
+    with pytest.raises(EnumerationBoundError, match=message):
+        degenerate_diagram(parse_composition("3,1"))
 
 
 def test_exponent_count_of_diagram():

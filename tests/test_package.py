@@ -1,7 +1,8 @@
 """Packaging metadata agrees with the package, the package root shadows
-none of its submodules, the submodules import in the theory's order, the
-command line starts without the heavy standard modules, and the record
-types keep their fields, reprs and immutability."""
+none of its submodules, the submodules import in the theory's order, every
+public name has a caller outside the tests, the command line starts
+without the heavy standard modules, and the record types keep their
+fields, reprs and immutability."""
 
 from __future__ import annotations
 
@@ -88,6 +89,58 @@ def test_modules_import_in_the_order_of_the_theory():
             if later:
                 faults.append("%s imports %s" % (path.name, ", ".join(sorted(later))))
     assert faults == []
+
+
+# Public names that no code in src/ or perfbench/ reaches, and why each stays.
+UNREACHED_BY_DESIGN = {
+    "IdentityReport.to_json_dict": "the JSON record that the tests and CI compare the CLI's output with",
+    "clear_cache": "empties the chain cache, for a cold start in a library session or a test",
+    "variable": "x_i, the way into polynomial arithmetic for a library user",
+    "verify_brion_general": "perfbench reaches it by getattr, from the name of its report operation",
+}
+
+
+def _public_definitions(tree: ast.Module) -> set[str]:
+    """A module's public functions, classes and constants, and its classes'
+    public methods and properties as "Class.name"."""
+    found = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found.update(t.id for t in targets if isinstance(t, ast.Name))
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.add(node.name)
+            if isinstance(node, ast.ClassDef):
+                found.update("%s.%s" % (node.name, f.name) for f in node.body if isinstance(f, ast.FunctionDef))
+    return {name for name in found if not name.rpartition(".")[2].startswith("_")}
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Every name a module reads, every attribute it names and every name it
+    imports; docstrings and strings do not count."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.rpartition(".")[2] for alias in node.names)
+    return found
+
+
+def test_no_public_name_is_reached_only_by_tests():
+    # A name only the tests, the doctests or README use belongs in the
+    # tests' oracles, not in src/.  The package root only re-exports.
+    root = Path(__file__).resolve().parents[1]
+    modules = [p for p in sorted((root / "src" / "invschub").glob("*.py")) if p.name != "__init__.py"]
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in modules + sorted((root / "perfbench").glob("*.py"))}
+    used = set().union(*map(_references, trees.values()))
+    unreached = {
+        name for path in modules for name in _public_definitions(trees[path]) if name.rpartition(".")[2] not in used
+    }
+    assert sorted(unreached - set(UNREACHED_BY_DESIGN)) == []
+    assert sorted(set(UNREACHED_BY_DESIGN) - unreached) == []  # a name that gains a caller leaves the list
 
 
 def _modules_after(statement: str) -> set[str]:

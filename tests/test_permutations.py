@@ -14,6 +14,7 @@ from characterization import (
     left_multiply_s,
     product_of_word,
     rothe_by_definition,
+    standardize,
 )
 
 from invschub.permutations import (
@@ -27,7 +28,6 @@ from invschub.permutations import (
     permutation_from_code,
     reduced_word,
     rothe_diagram,
-    standardize,
 )
 
 FACTORIALS = {1: 1, 2: 2, 3: 6, 4: 24, 5: 120, 6: 720}
@@ -189,6 +189,7 @@ def test_dominant_is_132_avoiding():
 
 
 def test_standardize():
+    # The oracle that reads the blocks of a mu-involution as involutions.
     assert standardize((5, 2, 6, 4)).oneline == (3, 1, 4, 2)
     assert standardize((7,)).oneline == (1,)
     with pytest.raises(ValueError):

@@ -135,7 +135,7 @@ def test_expand_peel_equals_solve():
         a = expand_in_schubert_basis(f, 4)
         b = expand_by_elimination(f, 4)
         assert a == b
-        assert a.reconstruct() == f
+        assert _reconstruct(a) == f
 
 
 def test_expand_equals_the_copying_peel_on_pairs_of_s4():
@@ -161,7 +161,12 @@ def test_expand_equals_the_copying_peel_on_artin_bounded_polynomials(case):
     f, n = case
     expansion = expand_in_schubert_basis(f, n)
     assert expansion == expand_by_peeling(f, n)
-    assert expansion.reconstruct() == f
+    assert _reconstruct(expansion) == f
+
+
+def _reconstruct(expansion):
+    """The sum of c * S_w over the coefficients of ``expansion``."""
+    return sum((schubert(w).scale(c) for w, c in expansion.coefficients.items()), ZERO)
 
 
 def _expansion_or_message(expand, f, n):
@@ -226,16 +231,15 @@ def test_expand_artin_bound_enforced():
 
 def test_expansion_object():
     exp = expand_in_schubert_basis(monomial((2,)) + monomial((1, 1)), 3)
-    assert exp.support() == {Permutation([3, 1, 2]), Permutation([2, 3, 1])}
+    assert exp.coefficients == {Permutation([3, 1, 2]): 1, Permutation([2, 3, 1]): 1}
     assert exp.is_multiplicity_free()
-    assert exp.coefficient(Permutation([3, 1, 2])) == 1
-    assert exp.coefficient(identity(3)) == 0
+    assert identity(3) not in exp.coefficients
     assert str(exp) == "S[2,3,1] + S[3,1,2]"
     scaled = SchubertExpansion({Permutation([2, 1, 3]): 2})
     assert not scaled.is_multiplicity_free()
     assert str(scaled) == "2*S[2,1,3]"
     # Zero coefficients are dropped on construction.
-    assert SchubertExpansion({Permutation([2, 1, 3]): 0}).support() == frozenset()
+    assert SchubertExpansion({Permutation([2, 1, 3]): 0}).coefficients == {}
 
 
 def test_cache_isolation():

@@ -22,6 +22,7 @@ from characterization import (
     code_by_definition,
     graph_by_sorting,
     greedy_moves_by_scan,
+    has_edge,
     lower,
     mu_involution_words,
 )
@@ -493,14 +494,16 @@ def test_build_graph_equals_the_builder_that_sorts_everything():
 
 
 def test_graph_edges_are_sorted_and_has_edge_finds_exactly_them():
-    # has_edge bisects the edges, so they must be sorted.  Each edge is
-    # found, and each with its target replaced by another vertex is not.
+    # The edges are sorted triples, and m(s_j) sends a vertex to one target,
+    # so no two edges share (u, j).  The first and last edge are found by
+    # their ends' words, and not with the target replaced by another vertex.
     for graph, _ in _graphs():
         assert graph.edges == tuple(sorted(graph.edges)), graph.name
+        assert len({(u, j) for u, j, _ in graph.edges}) == len(graph.edges), graph.name
         words = [word for word, _, _ in graph.vertices]
-        for u, j, v in graph.edges:
-            assert graph.has_edge(words[u], j, words[v])
-            assert not graph.has_edge(words[u], j, words[v - 1])
+        for u, j, v in graph.edges[:1] + graph.edges[-1:]:
+            assert has_edge(graph, words[u], j, words[v])
+            assert not has_edge(graph, words[u], j, words[v - 1])
 
 
 def test_graph_ranks_equal_lhat_mu():
