@@ -6,12 +6,12 @@ Schubert polynomials.
 Involutions are the mu = (n) case of the mu-theory: ``Involution`` is the
 ``MuInvolution`` whose composition is (n), equal to it and hashing alike,
 and it adds only ``kappa`` and its own cycle notation.  So
-``monoid_apply``, ``monoid_apply_word`` and ``inv_schubert`` are
-``mu_monoid_apply``, ``mu_monoid_apply_word`` and ``mu_inv_schubert`` of
-:mod:`invschub.mu_involutions` under the names of this module, and their
-examples are there.  The definitional brute force is a call into that
-module, and the poset is the engine's ``build_graph`` at nu = (0, n),
-refused and checked as the mu poset is.  The engine's four-case rule
+``monoid_apply_word`` is ``mu_monoid_apply_word`` of
+:mod:`invschub.mu_involutions` under this module's name, and
+``monoid_apply`` and ``inv_schubert`` are one call each into the
+mu-functions, defined here for their doctests.  The definitional brute
+force is a call into that module, and the poset is the engine's
+``build_graph`` at nu = (0, n), refused and checked as the mu poset is.  The engine's four-case rule
 reduces there to the three-case rule
 
     m(s_i) . tau = tau            if tau(i+1) < tau(i)
@@ -40,9 +40,9 @@ from .mu_involutions import (
     Composition,
     MuInvolution,
     atoms_mu_bruteforce,
+    mu_inv_schubert,
+    mu_monoid_apply,
 )
-from .mu_involutions import mu_inv_schubert as inv_schubert
-from .mu_involutions import mu_monoid_apply as monoid_apply
 from .mu_involutions import mu_monoid_apply_word as monoid_apply_word
 from .permutations import (
     Permutation,
@@ -87,9 +87,7 @@ __all__ = [
 
 class Involution(MuInvolution):
     """A permutation equal to its own inverse: the mu-involution whose
-    composition is (n).
-
-    ``kappa`` counts the 2-cycles.
+    composition is (n); ``kappa`` counts its 2-cycles.
 
     >>> tau = parse_involution("(1,5)(2,3)", 5)
     >>> tau.kappa
@@ -167,6 +165,19 @@ def parse_involution(text: str, n: int) -> Involution:
             images[a - 1], images[b - 1] = b, a
         return Involution(Permutation(images))
     return Involution(parse_permutation(text, n))
+
+
+def monoid_apply(i: int, tau: Involution) -> Involution:
+    """m(s_i) . tau by the three-case rule: ``mu_monoid_apply`` at mu = (n).
+
+    >>> monoid_apply(1, identity_involution(2)).cycles_string()
+    '(1,2)'
+    >>> monoid_apply(1, parse_involution("(1,2)", 2)).cycles_string()
+    '(1,2)'
+    >>> monoid_apply(2, parse_involution("(1,2)", 3)).cycles_string()
+    '(1,3)'
+    """
+    return mu_monoid_apply(i, tau)
 
 
 class InvolutionDiagram(NamedTuple):
@@ -269,6 +280,18 @@ def closed_orbit_polynomial(n: int) -> IntPolynomial:
     if n < 1:
         raise ValueError("rank must be at least 1")
     return anchor((0, n))
+
+
+def inv_schubert(tau: Involution) -> IntPolynomial:
+    """Shat_tau: ``mu_inv_schubert`` at mu = (n), which the tests check
+    against the divided-difference chain to w0.
+
+    >>> print(inv_schubert(longest_involution(3)))
+    x1^2 + x1*x2
+    >>> print(inv_schubert(identity_involution(3)))
+    1
+    """
+    return mu_inv_schubert(tau)
 
 
 def inv_schubert_dominant(tau: Involution) -> IntPolynomial:

@@ -22,11 +22,6 @@ where the bitwise or of the keys allows a carry.  s_i and d_i never leave
 the range.
 Every divided difference is checked: with CHECK_DIVIDED_DIFFERENCE,
 f - s_i.f - (x_i - x_{i+1}).d_i(f) is summed term by term and must cancel.
-The divided differences of ``weak_order.shat_mu`` take each quotient key
-from one key table as the term is emitted, so all the quotients it stores
-share one int object per monomial; the table lives as long as the chain
-cache and is emptied with it by ``clear_cache``.  ``divided_difference``
-itself uses no table.
 
 Coefficients are plain Python ints (arbitrary precision); zero coefficients
 are never stored, so structural equality is polynomial equality.

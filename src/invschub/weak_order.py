@@ -11,20 +11,15 @@ A mu-involution is a pair (word, nu): its one-line tuple and the prefix
 sums ``Composition.nu`` that cut it into blocks; involutions of [n] are
 nu = (0, n), and every permutation is a mu-involution at nu = (0, 1, ..., n),
 where m(s_i) is left multiplication by s_i and ``shat_mu`` of w is the
-ordinary Schubert polynomial of w^-1.  m(s_i) stays exactly when letter i
-appears after letter i+1; otherwise it swaps the two letters when they lie
-in different blocks, or in one block that fixes both (as a permutation of
-its own alphabet), and else conjugates inside the block: it swaps the
-block slots at the ranks of i and i+1, then relabels i <-> i+1.
+ordinary Schubert polynomial of w^-1.  ``act`` is m(s_i) by the four-case
+rule.
 
-So the raising chain of ``shat_mu`` reads each move off the positions of
-the letters, the smallest i left of i+1, and calls ``act`` once per move.
-Each move must raise lhat_mu by exactly one, and that change is computed
-from the letters i and i+1 and their block alone: a swap across two blocks
-adds one inversion to the blockwise sorted word, and a move inside a block
-is ranked over the at most four slots it touches.  ``shat_mu`` takes words
-of I_mu; they are checked where they enter, by ``Permutation``,
-``MuInvolution`` and the parsers, and the chain does not count their rank.
+The raising chain of ``shat_mu`` takes the smallest i left of i+1 at
+each step and calls ``act`` once per move; each move must raise lhat_mu
+by exactly one, as ``_rank_change`` computes from the letters i and i+1
+and their block alone.  ``shat_mu`` takes words of I_mu; they are checked
+where they enter, by ``Permutation``, ``MuInvolution`` and the parsers,
+and the chain does not count their rank.
 
 Its cost is set by w0, where every chain starts, not by the answer.  So
 the involutions, nu = (0, n), take ``shat_involution`` instead: the Dhat

@@ -73,10 +73,11 @@ def test_involution_is_the_one_block_mu_involution(monkeypatch):
     tau = parse_involution("(1,5)(2,3)", 5)
     one_block = Composition((5,))
     assert isinstance(tau, MuInvolution) and tau.mu == one_block
-    # The involution functions are the mu-functions under other names.
+    # monoid_apply_word is the mu-function itself; monoid_apply and
+    # inv_schubert are one call each into theirs.
     assert monoid_apply_word is mu_monoid_apply_word
-    assert monoid_apply is mu_monoid_apply
-    assert inv_schubert is mu_inv_schubert
+    assert monoid_apply(3, tau) == mu_monoid_apply(3, tau)
+    assert inv_schubert(tau) == mu_inv_schubert(tau)
     as_mu = MuInvolution(tau.perm, one_block)
     assert tau == as_mu and as_mu == tau and hash(tau) == hash(as_mu)
     assert type(mu_monoid_apply(3, tau)) is Involution
