@@ -7,20 +7,25 @@ and node order) and every rendered value is re-parseable by the CLI.
 
 Every command renders through one path: its handler parses and computes
 the result once and returns one renderer per format it supports, and
-``main`` calls only the renderer of the format asked for and writes its
-output in one piece.  So text mode never builds JSON, and a command that
-is refused prints nothing on stdout.
+``main`` calls only the renderer of the format asked for and writes each
+str chunk it yields as it comes: a poset or an atom list in chunks of
+``CHUNK_ROWS`` rows, a sweep one report at a time.  So text mode never
+builds JSON, no large output is held whole, and, as every bound is
+checked before the first chunk, a command that is refused prints nothing
+on stdout.  Out of memory after the first chunk leaves stdout cut short.
 
-Exit codes: 0 success; 1 parse/validation error (one-line diagnostic on
-stderr); 2 enumeration-bound refusal or out of memory; 3 failed verification.
+Exit codes: 0 success (also when the reader closes stdout early); 1
+parse/validation error (one-line diagnostic on stderr); 2
+enumeration-bound refusal or out of memory; 3 failed verification.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .involutions import (
     atoms,
@@ -43,6 +48,8 @@ from .mu_involutions import (
 from .permutations import (
     EnumerationBoundError,
     Permutation,
+    formatted,
+    json_list,
     parse_permutation,
     rothe_diagram,
 )
@@ -51,16 +58,18 @@ from .schubert import expand_in_schubert_basis, schubert
 from .verify import (
     VERIFY_BOUND,
     IdentityReport,
-    reports_to_json,
-    verify_all,
+    reports_json,
+    verify_sweep,
     verify_involution_identity,
     verify_mu_identity,
 )
 
 __all__ = ["build_parser", "main"]
 
-# A command's result: one renderer per format, and the exit code.
-Output = tuple[dict[str, Callable[[], str]], int]
+# A command's result: one renderer per format, each yielding str chunks,
+# and the exit code, or for a sweep a function that reads it once the
+# output is written.
+Output = tuple[dict[str, Callable[[], Iterable[str]]], int | Callable[[], int]]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -79,10 +88,10 @@ def _render_perm(w: Permutation) -> str:
     return w.compact() if w.n <= 9 else str(w)
 
 
-def _text_json(text: Callable[[], str], payload: Callable[[], object], status: int = 0) -> Output:
-    """The text and json renderers; the JSON payload is built only when
-    that format is asked for."""
-    return {"text": text, "json": lambda: json.dumps(payload(), indent=2, sort_keys=True) + "\n"}, status
+def _text_json(text: Callable[[], str], payload: Callable[[], object]) -> Output:
+    """The text and json renderers, each one chunk; the JSON payload is
+    built only when that format is asked for."""
+    return {"text": lambda: [text()], "json": lambda: [json.dumps(payload(), indent=2, sort_keys=True) + "\n"]}, 0
 
 
 def _polynomial(poly: IntPolynomial, header: dict) -> Output:
@@ -109,10 +118,15 @@ def _atoms(args: argparse.Namespace, header: dict, atom_set) -> Output:
     ordered = [_render_perm(w) for w in sorted(atom_set, key=lambda w: w.oneline)]
     # The default method's label predates the atoms read off local moves.
     method = "bruteforce" if args.bruteforce else "characterization"
-    return _text_json(
-        lambda: "".join(word + "\n" for word in ordered),
-        lambda: {**header, "method": method, "atoms": ordered, "count": len(ordered)},
-    )
+
+    def as_json() -> Iterator[str]:
+        # "atoms" sorts before every other key, and a word needs no escaping.
+        rest = json.dumps({**header, "method": method, "count": len(ordered)}, indent=2, sort_keys=True)
+        yield '{\n  "atoms": '
+        yield from json_list('    "%s"', zip(ordered))
+        yield ",\n" + rest[2:] + "\n"
+
+    return {"text": lambda: formatted("%s\n", zip(ordered)), "json": as_json}, 0
 
 
 def _bound(args: argparse.Namespace, default: int) -> int:
@@ -147,7 +161,7 @@ def _cmd_poset(args: argparse.Namespace) -> Output:
         graph = weak_order_graph(args.n)
     else:
         graph = mu_weak_order_graph(parse_composition(args.mu))
-    return {"text": graph.to_text, "json": graph.to_json, "dot": graph.to_dot}, 0
+    return {"text": graph.text_chunks, "json": graph.json_chunks, "dot": graph.dot_chunks}, 0
 
 
 def _passed(report: IdentityReport) -> bool:
@@ -156,21 +170,27 @@ def _passed(report: IdentityReport) -> bool:
 
 def _cmd_verify(args: argparse.Namespace) -> Output:
     if args.all_n is not None:
-        reports = verify_all(args.all_n, max_n=_bound(args, VERIFY_BOUND))
+        reports = verify_sweep(args.all_n, max_n=_bound(args, VERIFY_BOUND))
+        passed: list[bool] = []  # one entry per report, as it is written
 
-        def text() -> str:
-            lines = ["%s %s" % ("ok" if _passed(r) else "FAIL", r.subject) for r in reports]
-            return "\n".join(lines + ["checked %d identities" % len(reports)]) + "\n"
+        def checked() -> Iterator[IdentityReport]:
+            for report in reports:
+                passed.append(_passed(report))
+                yield report
 
-        status = 0 if all(map(_passed, reports)) else 3
-        return {"text": text, "json": lambda: reports_to_json(reports)}, status
+        def text() -> Iterator[str]:
+            for report in checked():
+                yield "%s %s\n" % ("ok" if passed[-1] else "FAIL", report.subject)
+            yield "checked %d identities\n" % len(passed)
+
+        return {"text": text, "json": lambda: reports_json(checked())}, lambda: 0 if all(passed) else 3
     if args.mu is not None:
         report = verify_mu_identity(parse_composition(args.mu))
     else:
         if args.n is None:
             raise ValueError("--dominant-involution requires -n")
         report = verify_involution_identity(parse_involution(args.dominant_involution, args.n))
-    return {"text": report.to_text, "json": report.to_json}, 0 if _passed(report) else 3
+    return {"text": lambda: [report.to_text()], "json": lambda: [report.to_json()]}, 0 if _passed(report) else 3
 
 
 def _cmd_expand(args: argparse.Namespace) -> Output:
@@ -332,7 +352,14 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         renderers, status = args.func(args)
-        output = renderers[args.format]()
+        for chunk in renderers[args.format]():
+            sys.stdout.write(chunk)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has closed stdout: stop writing, and send what is left
+        # in its buffer to the null device, so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except EnumerationBoundError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
@@ -342,8 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     except MemoryError:
         print("error: out of memory", file=sys.stderr)
         return 2
-    sys.stdout.write(output)
-    return status
+    return status() if callable(status) else status
 
 
 if __name__ == "__main__":

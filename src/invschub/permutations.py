@@ -1,6 +1,7 @@
 """
 Permutations of [n] = {1, ..., n} in one-line notation, with inversions,
-reduced words, Rothe diagrams, Lehmer codes and dominance.
+reduced words, Rothe diagrams, Lehmer codes and dominance, and the text
+of words and of long listings of rows, written in chunks.
 
 All indices and values are 1-based, matching the usual combinatorics
 conventions.  Permutations are immutable and hashable.
@@ -17,6 +18,7 @@ Permutation([5, 2, 1, 3, 4])
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import chain, islice
 from itertools import permutations as _itertools_permutations
 from operator import ge
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -27,6 +29,9 @@ __all__ = [
     "inversions",
     "rothe_rows",
     "letter_strings",
+    "CHUNK_ROWS",
+    "formatted",
+    "json_list",
     "identity",
     "longest",
     "reduced_word",
@@ -179,6 +184,36 @@ def letter_strings(word: Sequence[int]) -> str | list[str]:
     if len(word) <= 9:
         return bytes(word).translate(_DIGITS).decode()
     return list(map(str, word))
+
+
+# A poset or an atom list is written in chunks of this many rows, so that
+# no more than one chunk of its text is held at a time.
+CHUNK_ROWS = 1024
+
+
+def formatted(template: str, rows: Iterable[tuple], sep: str = "") -> Iterator[str]:
+    """sep.join(template % row for row in rows) in chunks of CHUNK_ROWS rows,
+    each made by one format call; a row fills one field per %."""
+    rows, fields, lead = iter(rows), template.count("%"), ""
+    while True:
+        args = tuple(chain.from_iterable(islice(rows, CHUNK_ROWS)))
+        if not args:
+            return
+        yield lead + sep.join([template] * (len(args) // fields)) % args
+        lead = sep
+
+
+def json_list(template: str, rows: Iterable[tuple]) -> Iterator[str]:
+    """A JSON list one level deep, as json.dumps(indent=2) prints it, with
+    one item per row by ``template``, in chunks."""
+    chunks = formatted(template, rows, ",\n")
+    first = next(chunks, None)
+    if first is None:
+        yield "[]"
+        return
+    yield "[\n" + first
+    yield from chunks
+    yield "\n  ]"
 
 
 class RotheDiagram(NamedTuple):

@@ -26,13 +26,15 @@ decides what to do (the command line maps it to exit code 3).
 
 Reports are written as JSON directly, in the bytes that
 ``json.dumps(..., indent=2, sort_keys=True)`` prints for their
-``to_json_dict``, one report or a whole sweep at a time (``reports_to_json``).
+``to_json_dict``: one report by ``to_json``, and a sweep in one chunk
+per report as ``verify_sweep`` yields them (``reports_json``).
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from json.encoder import encode_basestring_ascii
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 from .involutions import (
     Involution,
@@ -58,8 +60,9 @@ __all__ = [
     "verify_involution_identity",
     "verify_mu_identity",
     "verify_brion_general",
+    "verify_sweep",
     "verify_all",
-    "reports_to_json",
+    "reports_json",
 ]
 
 # The largest rank the general atom-sum checks and ``verify_all`` take by
@@ -146,15 +149,16 @@ class IdentityReport(NamedTuple):
         return "\n".join(lines) + "\n"
 
 
-def reports_to_json(reports: Sequence[IdentityReport]) -> str:
+def reports_json(reports: Iterable[IdentityReport]) -> Iterator[str]:
     """``json.dumps([r.to_json_dict() for r in reports], indent=2,
-    sort_keys=True)`` and a newline: each report's JSON one level deeper.
-    Only escaped strings hold a newline, as the two characters \\n, so the
-    indent is one replace."""
-    if not reports:
-        return "[]\n"
-    body = ",\n".join([report._json() for report in reports]).replace("\n", "\n  ")
-    return "[\n  %s\n]\n" % body
+    sort_keys=True)`` and a newline, in one chunk per report: each
+    report's JSON one level deeper.  Only escaped strings hold a newline,
+    as the two characters \\n, so the indent is one replace."""
+    lead = "[\n  "
+    for report in reports:
+        yield lead + report._json().replace("\n", "\n  ")
+        lead = ",\n  "
+    yield "[]\n" if lead == "[\n  " else "\n]\n"
 
 
 def _report(subject: str, lhs: IntPolynomial, rhs: IntPolynomial, n: int) -> IdentityReport:
@@ -262,8 +266,9 @@ def verify_brion_general(tau: Involution, max_n: int = VERIFY_BOUND) -> Identity
     return _involution_report(tau, dominant=False)
 
 
-def verify_all(n: int, max_n: int = VERIFY_BOUND) -> list[IdentityReport]:
-    """Every check available at rank n, in a fixed order.
+def verify_sweep(n: int, max_n: int = VERIFY_BOUND) -> Iterator[IdentityReport]:
+    """Every check available at rank n, in a fixed order, one report at a
+    time.  The bounds are checked on the call, before the first report.
 
     Runs the general atom-sum check on every involution in I_n, the
     dominant factorization on the dominant ones, and the top-element
@@ -276,7 +281,13 @@ def verify_all(n: int, max_n: int = VERIFY_BOUND) -> list[IdentityReport]:
         )
     refuse_rank(n)
     taus = list(involutions(n))
-    reports = [_involution_report(tau, dominant=False) for tau in taus]
-    reports += [verify_involution_identity(tau) for tau in taus if is_dominant(tau.perm)]
-    reports += [verify_mu_identity(mu) for mu in all_compositions(n)]
-    return reports
+    return chain(
+        (_involution_report(tau, dominant=False) for tau in taus),
+        (verify_involution_identity(tau) for tau in taus if is_dominant(tau.perm)),
+        map(verify_mu_identity, all_compositions(n)),
+    )
+
+
+def verify_all(n: int, max_n: int = VERIFY_BOUND) -> list[IdentityReport]:
+    """The reports of ``verify_sweep(n, max_n)`` as a list."""
+    return list(verify_sweep(n, max_n))

@@ -39,12 +39,11 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import ge, itemgetter, ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .permutations import EnumerationBoundError, inversions, rothe_rows
+from .permutations import EnumerationBoundError, formatted, inversions, json_list, rothe_rows
 from .polynomials import (
     MAX_EXPONENT,
     ONE,
@@ -237,47 +236,46 @@ class WeakOrderGraph(NamedTuple):
         return len(self.vertices)
 
     def to_dot(self) -> str:
-        return "digraph %s {\n%s%s}\n" % (
-            self.name,
-            _formatted('  n%d [label="%s"];\n', enumerate(map(itemgetter(1), self.vertices))),
-            _formatted('  n%d -> n%d [label="s_%d"];\n', map(itemgetter(0, 2, 1), self.edges)),
-        )
+        return "".join(self.dot_chunks())
 
     def to_json(self) -> str:
+        return "".join(self.json_chunks())
+
+    def to_text(self) -> str:
+        return "".join(self.text_chunks())
+
+    def dot_chunks(self) -> Iterator[str]:
+        yield "digraph %s {\n" % self.name
+        yield from formatted('  n%d [label="%s"];\n', enumerate(map(itemgetter(1), self.vertices)))
+        yield from formatted('  n%d -> n%d [label="s_%d"];\n', map(itemgetter(0, 2, 1), self.edges))
+        yield "}\n"
+
+    def json_chunks(self) -> Iterator[str]:
         """The graph as ``json.dumps(..., indent=2, sort_keys=True)`` would
         print {"edges": [{"from", "label", "to"}], "vertices": [{"cycles",
         "id", "oneline", "rank"}]}, written directly.  Only the labels need
         escaping; everything else is built from integers."""
         ids, onelines, labels, ranks = self._columns()
-        vertices = _formatted(  # made before the edges, which take more memory
+        yield '{\n  "edges": '
+        yield from json_list('    {\n      "from": %d,\n      "label": "s_%d",\n      "to": %d\n    }', self.edges)
+        yield ',\n  "vertices": '
+        yield from json_list(
             '    {\n      "cycles": %s,\n      "id": %d,\n      "oneline": "[%s]",\n      "rank": %d\n    }',
             zip(map(encode_basestring_ascii, labels), ids, onelines, ranks),
-            ",\n",
         )
-        edges = _formatted(
-            '    {\n      "from": %d,\n      "label": "s_%d",\n      "to": %d\n    }', self.edges, ",\n"
-        )
-        lists = tuple("[\n%s\n  ]" % items if items else "[]" for items in (edges, vertices))
-        return '{\n  "edges": %s,\n  "vertices": %s\n}\n' % lists
+        yield "\n}\n"
 
-    def to_text(self) -> str:
+    def text_chunks(self) -> Iterator[str]:
         ids, onelines, labels, ranks = self._columns()
-        vertices = _formatted("  n%d rank=%d [%s] %s\n", zip(ids, ranks, onelines, labels))
-        edges = _formatted("  n%d -s_%d-> n%d\n", self.edges)
-        head = "%s: %d vertices, %d edges\n" % (self.name, len(self.vertices), len(self.edges))
-        return head + vertices + edges
+        yield "%s: %d vertices, %d edges\n" % (self.name, len(self.vertices), len(self.edges))
+        yield from formatted("  n%d rank=%d [%s] %s\n", zip(ids, ranks, onelines, labels))
+        yield from formatted("  n%d -s_%d-> n%d\n", self.edges)
 
     def _columns(self) -> tuple[Iterable, ...]:
         """The vertices' indices, one-line notations (all of one length), labels and ranks."""
         letters = ",".join(["%d"] * len(self.vertices[0][0])) if self.vertices else ""
         words, labels, ranks = (map(itemgetter(k), self.vertices) for k in range(3))
         return range(len(self.vertices)), map(letters.__mod__, words), labels, ranks
-
-
-def _formatted(template: str, rows: Iterable[tuple], sep: str = "") -> str:
-    """sep.join(template % row for row in rows) by one format call; a row fills one field per %."""
-    args = tuple(chain.from_iterable(rows))
-    return sep.join([template] * (len(args) // template.count("%"))) % args
 
 
 def count(nu: Word) -> int:

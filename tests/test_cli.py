@@ -14,10 +14,12 @@ import sys
 import pytest
 
 from invschub import cli
+from invschub import permutations
+from invschub.involutions import atoms, parse_involution, relative_atoms, weak_order_graph
 from invschub.mu_involutions import parse_composition, parse_mu_involution
 from invschub.verify import IdentityReport, verify_all, verify_mu_identity
 from invschub import weak_order
-from invschub.weak_order import clear_cache
+from invschub.weak_order import WeakOrderGraph, clear_cache
 
 
 def run_cli(capsys, argv: list[str]) -> tuple[int, str, str]:
@@ -189,6 +191,30 @@ def test_relative_atoms_text(capsys) -> None:
         capsys, ["relative-atoms", "-t", "(1,2)", "-u", "(3,4)", "-n", "4"]
     )
     assert (rc, out, err) == (0, "", "")
+
+
+@pytest.mark.parametrize("rows", [1, permutations.CHUNK_ROWS])
+def test_atom_lists_in_chunks_are_the_json_dumps_and_lines_of_the_sets(capsys, monkeypatch, rows) -> None:
+    # At one row per chunk every boundary between chunks is crossed.
+    monkeypatch.setattr(permutations, "CHUNK_ROWS", rows)
+    w0 = "(1,10)(2,9)(3,8)(4,7)(5,6)"
+    cases = [
+        (["atoms", "-t", "(1,4)(2,3)", "-n", "4"], {"cycles": "(1,4)(2,3)", "n": 4},
+         atoms(parse_involution("(1,4)(2,3)", 4))),
+        (["atoms", "-t", w0, "-n", "10"], {"cycles": w0, "n": 10}, atoms(parse_involution(w0, 10))),
+        (["relative-atoms", "-t", "(1,2)", "-u", "(3,4)", "-n", "4"],
+         {"base": "(1,2)", "target": "(3,4)", "n": 4}, frozenset()),
+        (["relative-atoms", "-t", "id", "-u", "(1,4)", "-n", "4"], {"base": "id", "target": "(1,4)", "n": 4},
+         relative_atoms(parse_involution("id", 4), parse_involution("(1,4)", 4))),
+    ]
+    for argv, header, atom_set in cases:
+        words = [w.compact() if w.n <= 9 else str(w) for w in sorted(atom_set, key=lambda w: w.oneline)]
+        rc, out, err = run_cli(capsys, argv)
+        assert (rc, out, err) == (0, "".join(word + "\n" for word in words), ""), argv
+        rc, out, err = run_cli(capsys, argv + ["--format", "json"])
+        payload = {**header, "method": "characterization", "atoms": words, "count": len(words)}
+        assert (rc, out, err) == (0, json.dumps(payload, indent=2, sort_keys=True) + "\n", ""), argv
+    assert len(words) > 1
 
 
 def test_relative_atoms_json(capsys) -> None:
@@ -394,6 +420,38 @@ def test_out_of_memory_is_one_line_and_exit_two(capsys, monkeypatch) -> None:
     assert run_cli(capsys, ["verify", "--mu", "2"]) == (2, "", "error: out of memory\n")
 
 
+def test_out_of_memory_after_the_first_chunk_leaves_stdout_cut_short(capsys, monkeypatch) -> None:
+    # Written chunks stay written: stdout holds exactly the first one, and
+    # stderr the one line of a command that runs out of memory.
+    writer = WeakOrderGraph.text_chunks
+
+    def exhausted(graph):
+        yield next(writer(graph))
+        raise MemoryError()
+
+    first = next(writer(weak_order_graph(4)))
+    assert first != weak_order_graph(4).to_text()
+    monkeypatch.setattr(WeakOrderGraph, "text_chunks", exhausted)
+    assert run_cli(capsys, ["poset", "-n", "4"]) == (2, first, "error: out of memory\n")
+
+
+def test_a_reader_that_closes_early_ends_the_command_with_exit_zero_and_no_traceback() -> None:
+    # About 1 MB of JSON, far more than a pipe holds: the command is still
+    # writing when the reader closes after one line.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "invschub", "poset", "-n", "9", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert b"Traceback" not in err
+    assert err == b""
+
+
 def test_verify_failure_exits_three(capsys, monkeypatch) -> None:
     genuine = verify_mu_identity(parse_composition("2"))
     doctored = genuine._replace(equal=False)
@@ -402,10 +460,15 @@ def test_verify_failure_exits_three(capsys, monkeypatch) -> None:
     assert rc == 3
     assert json.loads(out)["equal"] is False
 
-    monkeypatch.setattr(cli, "verify_all", lambda n, max_n: [doctored])
+    # A sweep's exit code is read once its reports are written.
+    monkeypatch.setattr(cli, "verify_sweep", lambda n, max_n: iter([genuine, doctored]))
     rc, out, _ = run_cli(capsys, ["verify", "--all-n", "2", "--format", "text"])
     assert rc == 3
-    assert out == "FAIL mu 2\nchecked 1 identities\n"
+    assert out == "ok mu 2\nFAIL mu 2\nchecked 2 identities\n"
+    monkeypatch.setattr(cli, "verify_sweep", lambda n, max_n: iter([genuine, doctored]))
+    rc, out, _ = run_cli(capsys, ["verify", "--all-n", "2"])
+    assert rc == 3
+    assert [r["equal"] for r in json.loads(out)] == [True, False]
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +629,13 @@ def test_exit_code_two_on_enumeration_bound(capsys, monkeypatch) -> None:
     assert rc == 2
     assert out == ""
     assert err == "error: verification sweep at rank 9 exceeds the bound 8\n"
+
+    # Output is written in chunks, and every bound is checked before the
+    # first: the default JSON sweep and a JSON poset print nothing either.
+    rc, out, err = run_cli(capsys, ["verify", "--all-n", "9"])
+    assert (rc, out, err) == (2, "", "error: verification sweep at rank 9 exceeds the bound 8\n")
+    rc, out, err = run_cli(capsys, ["poset", "-n", "12", "--format", "json"])
+    assert (rc, out, err) == (2, "", "error: |I_12| = 140152 exceeds the vertex budget 50000\n")
 
     # inv-schubert is refused by a term bound before any polynomial work:
     # w0_13 by its Dhat product, a non-dominant involution by its pipe-dream

@@ -97,6 +97,7 @@ UNREACHED_BY_DESIGN = {
     "clear_cache": "empties the chain cache, for a cold start in a library session or a test",
     "variable": "x_i, the way into polynomial arithmetic for a library user",
     "verify_brion_general": "perfbench reaches it by getattr, from the name of its report operation",
+    "verify_all": "the sweep as a list, for a library user; the CLI streams verify_sweep instead",
 }
 
 

@@ -22,11 +22,12 @@ from invschub import verify
 from invschub.schubert import SchubertExpansion
 from invschub.verify import (
     IdentityReport,
-    reports_to_json,
+    reports_json,
     verify_all,
     verify_brion_general,
     verify_involution_identity,
     verify_mu_identity,
+    verify_sweep,
 )
 
 
@@ -165,6 +166,22 @@ def test_report_renders_unequal_sides_apart():
     assert "lhs: x1^2 + x1*x2\nrhs: x1^2\n" in failed.to_text()
 
 
+def test_sweep_is_refused_on_the_call_before_any_report(monkeypatch):
+    # The CLI writes each report as the sweep yields it, so a bound checked
+    # only once the sweep is read could come after output.
+    def no_report(*args, **kwargs):
+        raise AssertionError("a report was built")
+
+    monkeypatch.setattr(verify, "_involution_report", no_report)
+    with pytest.raises(EnumerationBoundError, match="verification sweep at rank 9 exceeds the bound 8"):
+        verify_sweep(9)
+    with pytest.raises(EnumerationBoundError, match="rank 257 exceeds the limit 256"):
+        verify_sweep(257, max_n=257)
+    sweep = verify_sweep(3)
+    with pytest.raises(AssertionError, match="a report was built"):
+        next(sweep)
+
+
 def test_report_is_frozen():
     report = verify_brion_general(parse_involution("id", 2))
     with pytest.raises(AttributeError):
@@ -180,8 +197,8 @@ def test_written_json_equals_json_dumps_on_every_report_of_the_sweeps():
         reports = verify_all(n)
         for report in reports:
             assert report.to_json() == _dumps(report.to_json_dict()), report.subject
-        assert reports_to_json(reports) == _dumps([r.to_json_dict() for r in reports]), n
-    assert reports_to_json([]) == _dumps([])
+        assert "".join(reports_json(reports)) == _dumps([r.to_json_dict() for r in reports]), n
+    assert "".join(reports_json([])) == _dumps([])
 
 
 def test_written_json_equals_json_dumps_on_doctored_reports():
@@ -195,4 +212,4 @@ def test_written_json_equals_json_dumps_on_doctored_reports():
     ]
     for edited in doctored:
         assert edited.to_json() == _dumps(edited.to_json_dict())
-    assert reports_to_json(doctored) == _dumps([r.to_json_dict() for r in doctored])
+    assert "".join(reports_json(doctored)) == _dumps([r.to_json_dict() for r in doctored])

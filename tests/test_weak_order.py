@@ -27,7 +27,7 @@ from characterization import (
     mu_involution_words,
 )
 
-from invschub import weak_order
+from invschub import permutations, weak_order
 from invschub.involutions import (
     identity_involution,
     inv_schubert,
@@ -597,6 +597,22 @@ def _text_lines(graph):
         ]
         + ["  n%d -s_%d-> n%d" % (u, gen, v) for (u, gen, v) in graph.edges]
     )
+
+
+@pytest.mark.parametrize("rows", [1, permutations.CHUNK_ROWS])
+def test_graph_chunks_join_to_the_schemas_at_every_chunk_size(monkeypatch, rows):
+    # At one row per chunk every vertex and every edge is a chunk of its
+    # own, so each boundary between chunks is crossed.
+    monkeypatch.setattr(permutations, "CHUNK_ROWS", rows)
+    odd = WeakOrderGraph("odd", (((1,), 'a"b\\c\u00e9\n%s', 0),), ())
+    for graph in [graph for graph, _ in _graphs()] + [odd]:
+        text = list(graph.text_chunks())
+        assert "".join(text) == "\n".join(_text_lines(graph)) + "\n", graph.name
+        assert "".join(graph.dot_chunks()) == "\n".join(_dot_lines(graph)) + "\n", graph.name
+        expected = json.dumps(_json_dict(graph), indent=2, sort_keys=True) + "\n"
+        assert "".join(graph.json_chunks()) == expected, graph.name
+        # The head line, then the vertices and the edges in ceil(rows / CHUNK_ROWS) chunks each.
+        assert len(text) == 1 + sum(-(-len(part) // rows) for part in (graph.vertices, graph.edges)), graph.name
 
 
 def test_graph_dot_and_text_equal_their_line_by_line_schemas(rank_10_graphs):
